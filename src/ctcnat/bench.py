@@ -17,9 +17,7 @@ milliseconds); the previous thread count is restored afterwards, also when
 a decode raises. Where no thread control is found in numpy's bundled
 OpenBLAS, a ``RuntimeWarning`` says the timings may include BLAS threading
 and the run goes on. The summary states the thread count used.
-``parallel_sentences`` optionally decodes the corpus on a thread pool to
-demonstrate wall-clock parallelization, at the cost of noisier
-per-sentence numbers.
+Every mode decodes through ``decoding.translate``.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ import io
 import statistics
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,8 +36,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .data import SentencePair
-from .decoding import DecodeOptions, ar_beam_decode, ar_greedy_decode, ctc_beam_search, greedy_ctc_decode
-from .model import ConfigError, ModelConfig, ModelParams, decode_parallel, encode, split_states
+from .decoding import DecodeOptions, translate
+from .model import ConfigError, ModelConfig, ModelParams
 
 MODES = ("AR-greedy", "AR-beam", "NAR-greedy", "NAR-beam")
 
@@ -62,35 +59,17 @@ class TimingRecord:
     repetitions: int
 
 
-def _nar_pipeline(config: ModelConfig, params: ModelParams, source_ids, beam: DecodeOptions | None):
-    enc = encode(config, params, source_ids)
-    log_probs = decode_parallel(config, params, split_states(params, enc, config.k), enc)
-    if beam is None:
-        return greedy_ctc_decode(log_probs)
-    return ctc_beam_search(log_probs, beam)[0].prefix
-
-
 def _make_runner(mode: str, ar_model, nar_model, beam: DecodeOptions,
                  ar_max_steps: int | None) -> Callable[[SentencePair], tuple]:
-    if mode.startswith("AR"):
-        if ar_model is None:
-            raise ConfigError(f"mode {mode} requested but no autoregressive model given")
-        config, params = ar_model
-        if not config.is_autoregressive:
-            raise ConfigError(f"mode {mode} needs an autoregressive-baseline model, got {config.variant}")
-        if mode == "AR-greedy":
-            return lambda p: ar_greedy_decode(config, params, p.source_ids,
-                                              ar_max_steps or len(p.source_ids))
-        return lambda p: ar_beam_decode(config, params, p.source_ids, beam,
-                                        ar_max_steps or len(p.source_ids))
-    if nar_model is None:
-        raise ConfigError(f"mode {mode} requested but no parallel-labeling model given")
-    config, params = nar_model
-    if config.is_autoregressive:
-        raise ConfigError(f"mode {mode} needs a parallel-labeling model, got {config.variant}")
-    if mode == "NAR-greedy":
-        return lambda p: _nar_pipeline(config, params, p.source_ids, None)
-    return lambda p: _nar_pipeline(config, params, p.source_ids, beam)
+    autoregressive = mode.startswith("AR")
+    model, family = (ar_model, "autoregressive-baseline") if autoregressive else (nar_model, "parallel-labeling")
+    if model is None:
+        raise ConfigError(f"mode {mode} requested but no {family} model given")
+    config, params = model
+    if config.is_autoregressive != autoregressive:
+        raise ConfigError(f"mode {mode} needs a {family} model, got {config.variant}")
+    opts = beam if mode.endswith("beam") else None
+    return lambda p: translate(config, params, p.source_ids, opts, ar_max_steps or len(p.source_ids))
 
 
 @functools.lru_cache(maxsize=None)
@@ -154,8 +133,7 @@ def bench_decode(pairs: Sequence[SentencePair], modes: Sequence[str] = MODES,
                  ar_model: tuple[ModelConfig, ModelParams] | None = None,
                  nar_model: tuple[ModelConfig, ModelParams] | None = None,
                  reps: int = 3, beam: DecodeOptions | None = None,
-                 ar_max_steps: int | None = None,
-                 parallel_sentences: bool = False) -> tuple[list[TimingRecord], str]:
+                 ar_max_steps: int | None = None) -> tuple[list[TimingRecord], str]:
     """Time every sentence in every mode; returns records plus a summary.
 
     When ``ar_max_steps`` is None the autoregressive budget is the source
@@ -170,12 +148,11 @@ def bench_decode(pairs: Sequence[SentencePair], modes: Sequence[str] = MODES,
             raise ConfigError(f"unknown mode {mode!r}; pick from {MODES}")
     beam = beam or DecodeOptions()
     runners = [_make_runner(mode, ar_model, nar_model, beam, ar_max_steps) for mode in modes]
-    with single_blas_thread() as blas_before, ThreadPoolExecutor() as pool:
+    with single_blas_thread() as blas_before:
         for runner in runners:
             runner(pairs[0])  # warm-up, untimed
-        time_all = pool.map if parallel_sentences else map  # the pool starts no thread unused
         # rounds[rep][sentence][mode] = (ms, output)
-        rounds = [list(time_all(lambda p: _time_round(runners, p), pairs)) for _ in range(reps)]
+        rounds = [[_time_round(runners, p) for p in pairs] for _ in range(reps)]
     records: list[TimingRecord] = []
     for j, mode in enumerate(modes):  # mode-major, as the CSV lists them
         for i, pair in enumerate(pairs):

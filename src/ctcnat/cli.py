@@ -22,9 +22,9 @@ from .data import (
     load_parallel,
     synthetic_vocab,
 )
-from .decoding import DecodeOptions, ar_beam_decode, ar_greedy_decode, ctc_beam_search, greedy_ctc_decode
-from .evaluation import corpus_bleu, sentence_bleu
-from .model import ConfigError, ModelConfig, decode_parallel, encode, split_states
+from .decoding import DecodeOptions, translate
+from .evaluation import EvalReport, corpus_bleu
+from .model import ConfigError, ModelConfig
 from .training import (
     Checkpoint,
     TrainConfig,
@@ -154,30 +154,17 @@ def _load_vocab_for_model(model_path: str, vocab_arg: str | None, mode: str) -> 
     return Vocabulary.load(path, mode=mode)
 
 
-def _translate_one(ckpt: Checkpoint, ids, mode: str, beam: int, max_steps: int | None):
-    config, params = ckpt.config, ckpt.params
-    if config.is_autoregressive:
-        steps = max_steps if max_steps is not None else min(2 * len(ids) + 8, config.max_len - 1)
-        if mode == "beam":
-            return ar_beam_decode(config, params, ids, DecodeOptions(beam_width=beam), steps)
-        return ar_greedy_decode(config, params, ids, steps)
-    enc = encode(config, params, ids)
-    log_probs = decode_parallel(config, params, split_states(params, enc, config.k), enc)
-    if mode == "beam":
-        return ctc_beam_search(log_probs, DecodeOptions(beam_width=beam))[0].prefix
-    return greedy_ctc_decode(log_probs)
-
-
 def cmd_translate(args) -> int:
     ckpt = load_checkpoint(args.model)
     vocab = _load_vocab_for_model(args.model, args.vocab, args.vocab_mode)
+    beam = DecodeOptions(beam_width=args.beam) if args.mode == "beam" else None
     out_lines = []
     for line in _read_lines(args.input):
         ids = vocab.encode_line(line)
         if not ids:
             out_lines.append("")
             continue
-        hyp = _translate_one(ckpt, ids, args.mode, args.beam, args.max_steps)
+        hyp = translate(ckpt.config, ckpt.params, ids, beam, args.max_steps)
         out_lines.append(vocab.detokenize(vocab.decode_ids(hyp)))
     with open(args.output, "w", encoding="utf-8") as f:
         for line in out_lines:
@@ -188,17 +175,17 @@ def cmd_translate(args) -> int:
 def cmd_evaluate(args) -> int:
     hyps = [line.split() for line in _read_lines(args.hyp)]
     refs = [line.split() for line in _read_lines(args.ref)]
-    score = corpus_bleu(hyps, refs)
-    print(f"corpus_bleu = {score:.4f}")
-    if args.report:
-        if not args.src:
-            raise UsageError("--report needs --src for source lengths")
-        srcs = [line.split() for line in _read_lines(args.src)]
-        with open(args.report, "w", encoding="utf-8") as f:
-            f.write("sentence_id,src_len,out_len,null_count,sent_bleu\n")
-            for i, (hyp, ref, src) in enumerate(zip(hyps, refs, srcs)):
-                f.write(f"{i},{len(src)},{len(hyp)},0,{sentence_bleu(hyp, ref):.4f}\n")
-            f.write(f"corpus_bleu,{score:.4f}\n")
+    if not args.report:
+        print(f"corpus_bleu = {corpus_bleu(hyps, refs):.4f}")
+        return 0
+    if not args.src:
+        raise UsageError("--report needs --src for source lengths")
+    src_lens = [len(line.split()) for line in _read_lines(args.src)]
+    if len(src_lens) != len(hyps):
+        raise UsageError(f"--src has {len(src_lens)} lines but --hyp has {len(hyps)}")
+    report = EvalReport.build(hyps, refs, src_lens)
+    print(f"corpus_bleu = {report.corpus_bleu:.4f}")
+    Path(args.report).write_text(report.to_csv(), encoding="utf-8")
     return 0
 
 
@@ -206,15 +193,18 @@ def cmd_bench(args) -> int:
     if not args.ar_model and not args.nar_model:
         raise UsageError("pass --ar-model and/or --nar-model")
     ar = nar = None
-    vocab = None
+    vocabs = []
     if args.ar_model:
         ckpt = load_checkpoint(args.ar_model)
         ar = (ckpt.config, ckpt.params)
-        vocab = _load_vocab_for_model(args.ar_model, args.vocab, args.vocab_mode)
+        vocabs.append(_load_vocab_for_model(args.ar_model, args.vocab, args.vocab_mode))
     if args.nar_model:
         ckpt = load_checkpoint(args.nar_model)
         nar = (ckpt.config, ckpt.params)
-        vocab = _load_vocab_for_model(args.nar_model, args.vocab, args.vocab_mode)
+        vocabs.append(_load_vocab_for_model(args.nar_model, args.vocab, args.vocab_mode))
+    if vocabs[0] != vocabs[-1]:
+        raise UsageError("--ar-model and --nar-model have different vocabularies; pass one with --vocab")
+    vocab = vocabs[0]
     if args.modes:
         modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
     else:
@@ -227,8 +217,7 @@ def cmd_bench(args) -> int:
             pairs.append(SentencePair(ids, ids, line, line))
     records, summary = bench_mod.bench_decode(
         pairs, modes=modes, ar_model=ar, nar_model=nar, reps=args.reps,
-        beam=DecodeOptions(beam_width=args.beam), ar_max_steps=args.ar_max_steps,
-        parallel_sentences=args.parallel)
+        beam=DecodeOptions(beam_width=args.beam), ar_max_steps=args.ar_max_steps)
     if args.out:
         Path(args.out).write_text(bench_mod.records_to_csv(records), encoding="utf-8")
     print(summary, end="")
@@ -296,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ar-max-steps", type=int, default=None)
     p.add_argument("--vocab", default=None)
     p.add_argument("--vocab-mode", choices=("word", "char"), default="word")
-    p.add_argument("--parallel", action="store_true", help="decode sentences on a thread pool")
     p.add_argument("--out", default=None, help="write the timing CSV here")
     p.set_defaults(func=cmd_bench)
 

@@ -1,4 +1,5 @@
-"""Parallel greedy labeling, prefix beam search, and the baseline decoders.
+"""Parallel greedy labeling, prefix beam search, the baseline decoders, and
+``translate``, the one source-to-output decode for either model family.
 
 The CTC beam tracks collapsed prefixes, each with separate masses for paths
 ending in blank and paths ending in the prefix's last symbol; copies of the
@@ -27,6 +28,7 @@ from .model import (
     ModelParams,
     decode_autoregressive_step,
     encode,
+    parallel_log_probs,
 )
 from .tensor import NEG_INF
 
@@ -210,3 +212,23 @@ def ar_beam_decode(config: ModelConfig, params: ModelParams, source_ids,
         finished.append((cum / max(len(tokens), 1), tokens))
     finished.sort(key=lambda e: (-e[0], e[1]))
     return finished[0][1]
+
+
+def translate(config: ModelConfig, params: ModelParams, source_ids,
+              beam: DecodeOptions | None = None, max_steps: int | None = None) -> LabelSequence:
+    """Decode one source with either model family; ``beam=None`` is greedy.
+
+    ``max_steps`` bounds the autoregressive output and defaults to
+    min(2 * source length + 8, max_len - 1); the parallel models ignore it,
+    their output length being bounded by k times the source length.
+    """
+    if config.is_autoregressive:
+        if max_steps is None:
+            max_steps = min(2 * len(source_ids) + 8, config.max_len - 1)
+        if beam is None:
+            return ar_greedy_decode(config, params, source_ids, max_steps)
+        return ar_beam_decode(config, params, source_ids, beam, max_steps)
+    log_probs = parallel_log_probs(config, params, source_ids)
+    if beam is None:
+        return greedy_ctc_decode(log_probs)
+    return ctc_beam_search(log_probs, beam)[0].prefix

@@ -20,8 +20,8 @@ import numpy as np
 
 from .ctc import collapse
 from .data import BLANK_ID, SentencePair, Vocabulary
-from .decoding import DecodeOptions, ar_greedy_decode, ctc_beam_search, greedy_ctc_frames
-from .model import ModelConfig, ModelParams, decode_parallel, encode, split_states
+from .decoding import DecodeOptions, ctc_beam_search, greedy_ctc_frames, translate
+from .model import ModelConfig, ModelParams, parallel_log_probs
 
 BLEU_ORDER = 4
 
@@ -134,7 +134,7 @@ class SentenceRecord:
     sentence_id: int
     src_len: int
     out_len: int
-    null_count: int
+    null_count: int | None
     sent_bleu: float
 
 
@@ -142,8 +142,8 @@ class SentenceRecord:
 class EvalReport:
     """Per-sentence quality records plus corpus-level aggregates.
 
-    Correlations are None when undefined (constant column) or not
-    applicable (null counts of an autoregressive model).
+    Correlations are None when undefined (constant or unknown column), as
+    for the null counts of an autoregressive model, which are all zero.
     """
 
     records: list[SentenceRecord]
@@ -151,11 +151,27 @@ class EvalReport:
     r_bleu_src_len: float | None
     r_bleu_null_count: float | None
 
+    @classmethod
+    def build(cls, hypotheses: Sequence[Tokens], references: Sequence[Tokens],
+              src_lens: Sequence[int], null_counts: Sequence[int] | None = None) -> "EvalReport":
+        """Score aligned hypothesis and reference token lists; the
+        per-sentence sequences must be equally long. Without null counts
+        (a report from text files) they read None."""
+        score = corpus_bleu(hypotheses, references)
+        nulls = [None] * len(hypotheses) if null_counts is None else null_counts
+        rows = zip(hypotheses, references, src_lens, nulls, strict=True)
+        records = [SentenceRecord(i, src_len, len(hyp), n, sentence_bleu(hyp, ref))
+                   for i, (hyp, ref, src_len, n) in enumerate(rows)]
+        bleus = [rec.sent_bleu for rec in records]
+        return cls(records, score, _guarded_pearson(src_lens, bleus),
+                   None if null_counts is None else _guarded_pearson(null_counts, bleus))
+
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("sentence_id,src_len,out_len,null_count,sent_bleu\n")
         for rec in self.records:
-            buf.write(f"{rec.sentence_id},{rec.src_len},{rec.out_len},{rec.null_count},{rec.sent_bleu:.4f}\n")
+            nulls = "na" if rec.null_count is None else rec.null_count
+            buf.write(f"{rec.sentence_id},{rec.src_len},{rec.out_len},{nulls},{rec.sent_bleu:.4f}\n")
         buf.write(f"corpus_bleu,{self.corpus_bleu:.4f}\n")
         r1 = "na" if self.r_bleu_src_len is None else f"{self.r_bleu_src_len:.6f}"
         r2 = "na" if self.r_bleu_null_count is None else f"{self.r_bleu_null_count:.6f}"
@@ -179,42 +195,17 @@ def analyze(config: ModelConfig, params: ModelParams, vocab: Vocabulary,
     labeling (the only place nulls exist)."""
     if mode not in ("greedy", "beam"):
         raise InputError(f"unknown decode mode {mode!r}")
-    records = []
-    hyps_tokens = []
-    refs_tokens = []
-    for i, pair in enumerate(pairs):
+    beam = (opts or DecodeOptions()) if mode == "beam" else None
+    hyps, nulls = [], []
+    for pair in pairs:
         if config.is_autoregressive:
-            steps = max_steps if max_steps is not None else min(2 * len(pair.source_ids) + 8, config.max_len - 1)
-            hyp_ids = ar_greedy_decode(config, params, pair.source_ids, steps)
-            nulls = 0
+            hyp_ids = translate(config, params, pair.source_ids, beam, max_steps)
+            nulls.append(0)
         else:
-            enc = encode(config, params, pair.source_ids)
-            log_probs = decode_parallel(config, params, split_states(params, enc, config.k), enc)
+            log_probs = parallel_log_probs(config, params, pair.source_ids)
             frames = greedy_ctc_frames(log_probs)
-            nulls = sum(1 for f in frames if f == BLANK_ID)
-            if mode == "beam":
-                hyp_ids = ctc_beam_search(log_probs, opts or DecodeOptions())[0].prefix
-            else:
-                hyp_ids = collapse(frames)
-        hyp_toks = vocab.decode_ids(hyp_ids)
-        ref_toks = vocab.decode_ids(pair.target_ids)
-        hyps_tokens.append(hyp_toks)
-        refs_tokens.append(ref_toks)
-        records.append(SentenceRecord(
-            sentence_id=i,
-            src_len=len(pair.source_ids),
-            out_len=len(hyp_ids),
-            null_count=nulls,
-            sent_bleu=sentence_bleu(hyp_toks, ref_toks),
-        ))
-    bleus = [rec.sent_bleu for rec in records]
-    r_len = _guarded_pearson([rec.src_len for rec in records], bleus)
-    r_null = None
-    if not config.is_autoregressive:
-        r_null = _guarded_pearson([rec.null_count for rec in records], bleus)
-    return EvalReport(
-        records=records,
-        corpus_bleu=corpus_bleu(hyps_tokens, refs_tokens),
-        r_bleu_src_len=r_len,
-        r_bleu_null_count=r_null,
-    )
+            nulls.append(frames.count(BLANK_ID))
+            hyp_ids = collapse(frames) if beam is None else ctc_beam_search(log_probs, beam)[0].prefix
+        hyps.append(vocab.decode_ids(hyp_ids))
+    return EvalReport.build(hyps, [vocab.decode_ids(p.target_ids) for p in pairs],
+                            [len(p.source_ids) for p in pairs], nulls)

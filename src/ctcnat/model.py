@@ -327,6 +327,12 @@ def decode_parallel(config: ModelConfig, params: ModelParams, split: SplitStates
     return log_softmax(logits, axis=-1)
 
 
+def parallel_log_probs(config: ModelConfig, params: ModelParams, source_ids) -> Tensor:
+    """Inference forward of a parallel labeler: encode, split, label every frame."""
+    enc = encode(config, params, source_ids)
+    return decode_parallel(config, params, split_states(params, enc, config.k), enc)
+
+
 def decode_autoregressive_full(config: ModelConfig, params: ModelParams, enc: EncoderStates,
                                target_ids, *, dropout_rng: np.random.Generator | None = None) -> Tensor:
     """Teacher-forced pass: row t is the next-token log-distribution after

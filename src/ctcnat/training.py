@@ -28,7 +28,7 @@ import numpy as np
 
 from .ctc import ctc_loss, min_frames
 from .data import EOS_ID, Batch, SentencePair, Vocabulary, VocabularyError, batch_pairs
-from .decoding import ar_greedy_decode, greedy_ctc_decode
+from .decoding import translate
 from .evaluation import corpus_bleu
 from .model import (
     ConfigError,
@@ -182,15 +182,9 @@ def feasible_pairs(config: ModelConfig, pairs: Sequence[SentencePair]) -> tuple[
     return kept, len(pairs) - len(kept)
 
 
-def greedy_translate(config: ModelConfig, params: ModelParams, source_ids,
-                     max_steps: int | None = None) -> tuple[int, ...]:
+def greedy_translate(config: ModelConfig, params: ModelParams, source_ids) -> tuple[int, ...]:
     """Greedy decode for either model family; the shared validation path."""
-    if config.is_autoregressive:
-        steps = max_steps if max_steps is not None else min(2 * len(list(source_ids)) + 8, config.max_len - 1)
-        return ar_greedy_decode(config, params, source_ids, steps)
-    enc = encode(config, params, source_ids)
-    log_probs = decode_parallel(config, params, split_states(params, enc, config.k), enc)
-    return greedy_ctc_decode(log_probs)
+    return translate(config, params, source_ids)
 
 
 def validation_bleu(config: ModelConfig, params: ModelParams, vocab: Vocabulary,

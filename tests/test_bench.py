@@ -149,16 +149,3 @@ class TestTimingDiscipline:
         assert calls == warm_up + timed
         # records stay mode-major, as before the modes were interleaved
         assert [(r.mode, r.sentence_id) for r in records] == [(m, i) for m in modes for i in (0, 1)]
-
-    def test_parallel_sentences_match_serial_records(self):
-        ar, nar = models()
-        pairs = corpus([2, 3, 5, 7])
-        modes = ("AR-greedy", "NAR-greedy", "NAR-beam")
-
-        def key(records):
-            return [(r.sentence_id, r.mode, r.src_len, r.out_len) for r in records]
-
-        serial, _ = bench_decode(pairs, modes=modes, ar_model=ar, nar_model=nar, reps=3)
-        parallel, _ = bench_decode(pairs, modes=modes, ar_model=ar, nar_model=nar, reps=3,
-                                   parallel_sentences=True)
-        assert key(parallel) == key(serial)

@@ -141,6 +141,19 @@ class TestEvaluateCommand:
                      "--src", str(hyp), "--report", str(report)]) == 0
         lines = report.read_text().splitlines()
         assert lines[0].startswith("sentence_id,")
+        assert lines[1:] == ["0,4,4,na,100.0000", "corpus_bleu,100.0000",
+                             "pearson_bleu_vs_src_len,na", "pearson_bleu_vs_null_count,na"]
+
+    def test_short_src_is_usage_error_and_writes_nothing(self, tmp_path, capsys):
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("a b\nc d\n", encoding="utf-8")
+        src = tmp_path / "src.txt"
+        src.write_text("a b\n", encoding="utf-8")
+        report = tmp_path / "report.csv"
+        assert main(["evaluate", "--hyp", str(hyp), "--ref", str(hyp),
+                     "--src", str(src), "--report", str(report)]) == 2
+        assert "--src has 1 lines but --hyp has 2" in capsys.readouterr().err
+        assert not report.exists()
 
 
 class TestAverageCommand:
@@ -213,3 +226,24 @@ def test_bench_command(tmp_path, capsys):
     assert rc == 0
     assert "NAR-greedy" in capsys.readouterr().out
     assert out_csv.read_text().splitlines()[0] == "sentence_id,src_len,out_len,mode,ms"
+
+
+def test_bench_rejects_models_with_different_vocabularies(tmp_path, capsys):
+    from ctcnat.data import synthetic_vocab
+    paths = []
+    for name, variant, vocab_size in (("ar", "autoregressive-baseline", 8), ("nar", "encoder-decoder", 9)):
+        cfg = ModelConfig(vocab_size=vocab_size, d_model=16, ff_dim=32, heads=2, enc_layers=1,
+                          dec_layers=1, k=2, variant=variant, max_len=32, dropout_rate=0.0)
+        (tmp_path / name).mkdir()
+        save_checkpoint(Checkpoint(cfg, init_params(cfg, 9), 1, 0.0), tmp_path / name / "model.bin")
+        synthetic_vocab(vocab_size).save(tmp_path / name / "vocab.txt")
+        paths.append(str(tmp_path / name / "model.bin"))
+    inp = tmp_path / "in.txt"
+    inp.write_text("w0 w1\n", encoding="utf-8")
+    out_csv = tmp_path / "times.csv"
+    rc = main(["bench", "--input", str(inp), "--ar-model", paths[0], "--nar-model", paths[1],
+               "--out", str(out_csv)])
+    assert rc == 2
+    assert "different vocabularies" in capsys.readouterr().err
+    assert not out_csv.exists()
+

@@ -14,8 +14,9 @@ from ctcnat.decoding import (
     ctc_beam_search,
     greedy_ctc_decode,
     greedy_ctc_frames,
+    translate,
 )
-from ctcnat.model import ModelConfig, encode, init_params
+from ctcnat.model import NAR_VARIANTS, ModelConfig, encode, init_params, parallel_log_probs
 from ctcnat.tensor import log_sum_exp
 
 from helpers import peaked_log_probs, random_log_probs
@@ -144,6 +145,19 @@ class TestBeamSearch:
         # pruning discards path mass, so the kept score may only shrink
         assert narrow[0].score <= full[0].score + 1e-12
 
+    @pytest.mark.parametrize("variant", NAR_VARIANTS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_translate_equals_decoders_on_parallel_log_probs(self, variant, seed):
+        cfg = ModelConfig(vocab_size=5, d_model=8, ff_dim=16, heads=2, enc_layers=1,
+                          dec_layers=0 if variant == "deep-encoder" else 1, k=2, variant=variant,
+                          max_len=24, dropout_rate=0.0)
+        params = init_params(cfg, 60 + seed)
+        src = [4, 5, 3, 5, 1]
+        opts = DecodeOptions(beam_width=3)
+        lp = parallel_log_probs(cfg, params, src)
+        assert translate(cfg, params, src) == greedy_ctc_decode(lp)
+        assert translate(cfg, params, src, opts) == ctc_beam_search(lp, opts)[0].prefix
+
 
 def ar_config(vocab_size=5, max_len=24):
     return ModelConfig(vocab_size=vocab_size, d_model=8, ff_dim=16, heads=2, enc_layers=1,
@@ -187,6 +201,25 @@ class TestAutoregressiveDecoding:
         greedy = ar_greedy_decode(cfg, params, [4, 5, 3], max_steps=5)
         beam = ar_beam_decode(cfg, params, [4, 5, 3], DecodeOptions(beam_width=1), max_steps=5)
         assert beam == greedy
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_translate_equals_decoders(self, seed):
+        cfg = ar_config()
+        params = init_params(cfg, 90 + seed)
+        src = [4, 5, 3]
+        opts = DecodeOptions(beam_width=3)
+        assert translate(cfg, params, src, max_steps=7) == ar_greedy_decode(cfg, params, src, 7)
+        assert translate(cfg, params, src, opts, 7) == ar_beam_decode(cfg, params, src, opts, 7)
+
+    @pytest.mark.parametrize("src_len", [1, 7, 12])
+    @pytest.mark.parametrize("beam", [None, DecodeOptions(beam_width=2)])
+    def test_translate_budget_defaults_to_twice_the_source_plus_8(self, src_len, beam):
+        """A model that never ends decodes the whole default budget,
+        min(2 * len + 8, max_len - 1) tokens."""
+        cfg = ar_config(max_len=24)
+        params = rigged_params(cfg, favored_id=4)
+        out = translate(cfg, params, [5] * src_len, beam)
+        assert out == (4,) * min(2 * src_len + 8, cfg.max_len - 1)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_full_width_beam_is_exhaustive(self, seed):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ctcnat.data import gen_synthetic, synthetic_vocab
+from ctcnat.decoding import DecodeOptions, ar_beam_decode
 from ctcnat.evaluation import (
     InputError,
     UndefinedCorrelationError,
@@ -117,16 +118,34 @@ def test_exact_match_rate():
 
 
 class TestAnalyze:
-    def test_autoregressive_report_has_no_null_statistics(self):
+    @staticmethod
+    def autoregressive_setup():
         vocab = synthetic_vocab(6)
         pairs = gen_synthetic("copy", 6, 6, (2, 4), seed=2, vocab=vocab)
         cfg = ModelConfig(vocab_size=vocab.vocab_size, d_model=8, ff_dim=16, heads=2,
                           enc_layers=1, dec_layers=1, variant="autoregressive-baseline",
                           max_len=32, dropout_rate=0.0)
+        return vocab, pairs, cfg
+
+    def test_autoregressive_report_has_no_null_statistics(self):
+        vocab, pairs, cfg = self.autoregressive_setup()
         report = analyze(cfg, init_params(cfg, 0), vocab, pairs)
         assert len(report.records) == len(pairs)
         assert all(rec.null_count == 0 for rec in report.records)
         assert report.r_bleu_null_count is None
+
+    def test_autoregressive_beam_mode_decodes_with_beam(self):
+        vocab, pairs, cfg = self.autoregressive_setup()
+        params = init_params(cfg, 1)  # greedy stops at once here, beam-4 does not
+        opts = DecodeOptions(beam_width=4)
+        beam = analyze(cfg, params, vocab, pairs, opts, mode="beam")
+        greedy = analyze(cfg, params, vocab, pairs)
+        want = [ar_beam_decode(cfg, params, p.source_ids, opts, min(2 * len(p.source_ids) + 8, 31))
+                for p in pairs]
+        assert [rec.out_len for rec in beam.records] == [len(w) for w in want]
+        assert [rec.sent_bleu for rec in beam.records] == [
+            sentence_bleu(vocab.decode_ids(w), vocab.decode_ids(p.target_ids)) for w, p in zip(want, pairs)]
+        assert [rec.out_len for rec in beam.records] != [rec.out_len for rec in greedy.records]
 
     def test_parallel_report_counts_nulls_and_is_bounded(self):
         vocab = synthetic_vocab(6)
