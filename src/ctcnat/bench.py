@@ -40,6 +40,7 @@ from .decoding import DecodeOptions, translate
 from .model import ConfigError, ModelConfig, ModelParams
 
 MODES = ("AR-greedy", "AR-beam", "NAR-greedy", "NAR-beam")
+MIN_REPS = 3  # the median of fewer repetitions cannot reject one stalled run
 
 # (get, set) thread-count entry points under the names OpenBLAS builds export
 _BLAS_THREAD_SYMBOLS = (
@@ -139,8 +140,8 @@ def bench_decode(pairs: Sequence[SentencePair], modes: Sequence[str] = MODES,
     When ``ar_max_steps`` is None the autoregressive budget is the source
     length, which keeps output lengths comparable across sentences.
     """
-    if reps < 3:
-        raise ConfigError(f"reps must be >= 3, got {reps}")
+    if reps < MIN_REPS:
+        raise ConfigError(f"reps must be >= {MIN_REPS}, got {reps}")
     if not pairs:
         raise ConfigError("empty benchmark corpus")
     for mode in modes:

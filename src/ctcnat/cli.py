@@ -22,7 +22,7 @@ from .data import (
     load_parallel,
     synthetic_vocab,
 )
-from .decoding import DecodeOptions, translate
+from .decoding import DecodeOptions, OptionError, translate
 from .evaluation import EvalReport, corpus_bleu
 from .model import ConfigError, ModelConfig
 from .training import (
@@ -154,10 +154,17 @@ def _load_vocab_for_model(model_path: str, vocab_arg: str | None, mode: str) -> 
     return Vocabulary.load(path, mode=mode)
 
 
+def _beam_options(width: int) -> DecodeOptions:
+    try:
+        return DecodeOptions(beam_width=width)
+    except OptionError as exc:
+        raise UsageError(f"--beam: {exc}") from None
+
+
 def cmd_translate(args) -> int:
+    beam = _beam_options(args.beam) if args.mode == "beam" else None
     ckpt = load_checkpoint(args.model)
     vocab = _load_vocab_for_model(args.model, args.vocab, args.vocab_mode)
-    beam = DecodeOptions(beam_width=args.beam) if args.mode == "beam" else None
     out_lines = []
     for line in _read_lines(args.input):
         ids = vocab.encode_line(line)
@@ -175,6 +182,8 @@ def cmd_translate(args) -> int:
 def cmd_evaluate(args) -> int:
     hyps = [line.split() for line in _read_lines(args.hyp)]
     refs = [line.split() for line in _read_lines(args.ref)]
+    if len(hyps) != len(refs):
+        raise UsageError(f"--hyp has {len(hyps)} lines but --ref has {len(refs)}")
     if not args.report:
         print(f"corpus_bleu = {corpus_bleu(hyps, refs):.4f}")
         return 0
@@ -192,6 +201,19 @@ def cmd_evaluate(args) -> int:
 def cmd_bench(args) -> int:
     if not args.ar_model and not args.nar_model:
         raise UsageError("pass --ar-model and/or --nar-model")
+    if args.reps < bench_mod.MIN_REPS:
+        raise UsageError(f"--reps must be >= {bench_mod.MIN_REPS}, got {args.reps}")
+    beam = _beam_options(args.beam)
+    if args.modes:
+        modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
+    else:
+        modes = tuple(m for m in bench_mod.MODES
+                      if (m.startswith("AR") and args.ar_model) or (m.startswith("NAR") and args.nar_model))
+    for mode in modes:
+        if mode not in bench_mod.MODES:
+            raise UsageError(f"unknown mode {mode!r} in --modes; pick from {','.join(bench_mod.MODES)}")
+        if not (args.ar_model if mode.startswith("AR") else args.nar_model):
+            raise UsageError(f"mode {mode} needs --{mode.split('-')[0].lower()}-model")
     ar = nar = None
     vocabs = []
     if args.ar_model:
@@ -205,11 +227,6 @@ def cmd_bench(args) -> int:
     if vocabs[0] != vocabs[-1]:
         raise UsageError("--ar-model and --nar-model have different vocabularies; pass one with --vocab")
     vocab = vocabs[0]
-    if args.modes:
-        modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    else:
-        modes = tuple(m for m in bench_mod.MODES
-                      if (m.startswith("AR") and ar) or (m.startswith("NAR") and nar))
     pairs = []
     for line in _read_lines(args.input):
         ids = vocab.encode_line(line)
@@ -217,7 +234,7 @@ def cmd_bench(args) -> int:
             pairs.append(SentencePair(ids, ids, line, line))
     records, summary = bench_mod.bench_decode(
         pairs, modes=modes, ar_model=ar, nar_model=nar, reps=args.reps,
-        beam=DecodeOptions(beam_width=args.beam), ar_max_steps=args.ar_max_steps)
+        beam=beam, ar_max_steps=args.ar_max_steps)
     if args.out:
         Path(args.out).write_text(bench_mod.records_to_csv(records), encoding="utf-8")
     print(summary, end="")

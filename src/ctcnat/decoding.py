@@ -24,6 +24,7 @@ from .ctc import LabelSequence, collapse
 from .data import EOS_ID
 from .model import (
     ConfigError,
+    DecoderCache,
     ModelConfig,
     ModelParams,
     decode_autoregressive_step,
@@ -168,9 +169,10 @@ def ar_greedy_decode(config: ModelConfig, params: ModelParams, source_ids,
     if not config.is_autoregressive:
         raise ConfigError("ar_greedy_decode requires the autoregressive-baseline variant")
     enc = encode(config, params, source_ids)
+    cache = DecoderCache.build(config, params, enc)
     out: list[int] = []
     while len(out) < max_steps:
-        row = decode_autoregressive_step(config, params, enc, out).data
+        row = decode_autoregressive_step(config, params, enc, out, cache).data
         token = int(row.argmax()) + 1  # column j scores id j+1
         if token == EOS_ID:
             break
@@ -191,12 +193,13 @@ def ar_beam_decode(config: ModelConfig, params: ModelParams, source_ids,
     if opts.beam_width < 1:
         raise OptionError(f"beam_width must be >= 1, got {opts.beam_width}")
     enc = encode(config, params, source_ids)
+    cache = DecoderCache.build(config, params, enc)
     alive: list[tuple[float, LabelSequence]] = [(0.0, ())]
     finished: list[tuple[float, LabelSequence]] = []  # (normalized score, tokens)
     for step in range(max_steps):
         pool: list[tuple[float, LabelSequence, int]] = []
         for cum, tokens in alive:
-            row = decode_autoregressive_step(config, params, enc, tokens).data
+            row = decode_autoregressive_step(config, params, enc, tokens, cache).data
             for j in range(config.vocab_size):
                 pool.append((cum + float(row[j]), tokens, j + 1))
         pool.sort(key=lambda e: (-e[0], e[1] + (e[2],)))

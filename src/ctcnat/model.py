@@ -20,7 +20,7 @@ given immutable params; dropout only runs when a generator is supplied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -99,6 +99,7 @@ class ModelConfig:
 
 
 ModelParams = dict[str, Tensor]
+KV = tuple[Tensor, Tensor]  # head-split keys and values, each (heads, positions, d / heads)
 
 
 @dataclass
@@ -214,23 +215,43 @@ def _causal_mask(n: int) -> np.ndarray:
     return mask
 
 
-def _mha(params: ModelParams, prefix: str, x_q: Tensor, x_kv: Tensor, heads: int,
-         mask: np.ndarray | None = None) -> Tensor:
+def _heads(x: Tensor, heads: int) -> Tensor:
+    """Split (t, d) into (heads, t, d / heads)."""
+    t, d = x.shape
+    return transpose(reshape(x, (t, heads, d // heads)), (1, 0, 2))
+
+
+def _kv(params: ModelParams, prefix: str, x: Tensor, heads: int) -> KV:
+    """Head-split keys and values of the positions in x."""
+    k = add(matmul(x, params[f"{prefix}.wk"]), params[f"{prefix}.bk"])
+    v = add(matmul(x, params[f"{prefix}.wv"]), params[f"{prefix}.bv"])
+    return _heads(k, heads), _heads(v, heads)
+
+
+def _mha(params: ModelParams, prefix: str, x_q: Tensor, x_kv: Tensor | None, heads: int,
+         mask: np.ndarray | None = None, past: KV | None = None) -> tuple[Tensor, KV]:
+    """Attention of x_q over the positions of ``past`` followed by those of x_kv.
+
+    ``past`` holds keys and values projected earlier; it is joined without
+    a tape record, so only inference may pass it. Returns the output and
+    the keys and values of every attended position.
+    """
     t_q, d = x_q.shape
-    t_kv = x_kv.shape[0]
     dh = d // heads
-    q = add(matmul(x_q, params[f"{prefix}.wq"]), params[f"{prefix}.bq"])
-    k = add(matmul(x_kv, params[f"{prefix}.wk"]), params[f"{prefix}.bk"])
-    v = add(matmul(x_kv, params[f"{prefix}.wv"]), params[f"{prefix}.bv"])
-    qh = transpose(reshape(q, (t_q, heads, dh)), (1, 0, 2))
-    kh = transpose(reshape(k, (t_kv, heads, dh)), (1, 0, 2))
-    vh = transpose(reshape(v, (t_kv, heads, dh)), (1, 0, 2))
+    qh = _heads(add(matmul(x_q, params[f"{prefix}.wq"]), params[f"{prefix}.bq"]), heads)
+    if x_kv is None:
+        kv = past
+    else:
+        kv = _kv(params, prefix, x_kv, heads)
+        if past is not None:
+            kv = tuple(Tensor(np.concatenate((old.data, new.data), axis=1)) for old, new in zip(past, kv))
+    kh, vh = kv
     scores = scale(matmul(qh, transpose(kh, (0, 2, 1))), 1.0 / math.sqrt(dh))
     if mask is not None:
         scores = add(scores, Tensor(mask))
     ctx = matmul(softmax(scores, axis=-1), vh)
     merged = reshape(transpose(ctx, (1, 0, 2)), (t_q, d))
-    return add(matmul(merged, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
+    return add(matmul(merged, params[f"{prefix}.wo"]), params[f"{prefix}.bo"]), kv
 
 
 def _ff(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
@@ -250,18 +271,26 @@ def _maybe_drop(x: Tensor, config: ModelConfig, rng: np.random.Generator | None)
 
 def _block(params: ModelParams, prefix: str, x: Tensor, config: ModelConfig,
            enc_states: Tensor | None = None, mask: np.ndarray | None = None,
-           rng: np.random.Generator | None = None) -> Tensor:
+           rng: np.random.Generator | None = None, *, self_past: KV | None = None,
+           src_kv: KV | None = None) -> tuple[Tensor, KV]:
+    """One pre-norm block over the positions in x.
+
+    ``enc_states``, or their encoder-attention keys and values ``src_kv``,
+    add the encoder-attention sublayer. ``self_past`` holds the
+    self-attention keys and values of the positions before x. Returns the
+    output and the self-attention keys and values of every position.
+    """
     normed = _ln(params, f"{prefix}.ln1", x)
-    x = add(x, _maybe_drop(_mha(params, f"{prefix}.self_attn", normed, normed, config.heads, mask),
-                           config, rng))
-    if enc_states is not None:
+    attn, self_kv = _mha(params, f"{prefix}.self_attn", normed, normed, config.heads, mask, self_past)
+    x = add(x, _maybe_drop(attn, config, rng))
+    if enc_states is not None or src_kv is not None:
         normed = _ln(params, f"{prefix}.ln2", x)
-        x = add(x, _maybe_drop(_mha(params, f"{prefix}.src_attn", normed, enc_states, config.heads),
-                               config, rng))
+        attn, _ = _mha(params, f"{prefix}.src_attn", normed, enc_states, config.heads, past=src_kv)
+        x = add(x, _maybe_drop(attn, config, rng))
         ln_ff = f"{prefix}.ln3"
     else:
         ln_ff = f"{prefix}.ln2"
-    return add(x, _maybe_drop(_ff(params, f"{prefix}.ff", _ln(params, ln_ff, x)), config, rng))
+    return add(x, _maybe_drop(_ff(params, f"{prefix}.ff", _ln(params, ln_ff, x)), config, rng)), self_kv
 
 
 def _check_ids(ids, config: ModelConfig) -> list[int]:
@@ -289,7 +318,7 @@ def encode(config: ModelConfig, params: ModelParams, source_ids,
         x = add(x, Tensor(sinusoid_table(config.max_len, config.d_model)[: len(ids)]))
     x = _maybe_drop(x, config, dropout_rng)
     for i in range(config.enc_layers):
-        x = _block(params, f"enc.{i}", x, config, rng=dropout_rng)
+        x, _ = _block(params, f"enc.{i}", x, config, rng=dropout_rng)
     return EncoderStates(states=_ln(params, "enc.ln_out", x))
 
 
@@ -321,7 +350,7 @@ def decode_parallel(config: ModelConfig, params: ModelParams, split: SplitStates
         x = add(x, Tensor(table[: x.shape[0]]))
     x = _maybe_drop(x, config, dropout_rng)
     for i in range(config.dec_layers):
-        x = _block(params, f"dec.{i}", x, config, enc_states=enc.states, rng=dropout_rng)
+        x, _ = _block(params, f"dec.{i}", x, config, enc_states=enc.states, rng=dropout_rng)
     x = _ln(params, "dec.ln_out", x)
     logits = add(matmul(x, params["out.w"]), params["out.b"])
     return log_softmax(logits, axis=-1)
@@ -333,6 +362,45 @@ def parallel_log_probs(config: ModelConfig, params: ModelParams, source_ids) -> 
     return decode_parallel(config, params, split_states(params, enc, config.k), enc)
 
 
+def _require_autoregressive(config: ModelConfig) -> None:
+    if not config.is_autoregressive:
+        raise ConfigError("autoregressive decoding requires the autoregressive-baseline variant")
+
+
+def _decoder_input(config: ModelConfig, target_ids) -> list[int]:
+    """[EOS] + target ids; EOS doubles as the start-of-sequence marker."""
+    _require_autoregressive(config)
+    ids = [EOS_ID] + _check_ids(target_ids, config)
+    if len(ids) > config.max_len:
+        raise LengthError(f"decoder input length {len(ids)} exceeds max_len {config.max_len}")
+    return ids
+
+
+def _ar_decoder(config: ModelConfig, params: ModelParams, ids: list[int], start: int,
+                enc_states: Tensor | None = None, src_kv: list[KV] | None = None,
+                past: list[KV] | None = None,
+                rng: np.random.Generator | None = None) -> tuple[Tensor, list[KV]]:
+    """The causal decoder over decoder-input positions start..len(ids)-1.
+
+    ``past`` holds each layer's self-attention keys and values of the
+    positions before ``start``. Returns the log-probability rows of the
+    positions run and each layer's self-attention keys and values of all
+    positions.
+    """
+    x = scale(embed(params["tgt_embed"], ids[start:]), math.sqrt(config.d_model))
+    x = add(x, Tensor(sinusoid_table(config.max_len, config.d_model)[start:len(ids)]))
+    x = _maybe_drop(x, config, rng)
+    mask = _causal_mask(len(ids))[start:] if len(ids) - start > 1 else None
+    kvs = []
+    for i in range(config.dec_layers):
+        x, kv = _block(params, f"dec.{i}", x, config, enc_states, mask, rng,
+                       self_past=past[i] if past else None, src_kv=src_kv[i] if src_kv else None)
+        kvs.append(kv)
+    x = _ln(params, "dec.ln_out", x)
+    logits = add(matmul(x, params["out.w"]), params["out.b"])
+    return log_softmax(logits, axis=-1), kvs
+
+
 def decode_autoregressive_full(config: ModelConfig, params: ModelParams, enc: EncoderStates,
                                target_ids, *, dropout_rng: np.random.Generator | None = None) -> Tensor:
     """Teacher-forced pass: row t is the next-token log-distribution after
@@ -340,25 +408,55 @@ def decode_autoregressive_full(config: ModelConfig, params: ModelParams, enc: En
 
     Output columns are the vocab_size non-blank ids; column j scores id j+1.
     """
-    if not config.is_autoregressive:
-        raise ConfigError("decode_autoregressive_full requires the autoregressive-baseline variant")
-    tgt = _check_ids(target_ids, config)
-    ids = [EOS_ID] + tgt  # EOS doubles as the start-of-sequence marker
-    if len(ids) > config.max_len:
-        raise LengthError(f"decoder input length {len(ids)} exceeds max_len {config.max_len}")
-    x = scale(embed(params["tgt_embed"], ids), math.sqrt(config.d_model))
-    x = add(x, Tensor(sinusoid_table(config.max_len, config.d_model)[: len(ids)]))
-    x = _maybe_drop(x, config, dropout_rng)
-    mask = _causal_mask(len(ids))
-    for i in range(config.dec_layers):
-        x = _block(params, f"dec.{i}", x, config, enc_states=enc.states, mask=mask, rng=dropout_rng)
-    x = _ln(params, "dec.ln_out", x)
-    logits = add(matmul(x, params["out.w"]), params["out.b"])
-    return log_softmax(logits, axis=-1)
+    ids = _decoder_input(config, target_ids)
+    return _ar_decoder(config, params, ids, 0, enc_states=enc.states, rng=dropout_rng)[0]
+
+
+@dataclass
+class DecoderCache:
+    """Keys and values that autoregressive decoding of one source reuses.
+
+    ``src`` holds each decoder layer's encoder-attention keys and values,
+    computed once. ``prefixes`` maps a decoded prefix to each layer's
+    self-attention keys and values at its decoder-input positions,
+    [EOS] + prefix. It keeps two generations (prefix lengths), the one
+    the latest step wrote and the one before it, which is all that greedy
+    and beam decoding read: at most twice the beam width.
+    """
+
+    src: list[KV]
+    prefixes: dict[tuple[int, ...], list[KV]] = field(default_factory=dict)
+
+    @classmethod
+    def build(cls, config: ModelConfig, params: ModelParams, enc: EncoderStates) -> "DecoderCache":
+        _require_autoregressive(config)
+        return cls([_kv(params, f"dec.{i}.src_attn", enc.states, config.heads)
+                    for i in range(config.dec_layers)])
+
+    def store(self, prefix: tuple[int, ...], kvs: list[KV]) -> None:
+        n = len(prefix)
+        for old in [p for p in self.prefixes if not n - 1 <= len(p) <= n]:
+            del self.prefixes[old]
+        self.prefixes[prefix] = kvs
 
 
 def decode_autoregressive_step(config: ModelConfig, params: ModelParams, enc: EncoderStates,
-                               prefix_ids) -> Tensor:
-    """Next-token log-distribution after a decoded prefix (inference only)."""
-    full = decode_autoregressive_full(config, params, enc, prefix_ids)
-    return Tensor(full.data[-1])
+                               prefix_ids, cache: DecoderCache | None = None) -> Tensor:
+    """Next-token log-distribution after a decoded prefix (inference only).
+
+    ``cache`` must belong to ``enc``. The step runs only the positions
+    after the longest cached prefix of ``prefix_ids[:-1]``, which is just
+    the newest one when the previous step cached its parent; ``None``
+    starts a fresh cache.
+    """
+    ids = _decoder_input(config, prefix_ids)
+    if cache is None:
+        cache = DecoderCache.build(config, params, enc)
+    prefix = tuple(ids[1:])
+    start = len(prefix)
+    while start and prefix[:start - 1] not in cache.prefixes:
+        start -= 1
+    past = cache.prefixes[prefix[:start - 1]] if start else None
+    rows, kvs = _ar_decoder(config, params, ids, start, src_kv=cache.src, past=past)
+    cache.store(prefix, kvs)
+    return Tensor(rows.data[-1])

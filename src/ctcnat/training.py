@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -197,8 +198,9 @@ def validation_bleu(config: ModelConfig, params: ModelParams, vocab: Vocabulary,
 class _Retention:
     """Keeps at most keep_top checkpoint files, the best scores seen.
 
-    The victim is evicted before the new file is written so the directory
-    never holds more than keep_top checkpoints.
+    The new file is written before the evicted one is unlinked, so a crash
+    in between leaves one file too many rather than losing both; each
+    write is atomic (see ``save_checkpoint``).
     """
 
     def __init__(self, directory: Path, keep_top: int):
@@ -207,15 +209,17 @@ class _Retention:
         self.entries: list[tuple[float, int, Path]] = []
 
     def add(self, ckpt: "Checkpoint") -> Path | None:
+        worst = None
         if len(self.entries) >= self.keep_top:
             worst = min(self.entries, key=lambda e: (e[0], e[1]))
             if (ckpt.valid_score, ckpt.step) <= (worst[0], worst[1]):
                 return None
-            self.entries.remove(worst)
-            worst[2].unlink(missing_ok=True)
         path = self.directory / f"ckpt-{ckpt.step:06d}.bin"
         save_checkpoint(ckpt, path)
         self.entries.append((ckpt.valid_score, ckpt.step, path))
+        if worst is not None:
+            self.entries.remove(worst)
+            worst[2].unlink(missing_ok=True)
         return path
 
     def paths(self) -> list[Path]:
@@ -316,28 +320,38 @@ _INT_FIELDS = {"vocab_size", "d_model", "ff_dim", "heads", "enc_layers", "dec_la
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
+    """Write ``ckpt`` to a temp file beside ``path``, then rename it over
+    ``path``: a save that fails midway leaves any earlier file at ``path``
+    intact and no partial file behind."""
+    path = Path(path)
     lines = [f"{name}={getattr(ckpt.config, name)!r}" if name == "dropout_rate"
              else f"{name}={getattr(ckpt.config, name)}" for name in _CONFIG_FIELDS]
     lines.append(f"step={ckpt.step}")
     lines.append(f"valid_score={ckpt.valid_score!r}")
-    with open(path, "wb") as f:
-        f.write(MAGIC + ckpt.version.encode("ascii"))
-        f.write(struct.pack("<I", len(lines)))
-        for line in lines:
-            raw = line.encode("utf-8")
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
-        names = sorted(ckpt.params)
-        f.write(struct.pack("<I", len(names)))
-        for name in names:
-            raw = name.encode("utf-8")
-            arr = ckpt.params[name].data
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
-            f.write(struct.pack("<I", arr.ndim))
-            for dim in arr.shape:
-                f.write(struct.pack("<I", dim))
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC + ckpt.version.encode("ascii"))
+            f.write(struct.pack("<I", len(lines)))
+            for line in lines:
+                raw = line.encode("utf-8")
+                f.write(struct.pack("<I", len(raw)))
+                f.write(raw)
+            names = sorted(ckpt.params)
+            f.write(struct.pack("<I", len(names)))
+            for name in names:
+                raw = name.encode("utf-8")
+                arr = ckpt.params[name].data
+                f.write(struct.pack("<I", len(raw)))
+                f.write(raw)
+                f.write(struct.pack("<I", arr.ndim))
+                for dim in arr.shape:
+                    f.write(struct.pack("<I", dim))
+                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:

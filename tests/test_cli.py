@@ -106,6 +106,13 @@ class TestTranslateCommand:
         assert main(["translate", "--model", str(tmp_path / "missing.bin"),
                      "--input", str(inp), "--output", str(tmp_path / "out.txt")]) == 1
 
+    def test_zero_beam_is_usage_error_before_loading(self, tmp_path, capsys):
+        inp = tmp_path / "in.txt"
+        inp.write_text("a\n", encoding="utf-8")
+        assert main(["translate", "--model", str(tmp_path / "missing.bin"), "--input", str(inp),
+                     "--output", str(tmp_path / "out.txt"), "--mode", "beam", "--beam", "0"]) == 2
+        assert "beam_width must be >= 1" in capsys.readouterr().err
+
     def test_ar_beam_width_one_equals_greedy(self, tmp_path):
         cfg = ModelConfig(vocab_size=8, d_model=16, ff_dim=32, heads=2, enc_layers=1,
                           dec_layers=1, variant="autoregressive-baseline", max_len=32,
@@ -154,6 +161,17 @@ class TestEvaluateCommand:
                      "--src", str(src), "--report", str(report)]) == 2
         assert "--src has 1 lines but --hyp has 2" in capsys.readouterr().err
         assert not report.exists()
+
+
+    def test_line_count_mismatch_is_usage_error(self, tmp_path, capsys):
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("a b\nc d\n", encoding="utf-8")
+        ref = tmp_path / "ref.txt"
+        ref.write_text("a b\n", encoding="utf-8")
+        assert main(["evaluate", "--hyp", str(hyp), "--ref", str(ref)]) == 2
+        captured = capsys.readouterr()
+        assert "--hyp has 2 lines but --ref has 1" in captured.err
+        assert captured.out == ""
 
 
 class TestAverageCommand:
@@ -247,3 +265,20 @@ def test_bench_rejects_models_with_different_vocabularies(tmp_path, capsys):
     assert "different vocabularies" in capsys.readouterr().err
     assert not out_csv.exists()
 
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--reps", "2"], "--reps must be >= 3, got 2"),
+    (["--beam", "0"], "beam_width must be >= 1"),
+    (["--modes", "NAR-fast"], "unknown mode 'NAR-fast'"),
+    (["--modes", "AR-greedy"], "mode AR-greedy needs --ar-model"),
+])
+def test_bench_bad_flag_is_usage_error_before_loading(tmp_path, capsys, flags, message):
+    inp = tmp_path / "in.txt"
+    inp.write_text("w0 w1\n", encoding="utf-8")
+    out_csv = tmp_path / "times.csv"
+    rc = main(["bench", "--input", str(inp), "--nar-model", str(tmp_path / "missing.bin"),
+               "--out", str(out_csv), *flags])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out_csv.exists()

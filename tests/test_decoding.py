@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from ctcnat import decoding, model
 from ctcnat.ctc import collapse, ctc_loss
+from ctcnat.data import EOS_ID
 from ctcnat.decoding import (
     DecodeOptions,
     Hypothesis,
@@ -16,8 +18,15 @@ from ctcnat.decoding import (
     greedy_ctc_frames,
     translate,
 )
-from ctcnat.model import NAR_VARIANTS, ModelConfig, encode, init_params, parallel_log_probs
-from ctcnat.tensor import log_sum_exp
+from ctcnat.model import (
+    NAR_VARIANTS,
+    ModelConfig,
+    decode_autoregressive_full,
+    encode,
+    init_params,
+    parallel_log_probs,
+)
+from ctcnat.tensor import Tensor, log_sum_exp
 
 from helpers import peaked_log_probs, random_log_probs
 
@@ -256,3 +265,82 @@ class TestAutoregressiveDecoding:
         got = ar_beam_decode(cfg, params, src, DecodeOptions(beam_width=cfg.vocab_size ** max_steps),
                              max_steps=max_steps)
         assert got == want
+
+
+def recorded_steps(monkeypatch):
+    """Route the decoders' steps through a recorder. Each entry holds the
+    prefix, the returned row, the number of decoder positions the step ran
+    and the number of cached prefixes after it."""
+    calls = []
+    step = decoding.decode_autoregressive_step
+    run = model._ar_decoder
+    positions = []
+
+    def counting(config, params, ids, start, *args, **kwargs):
+        positions.append(len(ids) - start)
+        return run(config, params, ids, start, *args, **kwargs)
+
+    def recording(config, params, enc, prefix_ids, cache):
+        row = step(config, params, enc, prefix_ids, cache)
+        calls.append((enc, tuple(prefix_ids), row.data, positions.pop(), len(cache.prefixes)))
+        return row
+
+    monkeypatch.setattr(model, "_ar_decoder", counting)
+    monkeypatch.setattr(decoding, "decode_autoregressive_step", recording)
+    return calls
+
+
+def full_recompute_step(config, params, enc, prefix_ids, cache=None):
+    """The reference step: the last row of the teacher-forced pass."""
+    return Tensor(decode_autoregressive_full(config, params, enc, prefix_ids).data[-1])
+
+
+def long_ar_model(seed, eos_bias):
+    cfg = ModelConfig(vocab_size=9, d_model=16, ff_dim=32, heads=2, enc_layers=2, dec_layers=2,
+                      variant="autoregressive-baseline", max_len=40, dropout_rate=0.0)
+    params = init_params(cfg, seed)
+    params["out.b"].data[EOS_ID - 1] = eos_bias  # column j scores id j+1
+    return cfg, params
+
+
+class TestIncrementalDecoding:
+    """The cached step against the full recompute it replaces."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("src_len", [1, 6, 13])
+    def test_cached_rows_equal_full_recompute_along_greedy_and_beam_paths(
+            self, monkeypatch, seed, src_len):
+        cfg, params = long_ar_model(30 + seed, eos_bias=-30.0)
+        src = [3 + (i * 5 + seed) % 7 for i in range(src_len)]
+        max_steps = 2 * src_len + 4
+        calls = recorded_steps(monkeypatch)
+        greedy = ar_greedy_decode(cfg, params, src, max_steps)
+        n_greedy = len(calls)
+        ar_beam_decode(cfg, params, src, DecodeOptions(beam_width=4), max_steps)
+        assert n_greedy == len(greedy) == max_steps
+        assert len(calls) - n_greedy == 1 + 4 * (max_steps - 1)  # every hypothesis, every step
+        monkeypatch.undo()
+        for enc, prefix, row, positions, _ in calls:
+            full = decode_autoregressive_full(cfg, params, enc, prefix).data[-1]
+            assert np.abs(row - full).max() <= 1e-12, prefix
+            assert positions == 1, prefix  # the step extended its cached parent
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("eos_bias", [0.0, -30.0])
+    def test_decoder_outputs_equal_full_recompute_outputs(self, monkeypatch, seed, eos_bias):
+        cfg, params = long_ar_model(40 + seed, eos_bias)
+        src = [4, 9, 5, 3, 7, 6][: 2 + seed]
+        opts = DecodeOptions(beam_width=4)
+        cached = (ar_greedy_decode(cfg, params, src, 12), ar_beam_decode(cfg, params, src, opts, 12))
+        monkeypatch.setattr(decoding, "decode_autoregressive_step", full_recompute_step)
+        assert cached == (ar_greedy_decode(cfg, params, src, 12),
+                          ar_beam_decode(cfg, params, src, opts, 12))
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_cache_holds_at_most_two_generations_of_the_beam(self, monkeypatch, width):
+        cfg, params = long_ar_model(7, eos_bias=-30.0)
+        calls = recorded_steps(monkeypatch)
+        ar_beam_decode(cfg, params, [4, 5, 6, 7, 8, 9, 4, 5, 6, 7], DecodeOptions(beam_width=width), 25)
+        sizes = [size for *_, size in calls]
+        assert len(calls) == 1 + width * 24
+        assert max(sizes) == 2 * width

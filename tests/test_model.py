@@ -5,6 +5,7 @@ from ctcnat import model as M
 from ctcnat.data import VocabularyError
 from ctcnat.model import (
     ConfigError,
+    DecoderCache,
     EncoderStates,
     LengthError,
     ModelConfig,
@@ -220,6 +221,26 @@ class TestAutoregressive:
         full = decode_autoregressive_full(cfg, params, enc, prefix).data
         assert full.shape == (6, cfg.vocab_size)
         assert np.allclose(step, full[5], atol=1e-9)
+
+    def test_shared_cache_in_any_order_equals_full_recompute(self):
+        """Steps out of lockstep (depth-first, repeated, after eviction)
+        refill from the longest cached prefix and stay on the reference."""
+        cfg = tiny_config(variant="autoregressive-baseline")
+        params = init_params(cfg, 13)
+        enc = encode(cfg, params, [4, 5, 6])
+        cache = DecoderCache.build(cfg, params, enc)
+        for prefix in ([], [4], [4, 5], [4, 5, 6, 7], [4, 5], [9], [4, 5, 6, 7, 8], [4, 5, 6], []):
+            step = decode_autoregressive_step(cfg, params, enc, prefix, cache).data
+            full = decode_autoregressive_full(cfg, params, enc, prefix).data[-1]
+            assert np.abs(step - full).max() <= 1e-12, prefix
+            assert len(cache.prefixes) <= 2
+        assert set(cache.prefixes) == {()}
+
+    def test_cache_rejects_parallel_variant(self):
+        cfg = tiny_config()
+        params = init_params(cfg, 0)
+        with pytest.raises(ConfigError):
+            DecoderCache.build(cfg, params, encode(cfg, params, [4, 5]))
 
     def test_future_positions_do_not_leak(self):
         cfg = tiny_config(variant="autoregressive-baseline")

@@ -1,8 +1,11 @@
 import math
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ctcnat import training
 from ctcnat.ctc import count_alignments
 from ctcnat.data import SentencePair, batch_pairs, gen_synthetic, synthetic_vocab
 from ctcnat.model import ConfigError, ModelConfig, init_params
@@ -176,6 +179,29 @@ class TestTrainLoop:
         scores = sorted((row.valid_bleu for row in log if row.valid_bleu is not None), reverse=True)
         kept_scores = sorted((load_checkpoint(f).valid_score for f in files), reverse=True)
         assert kept_scores == pytest.approx(scores[: len(kept_scores)], abs=1e-9)
+
+    def test_failed_save_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
+        cfg = small_config()
+        retention = training._Retention(tmp_path, keep_top=1)
+        first = retention.add(Checkpoint(cfg, init_params(cfg, 1), step=1, valid_score=1.0))
+        writes = []
+
+        def pack_then_fail(fmt, *values):  # the disk fills up midway through the parameters
+            writes.append(fmt)
+            if len(writes) > 30:
+                raise OSError("no space left on device")
+            return struct.pack(fmt, *values)
+
+        monkeypatch.setattr(training, "struct", SimpleNamespace(pack=pack_then_fail))
+        with pytest.raises(OSError, match="no space"):
+            retention.add(Checkpoint(cfg, init_params(cfg, 2), step=2, valid_score=2.0))
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(Checkpoint(cfg, init_params(cfg, 3), step=3, valid_score=3.0), first)
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [first.name]
+        assert retention.paths() == [first]
+        loaded = load_checkpoint(first)
+        assert (loaded.step, loaded.valid_score) == (1, 1.0)
 
     def test_log_csv_layout(self, tmp_path):
         vocab, pairs = small_corpus(n=12, seed=8)
