@@ -92,7 +92,20 @@ def _as_table(log_probs) -> np.ndarray:
     lp = np.asarray(getattr(log_probs, "data", log_probs), dtype=np.float64)
     if lp.ndim != 2:
         raise OptionError(f"log_probs must be 2-D, got shape {lp.shape}")
+    if not (lp < np.inf).all():
+        raise OptionError("log_probs must not hold NaN or +inf")
     return lp
+
+
+def _best(scores: np.ndarray, width: int) -> list[int]:
+    """Flat indices of the ``width`` highest scores and of every score tied
+    with the lowest of them. Sorting just these by a key that starts with
+    the score picks the same first ``width`` as sorting every entry."""
+    flat = scores.ravel()
+    cut = flat.size - width
+    if cut <= 0:
+        return list(range(flat.size))
+    return np.flatnonzero(flat >= np.partition(flat, cut)[cut]).tolist()
 
 
 def greedy_ctc_frames(log_probs) -> list[int]:
@@ -114,6 +127,14 @@ def ctc_beam_search(log_probs, opts: DecodeOptions | None = None,
     pure CTC mass unless a scorer is supplied with a positive weight, in
     which case it uses mass + weight * scorer(prefix); Hypothesis.score is
     always the pure CTC mass.
+
+    Each frame is one step over beams x symbols. One numpy add gives the
+    mass of every extension; Python floats remain only for the per-beam
+    terms: each beam's total, its own prefix (blank and repeat) and the
+    extension, at most one, that recombines into it. A fresh extension has
+    no blank mass, so its mass is its rank without a log-sum-exp. The
+    result equals, float for float, the per-symbol loop that the tests keep
+    as the reference.
     """
     opts = opts or DecodeOptions()
     if opts.beam_width < 1:
@@ -122,45 +143,80 @@ def ctc_beam_search(log_probs, opts: DecodeOptions | None = None,
     T, C = lp.shape
 
     use_scorer = scorer is not None and opts.external_scorer_weight > 0.0
-    scorer_cache: dict[LabelSequence, float] = {}
+    priors: dict[LabelSequence, float] = {}
 
-    def rank_score(prefix: LabelSequence, mass: float) -> float:
-        if not use_scorer:
-            return mass
-        if prefix not in scorer_cache:
-            scorer_cache[prefix] = float(scorer(prefix))
-        return mass + opts.external_scorer_weight * scorer_cache[prefix]
+    def prior(prefix: LabelSequence) -> float:
+        """What ranking adds to the mass of ``prefix``."""
+        if prefix not in priors:
+            value = float(scorer(prefix))
+            if not value < math.inf:
+                raise OptionError(f"scorer returned {value} for prefix {prefix}")
+            priors[prefix] = opts.external_scorer_weight * value
+        return priors[prefix]
 
-    beams: dict[LabelSequence, list[float]] = {(): [0.0, NEG_INF]}
+    every = list(range(1, C))
+    every_column = {c: c - 1 for c in every}
+    # (prefix, logp_blank, logp_nonblank), best first
+    beams: list[tuple[LabelSequence, float, float]] = [((), 0.0, NEG_INF)]
     for t in range(T):
         row = lp[t]
+        p = row.tolist()
+        totals = [_lse2(pb, pnb) for _, pb, pnb in beams]
         if opts.max_candidates is not None and opts.max_candidates < C:
             symbols = sorted(np.argsort(-row, kind="stable")[: opts.max_candidates].tolist())
+            blank = symbols[0] == 0
+            grow = symbols[1:] if blank else symbols
+            column = {c: j for j, c in enumerate(grow)}
+            mass = np.add.outer(totals, row[grow])
         else:
-            symbols = range(C)
-        nxt: dict[LabelSequence, list[float]] = {}
-        for prefix, (pb, pnb) in beams.items():
-            total = _lse2(pb, pnb)
-            last = prefix[-1] if prefix else None
-            for c in symbols:
-                p = row[c]
-                if c == 0:
-                    entry = nxt.setdefault(prefix, [NEG_INF, NEG_INF])
-                    entry[0] = _lse2(entry[0], total + p)
-                elif c == last:
-                    entry = nxt.setdefault(prefix, [NEG_INF, NEG_INF])
-                    entry[1] = _lse2(entry[1], pnb + p)
-                    grown = nxt.setdefault(prefix + (c,), [NEG_INF, NEG_INF])
-                    grown[1] = _lse2(grown[1], pb + p)
-                else:
-                    grown = nxt.setdefault(prefix + (c,), [NEG_INF, NEG_INF])
-                    grown[1] = _lse2(grown[1], total + p)
-        ranked = sorted(nxt.items(), key=lambda kv: (-rank_score(kv[0], _lse2(*kv[1])), kv[0]))
-        beams = dict(ranked[: opts.beam_width])
+            blank, grow, column = True, every, every_column
+            mass = np.add.outer(totals, row[1:])
+        # mass[b, j]: beam b extended by grow[j]; a repeat of the beam's last
+        # symbol extends only the paths that end in blank.
+        repeat = [column.get(prefix[-1]) if prefix else None for prefix, _, _ in beams]
+        for b, (prefix, pb, _) in enumerate(beams):
+            if repeat[b] is not None:
+                mass[b, repeat[b]] = pb + p[prefix[-1]]
 
-    result = [Hypothesis(prefix, pb, pnb) for prefix, (pb, pnb) in beams.items()]
-    result.sort(key=lambda h: (-rank_score(h.prefix, h.score), h.prefix))
-    return result
+        cols = len(grow)
+        index = {prefix: b for b, (prefix, _, _) in enumerate(beams)}
+        stays: list[tuple[LabelSequence, float, float]] = []  # beams that keep their prefix
+        merged: list[int] = []  # flat slots of extensions that are a live beam's prefix
+        for b, (prefix, pb, pnb) in enumerate(beams):
+            j = repeat[b]
+            if j is None and not blank:
+                continue
+            nonblank = NEG_INF
+            if j is not None:
+                nonblank = pnb + p[prefix[-1]]
+                parent = index.get(prefix[:-1])
+                if parent is not None:
+                    merged.append(parent * cols + j)
+                    nonblank = _lse2(nonblank, float(mass[parent, j]))
+            stays.append((prefix, totals[b] + p[0] if blank else NEG_INF, nonblank))
+
+        rank = mass
+        stay_rank = [_lse2(pb, pnb) for _, pb, pnb in stays]
+        if use_scorer:
+            rank = mass + np.array([[prior(prefix + (c,)) for c in grow] for prefix, _, _ in beams]
+                                   ).reshape(mass.shape)
+            stay_rank = [r + prior(prefix) for r, (prefix, _, _) in zip(stay_rank, stays)]
+        pool = np.concatenate((rank.ravel(), stay_rank))
+        # A merged extension is ranked once, as the beam it recombined into.
+        # At -inf it keeps its flat index and cannot raise the cut of _best.
+        pool[merged] = NEG_INF
+        keep = _best(pool, opts.beam_width)
+        ranked = []
+        for f, r in zip(keep, pool[keep].tolist()):
+            if f >= mass.size:
+                ranked.append((-r, *stays[f - mass.size]))
+            elif f not in merged:
+                b, j = divmod(f, cols)
+                ranked.append((-r, beams[b][0] + (grow[j],), NEG_INF, float(mass.flat[f])))
+        ranked.sort()  # by (-rank, prefix); prefixes are unique
+        beams = [(prefix, pb, pnb) for _, prefix, pb, pnb in ranked[: opts.beam_width]]
+
+    return [Hypothesis(prefix, pb, pnb) for prefix, pb, pnb in beams]
 
 
 def ar_greedy_decode(config: ModelConfig, params: ModelParams, source_ids,
@@ -197,18 +253,19 @@ def ar_beam_decode(config: ModelConfig, params: ModelParams, source_ids,
     alive: list[tuple[float, LabelSequence]] = [(0.0, ())]
     finished: list[tuple[float, LabelSequence]] = []  # (normalized score, tokens)
     for step in range(max_steps):
-        pool: list[tuple[float, LabelSequence, int]] = []
-        for cum, tokens in alive:
-            row = decode_autoregressive_step(config, params, enc, tokens, cache).data
-            for j in range(config.vocab_size):
-                pool.append((cum + float(row[j]), tokens, j + 1))
-        pool.sort(key=lambda e: (-e[0], e[1] + (e[2],)))
+        rows = [decode_autoregressive_step(config, params, enc, tokens, cache).data
+                for _, tokens in alive]
+        scores = np.array([cum for cum, _ in alive])[:, None] + np.array(rows)
+        keep = _best(scores, opts.beam_width)
+        # (-score, tokens + (token,)); column j scores id j+1
+        pool = sorted((-s, alive[f // config.vocab_size][1] + (f % config.vocab_size + 1,))
+                      for f, s in zip(keep, scores.ravel()[keep].tolist()))
         alive = []
-        for cum, tokens, token in pool[: opts.beam_width]:
-            if token == EOS_ID:
-                finished.append((cum / (len(tokens) + 1), tokens))
+        for neg, tokens in pool[: opts.beam_width]:
+            if tokens[-1] == EOS_ID:
+                finished.append((-neg / len(tokens), tokens[:-1]))
             else:
-                alive.append((cum, tokens + (token,)))
+                alive.append((-neg, tokens))
         if not alive:
             break
     for cum, tokens in alive:

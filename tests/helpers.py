@@ -1,8 +1,13 @@
-"""Shared test utilities: finite differences and random probability tables."""
+"""Shared test utilities: finite differences, random probability tables and
+the reference prefix beam search."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from ctcnat.ctc import LabelSequence
+from ctcnat.decoding import DecodeOptions, Hypothesis, OptionError, PrefixScorer, _as_table, _lse2
+from ctcnat.tensor import NEG_INF
 
 
 def central_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -44,3 +49,63 @@ def peaked_log_probs(col_per_frame, cols: int, peak: float = 0.999) -> np.ndarra
     for t, c in enumerate(col_per_frame):
         table[t, c] = np.log(peak)
     return table
+
+
+def reference_ctc_beam_search(log_probs, opts: DecodeOptions | None = None,
+                              scorer: PrefixScorer | None = None) -> list[Hypothesis]:
+    """The per-symbol loop that ``decoding.ctc_beam_search`` vectorizes, kept
+    as its reference: the result must be equal, float for float.
+
+    Left-to-right prefix beam search with recombination.
+
+    Returns the surviving hypotheses ranked best-first. Ranking uses the
+    pure CTC mass unless a scorer is supplied with a positive weight, in
+    which case it uses mass + weight * scorer(prefix); Hypothesis.score is
+    always the pure CTC mass.
+    """
+    opts = opts or DecodeOptions()
+    if opts.beam_width < 1:
+        raise OptionError(f"beam_width must be >= 1, got {opts.beam_width}")
+    lp = _as_table(log_probs)
+    T, C = lp.shape
+
+    use_scorer = scorer is not None and opts.external_scorer_weight > 0.0
+    scorer_cache: dict[LabelSequence, float] = {}
+
+    def rank_score(prefix: LabelSequence, mass: float) -> float:
+        if not use_scorer:
+            return mass
+        if prefix not in scorer_cache:
+            scorer_cache[prefix] = float(scorer(prefix))
+        return mass + opts.external_scorer_weight * scorer_cache[prefix]
+
+    beams: dict[LabelSequence, list[float]] = {(): [0.0, NEG_INF]}
+    for t in range(T):
+        row = lp[t]
+        if opts.max_candidates is not None and opts.max_candidates < C:
+            symbols = sorted(np.argsort(-row, kind="stable")[: opts.max_candidates].tolist())
+        else:
+            symbols = range(C)
+        nxt: dict[LabelSequence, list[float]] = {}
+        for prefix, (pb, pnb) in beams.items():
+            total = _lse2(pb, pnb)
+            last = prefix[-1] if prefix else None
+            for c in symbols:
+                p = row[c]
+                if c == 0:
+                    entry = nxt.setdefault(prefix, [NEG_INF, NEG_INF])
+                    entry[0] = _lse2(entry[0], total + p)
+                elif c == last:
+                    entry = nxt.setdefault(prefix, [NEG_INF, NEG_INF])
+                    entry[1] = _lse2(entry[1], pnb + p)
+                    grown = nxt.setdefault(prefix + (c,), [NEG_INF, NEG_INF])
+                    grown[1] = _lse2(grown[1], pb + p)
+                else:
+                    grown = nxt.setdefault(prefix + (c,), [NEG_INF, NEG_INF])
+                    grown[1] = _lse2(grown[1], total + p)
+        ranked = sorted(nxt.items(), key=lambda kv: (-rank_score(kv[0], _lse2(*kv[1])), kv[0]))
+        beams = dict(ranked[: opts.beam_width])
+
+    result = [Hypothesis(prefix, pb, pnb) for prefix, (pb, pnb) in beams.items()]
+    result.sort(key=lambda h: (-rank_score(h.prefix, h.score), h.prefix))
+    return result

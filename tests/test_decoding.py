@@ -6,7 +6,7 @@ import pytest
 
 from ctcnat import decoding, model
 from ctcnat.ctc import collapse, ctc_loss
-from ctcnat.data import EOS_ID
+from ctcnat.data import EOS_ID, synthetic_vocab
 from ctcnat.decoding import (
     DecodeOptions,
     Hypothesis,
@@ -26,9 +26,9 @@ from ctcnat.model import (
     init_params,
     parallel_log_probs,
 )
-from ctcnat.tensor import Tensor, log_sum_exp
+from ctcnat.tensor import NEG_INF, Tensor, log_sum_exp
 
-from helpers import peaked_log_probs, random_log_probs
+from helpers import peaked_log_probs, random_log_probs, reference_ctc_beam_search
 
 
 def exhaustive_map(lp: np.ndarray):
@@ -168,6 +168,167 @@ class TestBeamSearch:
         assert translate(cfg, params, src, opts) == ctc_beam_search(lp, opts)[0].prefix
 
 
+def assert_same_hypotheses(got, want):
+    """Equal lists, and every mass the same float bit for bit."""
+    assert got == want
+    assert [(float(h.logp_blank).hex(), float(h.logp_nonblank).hex()) for h in got] == \
+        [(float(h.logp_blank).hex(), float(h.logp_nonblank).hex()) for h in want]
+
+
+def quantized_log_probs(rng, T, C, levels):
+    """A (T, C) table drawn from a few levels, so that path masses tie exactly."""
+    return rng.choice(np.array(levels), size=(T, C))
+
+
+def scorer_by_content(prefix):
+    """A prefix score that is not monotone in anything the search tracks."""
+    return float((sum(prefix) * 7 + len(prefix) * 3) % 5)
+
+
+class TestBeamSearchParity:
+    """The vectorized search against the per-symbol loop it replaced
+    (``helpers.reference_ctc_beam_search``): same prefixes, same order,
+    same masses bit for bit."""
+
+    @staticmethod
+    def check_all_options(lp, scorer=None, weight=0.0):
+        T, C = lp.shape
+        for width in sorted({1, 2, 4, 64, C ** T}):
+            for max_candidates in [None, *range(1, C + 1)]:
+                opts = DecodeOptions(beam_width=width, max_candidates=max_candidates,
+                                     external_scorer_weight=weight)
+                assert_same_hypotheses(ctc_beam_search(lp, opts, scorer),
+                                       reference_ctc_beam_search(lp, opts, scorer))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_quantized_tables_with_exact_ties(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        lp = quantized_log_probs(rng, int(rng.integers(1, 6)), int(rng.integers(2, 6)),
+                                 [-0.5, -1.0, -2.0])
+        self.check_all_options(lp)
+
+    def test_uniform_table_ties_every_extension(self):
+        self.check_all_options(np.log(np.full((4, 3), 1.0 / 3.0)))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_tables_with_neg_inf_entries(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        T, C = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+        lp = quantized_log_probs(rng, T, C, [-0.5, -1.0, NEG_INF])
+        lp[int(rng.integers(T))] = NEG_INF  # a frame no path survives
+        self.check_all_options(lp)
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_random_tables(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        self.check_all_options(random_log_probs(rng, int(rng.integers(1, 6)), int(rng.integers(2, 6))))
+
+    def test_max_candidates_can_drop_blank_and_last_symbol(self):
+        """With one candidate per frame and neither blank nor the beam's last
+        symbol among them, the beam's own prefix gets no entry: only its
+        extension survives."""
+        lp = np.log(np.array([[0.1, 0.6, 0.2, 0.1], [0.1, 0.2, 0.6, 0.1], [0.1, 0.6, 0.2, 0.1]]))
+        for width in (1, 4):
+            opts = DecodeOptions(beam_width=width, max_candidates=1)
+            got = ctc_beam_search(lp, opts)
+            assert [h.prefix for h in got] == [(1, 2, 1)]
+            assert_same_hypotheses(got, reference_ctc_beam_search(lp, opts))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_scorer_with_positive_weight(self, seed):
+        rng = np.random.default_rng(800 + seed)
+        lp = quantized_log_probs(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5)),
+                                 [-0.5, -1.0, -2.0, -3.0])
+        self.check_all_options(lp, scorer_by_content, weight=0.7)
+
+    def test_scorer_reorders_the_beam(self):
+        """The scorer's values take part in the selection, not just in a
+        final re-sort: some beam keeps a prefix that mass alone prunes."""
+        changed = 0
+        for seed in range(20):
+            lp = random_log_probs(np.random.default_rng(900 + seed), 5, 4)
+            plain = ctc_beam_search(lp, DecodeOptions(beam_width=2))
+            hooked = ctc_beam_search(lp, DecodeOptions(beam_width=2, external_scorer_weight=0.7),
+                                     scorer=scorer_by_content)
+            changed += {h.prefix for h in plain} != {h.prefix for h in hooked}
+        assert changed
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_parallel_model_tables(self, seed):
+        """Beam-4 over the forward of a random-weight model, one source of
+        every length 4-48."""
+        vocab = synthetic_vocab(20)
+        cfg = ModelConfig(vocab_size=vocab.vocab_size, k=3, variant="encoder-decoder",
+                          max_len=64, dropout_rate=0.0)
+        params = init_params(cfg, seed)
+        rng = np.random.default_rng(seed)
+        opts = DecodeOptions(beam_width=4)
+        for length in range(4, 49):
+            lp = parallel_log_probs(cfg, params, rng.integers(4, vocab.size, size=length).tolist())
+            assert_same_hypotheses(ctc_beam_search(lp, opts), reference_ctc_beam_search(lp, opts))
+
+
+class TestBeamSearchShapes:
+    def test_blank_only_table(self):
+        lp = np.log(np.ones((3, 1)))
+        got = ctc_beam_search(lp, DecodeOptions(beam_width=3))
+        assert got == [Hypothesis((), 0.0, NEG_INF)]
+        assert_same_hypotheses(got, reference_ctc_beam_search(lp, DecodeOptions(beam_width=3)))
+
+    def test_single_frame(self):
+        lp = np.log(np.array([[0.4, 0.35, 0.25]]))
+        got = ctc_beam_search(lp, DecodeOptions(beam_width=4))
+        assert [h.prefix for h in got] == [(), (1,), (2,)]
+        assert [h.score for h in got] == list(lp[0])
+        assert_same_hypotheses(got, reference_ctc_beam_search(lp, DecodeOptions(beam_width=4)))
+
+    def test_beam_wider_than_candidates(self):
+        """Every candidate is kept, those of mass zero (-inf) included."""
+        lp = np.log(np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3]]))
+        opts = DecodeOptions(beam_width=100)
+        got = ctc_beam_search(lp, opts)
+        assert sorted(h.prefix for h in got) == [(), (1,), (1, 1), (1, 2), (2,), (2, 1), (2, 2)]
+        assert [h.prefix for h in got if h.score == NEG_INF] == [(1, 1), (2, 2)]
+        assert_same_hypotheses(got, reference_ctc_beam_search(lp, opts))
+
+
+class TestTableValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("decode", [greedy_ctc_decode, ctc_beam_search])
+    def test_nan_and_pos_inf_rejected(self, decode, bad):
+        lp = np.log(np.full((3, 3), 1.0 / 3.0))
+        lp[1, 2] = bad
+        with pytest.raises(OptionError):
+            decode(lp)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_and_pos_inf_scorer_values_rejected(self, bad):
+        lp = np.log(np.full((3, 3), 1.0 / 3.0))
+        opts = DecodeOptions(beam_width=2, external_scorer_weight=1.0)
+        with pytest.raises(OptionError):
+            ctc_beam_search(lp, opts, scorer=lambda prefix: bad if len(prefix) == 2 else 0.0)
+
+    def test_neg_inf_accepted(self):
+        lp = np.array([[NEG_INF, 0.0], [0.0, NEG_INF]])
+        assert greedy_ctc_decode(lp) == (1,)
+        assert ctc_beam_search(lp)[0] == Hypothesis((1,), 0.0, NEG_INF)
+
+
+class TestBest:
+    """The shared top-width selection keeps every entry that ties the last."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sorting_the_kept_entries_gives_the_full_sort_prefix(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        scores = rng.choice(np.array([0.0, -1.0, -2.0, NEG_INF]), size=(int(rng.integers(1, 5)), 6))
+        full = sorted(range(scores.size), key=lambda f: (-scores.flat[f], f))
+        for width in range(1, scores.size + 2):
+            keep = decoding._best(scores, width)
+            threshold = scores.flat[full[min(width, scores.size) - 1]]
+            assert sorted(keep) == [f for f in range(scores.size) if scores.flat[f] >= threshold]
+            assert sorted(keep, key=lambda f: (-scores.flat[f], f))[:width] == full[:width]
+
+
 def ar_config(vocab_size=5, max_len=24):
     return ModelConfig(vocab_size=vocab_size, d_model=8, ff_dim=16, heads=2, enc_layers=1,
                        dec_layers=1, variant="autoregressive-baseline", max_len=max_len,
@@ -229,6 +390,18 @@ class TestAutoregressiveDecoding:
         params = rigged_params(cfg, favored_id=4)
         out = translate(cfg, params, [5] * src_len, beam)
         assert out == (4,) * min(2 * src_len + 8, cfg.max_len - 1)
+
+    def test_beam_ties_at_the_cut_keep_the_smaller_sequence(self, monkeypatch):
+        """Every row is the same, so (5, 4) and (4, 5) score exactly alike.
+        At the cut of a width-2 beam the lexicographically smaller one
+        survives, as in a full sort by (-score, tokens)."""
+        cfg = ar_config()
+        params = init_params(cfg, 0)
+        params["out.w"].data[:] = 0.0
+        params["out.b"].data[:] = [0.0, -30.0, 0.0, 2.0, 3.0]  # ids 1..5; id 2 ends
+        calls = recorded_steps(monkeypatch)
+        ar_beam_decode(cfg, params, [4, 5], DecodeOptions(beam_width=2), max_steps=3)
+        assert [prefix for _, prefix, *_ in calls] == [(), (5,), (4,), (5, 5), (4, 5)]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_full_width_beam_is_exhaustive(self, seed):
