@@ -9,6 +9,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -147,11 +148,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_vocab_for_model(model_path: str, vocab_arg: str | None, mode: str) -> Vocabulary:
+def _load_vocab_for_model(model_path: str, model_config: ModelConfig, vocab_arg: str | None,
+                          mode: str) -> Vocabulary:
     path = Path(vocab_arg) if vocab_arg else Path(model_path).parent / "vocab.txt"
     if not path.is_file():
         raise UsageError(f"vocabulary file not found: {path} (pass --vocab)")
-    return Vocabulary.load(path, mode=mode)
+    vocab = Vocabulary.load(path, mode=mode)
+    if vocab.vocab_size != model_config.vocab_size:
+        raise UsageError(f"vocabulary {path} has vocab_size={vocab.vocab_size} but model {model_path} "
+                         f"has vocab_size={model_config.vocab_size}")
+    return vocab
 
 
 def _beam_options(width: int) -> DecodeOptions:
@@ -164,7 +170,7 @@ def _beam_options(width: int) -> DecodeOptions:
 def cmd_translate(args) -> int:
     beam = _beam_options(args.beam) if args.mode == "beam" else None
     ckpt = load_checkpoint(args.model)
-    vocab = _load_vocab_for_model(args.model, args.vocab, args.vocab_mode)
+    vocab = _load_vocab_for_model(args.model, ckpt.config, args.vocab, args.vocab_mode)
     out_lines = []
     for line in _read_lines(args.input):
         ids = vocab.encode_line(line)
@@ -219,11 +225,11 @@ def cmd_bench(args) -> int:
     if args.ar_model:
         ckpt = load_checkpoint(args.ar_model)
         ar = (ckpt.config, ckpt.params)
-        vocabs.append(_load_vocab_for_model(args.ar_model, args.vocab, args.vocab_mode))
+        vocabs.append(_load_vocab_for_model(args.ar_model, ckpt.config, args.vocab, args.vocab_mode))
     if args.nar_model:
         ckpt = load_checkpoint(args.nar_model)
         nar = (ckpt.config, ckpt.params)
-        vocabs.append(_load_vocab_for_model(args.nar_model, args.vocab, args.vocab_mode))
+        vocabs.append(_load_vocab_for_model(args.nar_model, ckpt.config, args.vocab, args.vocab_mode))
     if vocabs[0] != vocabs[-1]:
         raise UsageError("--ar-model and --nar-model have different vocabularies; pass one with --vocab")
     vocab = vocabs[0]
@@ -334,6 +340,12 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_help()
         return 2
+    # Dropped and skipped pair counts are logged at INFO by data and training.
+    log = logging.getLogger("ctcnat")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -342,6 +354,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime failures map to exit 1
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        log.removeHandler(handler)
 
 
 if __name__ == "__main__":

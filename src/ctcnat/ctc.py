@@ -4,7 +4,10 @@ The loss marginalizes over every frame labeling whose collapse (merge
 adjacent repeats, then delete blanks) equals the target. It is computed in
 the log domain over the blank-extended label sequence b, y1, b, y2, ..., b
 with the usual forward (prefix) and backward (suffix) tables; the gradient
-falls out of the state occupancies alpha * beta.
+falls out of the state occupancies alpha * beta. One sweep fills both: the
+suffix table is the prefix sweep of the time- and label-reversed table,
+flipped back. Accepted tables have every row normalized within 1e-6; -inf
+entries (zero probability) are allowed, NaN and +inf are rejected.
 
 A note on alignment counting: the number of frame sequences of length T
 that collapse to a given target is larger than the binomial count of blank
@@ -25,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import BLANK_ID, VocabularyError
-from .tensor import NEG_INF, log_sum_exp
+from .tensor import NEG_INF
 
 LabelSequence = tuple[int, ...]
 
@@ -79,7 +82,9 @@ def _as_log_probs(log_probs) -> np.ndarray:
     lp = np.asarray(getattr(log_probs, "data", log_probs), dtype=np.float64)
     if lp.ndim != 2 or lp.shape[0] < 1:
         raise InputError(f"log_probs must be a (T, V+1) table with T >= 1, got shape {lp.shape}")
-    row_lse = np.array([log_sum_exp(row) for row in lp])
+    if not (lp < np.inf).all():
+        raise InputError("log_probs must not hold NaN or +inf")
+    row_lse = np.logaddexp.reduce(lp, axis=1)
     if np.any(np.abs(row_lse) > 1e-6):
         worst = int(np.abs(row_lse).argmax())
         raise InputError(f"row {worst} is not a normalized log-distribution (lse={row_lse[worst]:.3g})")
@@ -104,47 +109,45 @@ def _extended(labels: LabelSequence) -> np.ndarray:
 
 def _skip_allowed(ext: np.ndarray) -> np.ndarray:
     allowed = np.zeros(ext.size, dtype=bool)
-    if ext.size > 2:
-        allowed[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
+    allowed[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
     return allowed
 
 
-def ctc_lattice(log_probs, labels: Sequence[int]) -> CtcLattice:
-    """Fill both DP tables; assumes a structurally feasible instance."""
-    lp = _as_log_probs(log_probs)
-    labs = _check_labels(labels, lp.shape[1])
-    T = lp.shape[0]
-    ext = _extended(labs)
-    S = ext.size
-    emit = lp[:, ext]
-    skip = _skip_allowed(ext)
+def _sweep(emit: np.ndarray, skip: np.ndarray, plus=np.logaddexp, times=np.add, zero=NEG_INF) -> np.ndarray:
+    """Prefix table of the lattice over a (T, S) emission table.
 
-    alpha = np.full((T, S), NEG_INF)
-    alpha[0, 0] = emit[0, 0]
-    if S > 1:
-        alpha[0, 1] = emit[0, 1]
+    State s at frame t is reached from s, s-1 and, where ``skip[s]``, s-2
+    at frame t-1; the first frame may start in state 0 or 1. The semiring
+    defaults to log-probabilities; exact path counts use (+, *, 0) over
+    Python integers.
+    """
+    T, S = emit.shape
+    alpha = np.full((T, S), zero, dtype=emit.dtype)
+    alpha[0, :2] = emit[0, :2]
     for t in range(1, T):
         prev = alpha[t - 1]
         m = prev.copy()
-        m[1:] = np.logaddexp(m[1:], prev[:-1])
-        if S > 2:
-            m[2:] = np.where(skip[2:], np.logaddexp(m[2:], prev[:-2]), m[2:])
-        alpha[t] = m + emit[t]
+        m[1:] = plus(m[1:], prev[:-1])
+        m[2:] = np.where(skip[2:], plus(m[2:], prev[:-2]), m[2:])
+        alpha[t] = times(m, emit[t])
+    return alpha
 
-    beta = np.full((T, S), NEG_INF)
-    beta[T - 1, S - 1] = emit[T - 1, S - 1]
-    if S > 1:
-        beta[T - 1, S - 2] = emit[T - 1, S - 2]
-    for t in range(T - 2, -1, -1):
-        nxt = beta[t + 1]
-        m = nxt.copy()
-        m[:-1] = np.logaddexp(m[:-1], nxt[1:])
-        if S > 2:
-            m[:-2] = np.where(skip[2:], np.logaddexp(m[:-2], nxt[2:]), m[:-2])
-        beta[t] = m + emit[t]
 
-    ll = float(alpha[T - 1, S - 1]) if S == 1 else float(np.logaddexp(alpha[T - 1, S - 1], alpha[T - 1, S - 2]))
+def _lattice(lp: np.ndarray, labels: LabelSequence) -> CtcLattice:
+    ext = _extended(labels)
+    emit = lp[:, ext]
+    alpha = _sweep(emit, _skip_allowed(ext))
+    # The suffix table is the prefix table of the time- and state-reversed
+    # lattice: reversing ext maps each skip s+2 -> s onto a skip r-2 -> r.
+    beta = _sweep(emit[::-1, ::-1], _skip_allowed(ext[::-1]))[::-1, ::-1]
+    ll = float(np.logaddexp.reduce(alpha[-1, ::-1][:2]))
     return CtcLattice(alpha=alpha, beta=beta, extended_labels=tuple(int(x) for x in ext), log_likelihood=ll)
+
+
+def ctc_lattice(log_probs, labels: Sequence[int]) -> CtcLattice:
+    """Fill both DP tables; an infeasible target gives log_likelihood -inf."""
+    lp = _as_log_probs(log_probs)
+    return _lattice(lp, _check_labels(labels, lp.shape[1]))
 
 
 def ctc_loss(log_probs, labels: Sequence[int]) -> tuple[float, np.ndarray]:
@@ -152,38 +155,31 @@ def ctc_loss(log_probs, labels: Sequence[int]) -> tuple[float, np.ndarray]:
     log-probability table.
 
     Infeasible targets (too few frames for the labels and their repeat
-    separators) yield (+inf, zero gradient) rather than an exception, since
-    training batches may legitimately contain them.
+    separators, or no path of nonzero probability) yield (+inf, zero
+    gradient) rather than an exception, since training batches may
+    legitimately contain them.
     """
     lp = _as_log_probs(log_probs)
-    labs = _check_labels(labels, lp.shape[1])
-    T = lp.shape[0]
-    if T < min_frames(labs):
-        return math.inf, np.zeros_like(lp)
-    lattice = ctc_lattice(lp, labs)
+    lattice = _lattice(lp, _check_labels(labels, lp.shape[1]))
     ll = lattice.log_likelihood
+    grad = np.zeros_like(lp)
     if ll == NEG_INF:
-        return math.inf, np.zeros_like(lp)
+        return math.inf, grad
 
     ext = np.asarray(lattice.extended_labels)
-    emit = lp[:, ext]
-    gamma = lattice.alpha + lattice.beta - emit
-    # -inf entries of alpha/beta mark unreachable states; keep them at zero
-    # occupancy even when emit itself is -inf (which would produce NaN).
-    dead = np.isneginf(lattice.alpha) | np.isneginf(lattice.beta)
-    gamma = np.where(dead, NEG_INF, gamma)
-    occ = np.exp(gamma - ll)
-
-    grad = np.zeros_like(lp)
-    for s in range(ext.size):
-        grad[:, ext[s]] -= occ[:, s]
+    alpha, beta, emit = lattice.alpha, lattice.beta, lp[:, ext]
+    # -inf entries of alpha/beta mark unreachable states with zero occupancy.
+    live = (alpha > NEG_INF) & (beta > NEG_INF)
+    occ = np.zeros_like(alpha)
+    occ[live] = np.exp(alpha[live] + beta[live] - emit[live] - ll)
+    np.subtract.at(grad.T, ext, occ.T)
     return -ll, grad
 
 
 def count_alignments(T: int, labels: Sequence[int]) -> int:
     """Number of length-T frame sequences whose collapse equals ``labels``.
 
-    Uniform-weight version of the same lattice recursion; exact integers.
+    The same lattice sweep with every emission weighted 1, in exact integers.
     """
     if T < 0:
         raise InputError(f"T must be >= 0, got {T}")
@@ -192,26 +188,9 @@ def count_alignments(T: int, labels: Sequence[int]) -> int:
         raise VocabularyError("labels must not contain the blank id")
     if T == 0:
         return 1 if not labs else 0
-    if T < min_frames(labs):
-        return 0
     ext = _extended(labs)
-    S = ext.size
-    skip = _skip_allowed(ext)
-    ways = [0] * S
-    ways[0] = 1
-    if S > 1:
-        ways[1] = 1
-    for _ in range(1, T):
-        nxt = [0] * S
-        for s in range(S):
-            w = ways[s]
-            if s >= 1:
-                w += ways[s - 1]
-            if s >= 2 and skip[s]:
-                w += ways[s - 2]
-            nxt[s] = w
-        ways = nxt
-    return ways[S - 1] + (ways[S - 2] if S > 1 else 0)
+    ways = _sweep(np.ones((T, ext.size), dtype=object), _skip_allowed(ext), np.add, np.multiply, 0)
+    return int(sum(ways[-1, -2:]))
 
 
 def ctc_oracle_loss(log_probs, labels: Sequence[int]) -> float:

@@ -123,17 +123,14 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
-def custom_op(values, inputs: Sequence[Tensor], rule: BackwardRule, check_finite: bool = True) -> Tensor:
+def custom_op(values, inputs: Sequence[Tensor], rule: BackwardRule) -> Tensor:
     """Wrap externally computed forward values as a taped operation.
 
     ``rule`` receives the output gradient and must call ``accumulate_grad``
-    on the inputs itself. ``check_finite=False`` admits +inf sentinels, e.g.
-    an infeasible lattice loss.
+    on the inputs itself. Values are not checked and may be +inf, e.g. an
+    infeasible lattice loss.
     """
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if check_finite and not np.isfinite(arr).all():
-        raise NumericError("custom_op produced non-finite values")
-    return _emit(arr, inputs, rule)
+    return _emit(np.ascontiguousarray(values, dtype=np.float64), inputs, rule)
 
 
 def _emit(arr: np.ndarray, inputs: Sequence[Tensor], rule: BackwardRule) -> Tensor:

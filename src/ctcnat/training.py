@@ -142,7 +142,7 @@ def ctc_loss_op(log_probs: Tensor, labels: Sequence[int]) -> Tensor:
     def rule(g: np.ndarray) -> None:
         accumulate_grad(log_probs, float(np.ravel(g)[0]) * grad)
 
-    return custom_op(np.float64(value), (log_probs,), rule, check_finite=False)
+    return custom_op(np.float64(value), (log_probs,), rule)
 
 
 def sentence_loss(config: ModelConfig, params: ModelParams, source_ids, target_ids,

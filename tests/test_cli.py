@@ -67,6 +67,22 @@ class TestTrainCommand:
         assert (tmp_path / "ckpt" / "log.csv").is_file()
         assert list((tmp_path / "ckpt").glob("ckpt-*.bin"))
 
+    def test_skipped_infeasible_pair_count_reaches_stderr(self, tmp_path, capsys):
+        src, tgt = synth_corpus(tmp_path)
+        vsrc, vtgt = synth_corpus(tmp_path, n=6, seed=1, prefix="valid")
+        with open(src, "a", encoding="utf-8") as f:
+            f.write("w0\n")
+        with open(tgt, "a", encoding="utf-8") as f:
+            f.write("w1 w2 w3\n")  # 3 labels need 3 frames; k=2 gives 2
+        cfg_path = tmp_path / "run.cfg"
+        write_config(cfg_path, d_model=16, ff_dim=32, heads=2, enc_layers=1, dec_layers=1,
+                     k=2, dropout=0.0, max_steps=1, valid_interval=1, batch_size=4,
+                     warmup=2, train_src=str(src), train_tgt=str(tgt),
+                     valid_src=str(vsrc), valid_tgt=str(vtgt),
+                     checkpoint_dir=str(tmp_path / "ckpt"))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert "skipped 1 infeasible pairs" in capsys.readouterr().err
+
 
 class TestTranslateCommand:
     @pytest.fixture()
@@ -113,14 +129,30 @@ class TestTranslateCommand:
                      "--output", str(tmp_path / "out.txt"), "--mode", "beam", "--beam", "0"]) == 2
         assert "beam_width must be >= 1" in capsys.readouterr().err
 
+    def test_vocabulary_that_does_not_fit_the_model_is_usage_error(self, trained_dir, capsys):
+        from ctcnat.data import synthetic_vocab
+        model = sorted((trained_dir / "ckpt").glob("ckpt-*.bin"))[0]
+        model_size = load_checkpoint(model).config.vocab_size
+        wrong = synthetic_vocab(model_size + 2)
+        wrong.save(trained_dir / "wrong.txt")
+        inp = trained_dir / "in.txt"
+        inp.write_text("w0 w1\n", encoding="utf-8")
+        out = trained_dir / "out.txt"
+        assert main(["translate", "--model", str(model), "--input", str(inp), "--output", str(out),
+                     "--vocab", str(trained_dir / "wrong.txt")]) == 2
+        err = capsys.readouterr().err
+        assert f"vocab_size={wrong.vocab_size} but model" in err
+        assert f"has vocab_size={model_size}" in err
+        assert not out.exists()
+
     def test_ar_beam_width_one_equals_greedy(self, tmp_path):
-        cfg = ModelConfig(vocab_size=8, d_model=16, ff_dim=32, heads=2, enc_layers=1,
-                          dec_layers=1, variant="autoregressive-baseline", max_len=32,
+        from ctcnat.data import synthetic_vocab
+        cfg = ModelConfig(vocab_size=synthetic_vocab(8).vocab_size, d_model=16, ff_dim=32, heads=2,
+                          enc_layers=1, dec_layers=1, variant="autoregressive-baseline", max_len=32,
                           dropout_rate=0.0)
         params = init_params(cfg, 7)
         model = tmp_path / "ar.bin"
         save_checkpoint(Checkpoint(cfg, params, 1, 0.0), model)
-        from ctcnat.data import synthetic_vocab
         synthetic_vocab(8).save(tmp_path / "vocab.txt")
         inp = tmp_path / "in.txt"
         inp.write_text("w0 w1 w2\nw3\n", encoding="utf-8")
@@ -231,8 +263,8 @@ class TestHelpAndExitCodes:
 
 def test_bench_command(tmp_path, capsys):
     from ctcnat.data import synthetic_vocab
-    cfg = ModelConfig(vocab_size=8, d_model=16, ff_dim=32, heads=2, enc_layers=1,
-                      dec_layers=1, k=2, max_len=32, dropout_rate=0.0)
+    cfg = ModelConfig(vocab_size=synthetic_vocab(8).vocab_size, d_model=16, ff_dim=32, heads=2,
+                      enc_layers=1, dec_layers=1, k=2, max_len=32, dropout_rate=0.0)
     model = tmp_path / "nar.bin"
     save_checkpoint(Checkpoint(cfg, init_params(cfg, 9), 1, 0.0), model)
     synthetic_vocab(8).save(tmp_path / "vocab.txt")
@@ -250,8 +282,9 @@ def test_bench_rejects_models_with_different_vocabularies(tmp_path, capsys):
     from ctcnat.data import synthetic_vocab
     paths = []
     for name, variant, vocab_size in (("ar", "autoregressive-baseline", 8), ("nar", "encoder-decoder", 9)):
-        cfg = ModelConfig(vocab_size=vocab_size, d_model=16, ff_dim=32, heads=2, enc_layers=1,
-                          dec_layers=1, k=2, variant=variant, max_len=32, dropout_rate=0.0)
+        cfg = ModelConfig(vocab_size=synthetic_vocab(vocab_size).vocab_size, d_model=16, ff_dim=32,
+                          heads=2, enc_layers=1, dec_layers=1, k=2, variant=variant, max_len=32,
+                          dropout_rate=0.0)
         (tmp_path / name).mkdir()
         save_checkpoint(Checkpoint(cfg, init_params(cfg, 9), 1, 0.0), tmp_path / name / "model.bin")
         synthetic_vocab(vocab_size).save(tmp_path / name / "vocab.txt")
@@ -265,6 +298,23 @@ def test_bench_rejects_models_with_different_vocabularies(tmp_path, capsys):
     assert "different vocabularies" in capsys.readouterr().err
     assert not out_csv.exists()
 
+
+def test_bench_rejects_a_vocabulary_that_does_not_fit_the_model(tmp_path, capsys):
+    from ctcnat.data import synthetic_vocab
+    cfg = ModelConfig(vocab_size=8, d_model=16, ff_dim=32, heads=2, enc_layers=1,
+                      dec_layers=1, k=2, max_len=32, dropout_rate=0.0)
+    model = tmp_path / "nar.bin"
+    save_checkpoint(Checkpoint(cfg, init_params(cfg, 9), 1, 0.0), model)
+    synthetic_vocab(8).save(tmp_path / "vocab.txt")  # 8 tokens and 3 reserved non-blank ids
+    inp = tmp_path / "in.txt"
+    inp.write_text("w0 w1\n", encoding="utf-8")
+    out_csv = tmp_path / "times.csv"
+    rc = main(["bench", "--input", str(inp), "--nar-model", str(model),
+               "--modes", "NAR-greedy", "--out", str(out_csv)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "vocab_size=11 but model" in err and "has vocab_size=8" in err
+    assert not out_csv.exists()
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,14 @@ from ctcnat.data import VocabularyError
 from ctcnat.tensor import log_sum_exp
 
 from helpers import random_log_probs, rel_err
+
+
+def with_zero_probability(lp, cells):
+    """``lp`` with the (t, c) entries in ``cells`` set to -inf, rows renormalized."""
+    lp = lp.copy()
+    for t, c in cells:
+        lp[t, c] = -np.inf
+    return lp - np.logaddexp.reduce(lp, axis=1, keepdims=True)
 
 
 class TestCollapse:
@@ -137,6 +146,32 @@ class TestCtcLoss:
         lp = np.zeros((2, 3))
         with pytest.raises(InputError):
             ctc_loss(lp, (1,))
+        lp = random_log_probs(np.random.default_rng(14), 3, 3)
+        lp[1] = -np.inf
+        with pytest.raises(InputError, match="row 1 is not a normalized log-distribution"):
+            ctc_loss(lp, (1,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "pos-inf"])
+    @pytest.mark.parametrize("entry", [ctc_loss, ctc_lattice, ctc_oracle_loss],
+                             ids=lambda f: f.__name__)
+    def test_nan_and_pos_inf_tables_rejected(self, entry, bad):
+        lp = random_log_probs(np.random.default_rng(12), 3, 3)
+        lp[1, 2] = bad
+        with pytest.raises(InputError, match=r"NaN or \+inf"):
+            entry(lp, (1,))
+
+    def test_zero_probability_entries_give_exact_silent_loss(self):
+        """-inf entries leave dead lattice states; they get zero occupancy
+        without an invalid-value warning."""
+        lp = with_zero_probability(random_log_probs(np.random.default_rng(13), 5, 4),
+                                   [(0, 3), (2, 0), (3, 1), (4, 2)])
+        labels = (1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = ctc_loss(lp, labels)
+        assert loss == pytest.approx(ctc_oracle_loss(lp, labels), abs=1e-9)
+        assert np.isfinite(grad).all()
+        assert np.allclose(grad.sum(axis=1), -1.0, atol=1e-9)
 
     def test_label_out_of_range(self):
         lp = random_log_probs(np.random.default_rng(8), 3, 3)
@@ -154,21 +189,33 @@ class TestCtcLoss:
 
 
 class TestLattice:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_time_slice_consistency(self, seed):
+    @pytest.mark.parametrize("seed, T, labels, dead", [
+        *(pytest.param(seed, None, None, (), id=str(seed)) for seed in range(8)),
+        pytest.param(8, 1, (), (), id="T1-no-labels"),
+        pytest.param(9, 1, (2,), (), id="T1-one-label"),
+        pytest.param(10, 5, (), (), id="no-labels"),
+        pytest.param(11, 4, (3,), (), id="one-label"),
+        pytest.param(12, 1, (1,), [(0, 0), (0, 3)], id="T1-neg-inf"),
+        pytest.param(13, 6, (1, 2), [(0, 3), (2, 0), (3, 1), (5, 0)], id="neg-inf"),
+        pytest.param(14, 7, (1, 1, 2), [(0, 2), (1, 3), (3, 0), (6, 1)], id="neg-inf-repeat"),
+    ])
+    def test_time_slice_consistency(self, seed, T, labels, dead):
         """At every t, combining prefix and suffix masses recovers the total."""
         rng = np.random.default_rng(3000 + seed)
-        T = int(rng.integers(2, 7))
-        V = int(rng.integers(1, 4))
-        labels = tuple(int(x) for x in rng.integers(1, V + 1, size=max(1, T // 2)))
-        if T < min_frames(labels):
-            labels = labels[:1]
-        lp = random_log_probs(rng, T, V + 1)
+        V = 3
+        if labels is None:
+            T = int(rng.integers(2, 7))
+            V = int(rng.integers(1, 4))
+            labels = tuple(int(x) for x in rng.integers(1, V + 1, size=max(1, T // 2)))
+            if T < min_frames(labels):
+                labels = labels[:1]
+        lp = with_zero_probability(random_log_probs(rng, T, V + 1), dead)
         lat = ctc_lattice(lp, labels)
+        assert math.isfinite(lat.log_likelihood)
         emit = lp[:, list(lat.extended_labels)]
         for t in range(T):
-            combined = lat.alpha[t] + lat.beta[t] - emit[t]
-            combined = np.where(np.isneginf(lat.alpha[t]) | np.isneginf(lat.beta[t]), -np.inf, combined)
+            live = np.isfinite(lat.alpha[t]) & np.isfinite(lat.beta[t])
+            combined = lat.alpha[t, live] + lat.beta[t, live] - emit[t, live]
             assert log_sum_exp(combined) == pytest.approx(lat.log_likelihood, abs=1e-9)
 
 
