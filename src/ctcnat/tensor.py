@@ -10,7 +10,9 @@ reverse recording order.
 Log-domain code represents probability zero as -inf. That sentinel is legal
 for ``log_sum_exp``, which is a plain float utility, not a taped op. Taped
 forward ops on finite inputs must produce finite outputs; a NaN or Inf there
-raises NumericError.
+raises NumericError. Finiteness is checked by one sum, which is finite
+whenever every element is; only a non-finite sum is confirmed element by
+element, because finite elements can still overflow it.
 """
 
 from __future__ import annotations
@@ -119,8 +121,11 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # A fresh C-ordered copy: -0.0 becomes +0.0 as it would in zeros + g,
+        # and a transposed ``g`` does not leave its strides to later matmuls.
+        t.grad = np.add(g, 0.0, order="C")
+    else:
+        t.grad += g
 
 
 def custom_op(values, inputs: Sequence[Tensor], rule: BackwardRule) -> Tensor:
@@ -137,14 +142,18 @@ def _emit(arr: np.ndarray, inputs: Sequence[Tensor], rule: BackwardRule) -> Tens
     out = Tensor.__new__(Tensor)
     out.data = arr
     out.grad = None
-    out.requires_grad = any(t.requires_grad for t in inputs)
+    out.requires_grad = False
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            break
     if _TAPES and out.requires_grad:
         _TAPES[-1]._records.append((out, rule))
     return out
 
 
 def _finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
+    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
         raise NumericError(f"{op} produced non-finite values")
     return arr
 
@@ -205,9 +214,10 @@ def relu(a: Tensor) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-shifted softmax; every slice along ``axis`` sums to 1."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
+    # In place: attention scores are the largest arrays a forward makes.
+    p = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=axis, keepdims=True)
 
     def rule(g: np.ndarray) -> None:
         accumulate_grad(a, p * (g - (g * p).sum(axis=axis, keepdims=True)))
@@ -231,9 +241,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sum / d is what mean() computes, bit for bit, without its overhead.
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = xhat * gain.data + bias.data
@@ -242,7 +253,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         dxhat = g * gain.data
         accumulate_grad(
             x,
-            inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)),
+            inv * (dxhat - dxhat.sum(axis=-1, keepdims=True) / d
+                   - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)),
         )
         lead = tuple(range(g.ndim - 1))
         accumulate_grad(gain, (g * xhat).sum(axis=lead) if lead else g * xhat)
@@ -268,7 +280,7 @@ def embed(table: Tensor, ids: Sequence[int]) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape, dtype=np.int64)) != a.data.size:
+    if math.prod(shape) != a.data.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {tuple(shape)}")
 
     def rule(g: np.ndarray) -> None:
@@ -278,7 +290,9 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inv = tuple(np.argsort(axes))
+    inv = [0] * len(axes)
+    for i, axis in enumerate(axes):
+        inv[axis] = i
 
     def rule(g: np.ndarray) -> None:
         accumulate_grad(a, g.transpose(inv))

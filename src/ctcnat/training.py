@@ -175,11 +175,18 @@ def batch_loss(config: ModelConfig, params: ModelParams, batch: Batch,
 
 
 def feasible_pairs(config: ModelConfig, pairs: Sequence[SentencePair]) -> tuple[list[SentencePair], int]:
-    """Drop pairs whose target cannot fit in k * T_x frames (label count plus
-    repeat separators); returns (kept, skipped_count)."""
-    if config.is_autoregressive:
-        return list(pairs), 0
-    kept = [p for p in pairs if config.k * len(p.source_ids) >= min_frames(p.target_ids)]
+    """Drop pairs the model cannot take: a source that is empty or longer
+    than max_len; for the AR baseline, a decoder input ([EOS] + target)
+    longer than max_len; otherwise a target that cannot fit in k * T_x
+    frames (label count plus repeat separators). Returns (kept, skipped_count)."""
+    def fits(p: SentencePair) -> bool:
+        if not 0 < len(p.source_ids) <= config.max_len:
+            return False
+        if config.is_autoregressive:
+            return len(p.target_ids) + 1 <= config.max_len
+        return config.k * len(p.source_ids) >= min_frames(p.target_ids)
+
+    kept = [p for p in pairs if fits(p)]
     return kept, len(pairs) - len(kept)
 
 
@@ -236,8 +243,8 @@ def train(model_config: ModelConfig, train_pairs: Sequence[SentencePair],
     usable, skipped = feasible_pairs(model_config, train_pairs)
     if not usable:
         raise ConfigError(
-            f"all {len(train_pairs)} training pairs are infeasible for k={model_config.k}; "
-            "increase the split factor k")
+            f"all {len(train_pairs)} training pairs are infeasible for k={model_config.k}, "
+            f"max_len={model_config.max_len}; increase the split factor k or max_len")
 
     rng = np.random.default_rng(train_config.seed)
     params = init_params(model_config, rng)
@@ -248,7 +255,8 @@ def train(model_config: ModelConfig, train_pairs: Sequence[SentencePair],
     dropout_rng = rng if model_config.dropout_rate > 0.0 else None
 
     if skipped:
-        _log.info("skipped %d infeasible pairs (target needs more than k*T_x frames)", skipped)
+        _log.info("skipped %d infeasible pairs (longer than max_len, or target needs more than k*T_x frames)",
+                  skipped)
 
     log: list[LogRow] = []
     order: list[int] = []

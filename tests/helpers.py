@@ -1,13 +1,16 @@
-"""Shared test utilities: finite differences, random probability tables and
-the reference prefix beam search."""
+"""Shared test utilities: finite differences, random probability tables, the
+reference prefix beam search and the reference tape ops."""
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from ctcnat import model, tensor, training
 from ctcnat.ctc import LabelSequence
 from ctcnat.decoding import DecodeOptions, Hypothesis, OptionError, PrefixScorer, _as_table, _lse2
-from ctcnat.tensor import NEG_INF
+from ctcnat.tensor import _TAPES, NEG_INF, BackwardRule, NumericError, ShapeError, Tensor
 
 
 def central_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -109,3 +112,106 @@ def reference_ctc_beam_search(log_probs, opts: DecodeOptions | None = None,
     result = [Hypothesis(prefix, pb, pnb) for prefix, (pb, pnb) in beams.items()]
     result.sort(key=lambda h: (-rank_score(h.prefix, h.score), h.prefix))
     return result
+
+
+# The tape ops that ``ctcnat.tensor`` makes cheaper, kept as their reference:
+# with these patched in, every loss, gradient and decode must be equal, bit
+# for bit. Verbatim apart from their names.
+
+def reference_accumulate_grad(t: Tensor, g: np.ndarray) -> None:
+    """Add a gradient contribution to ``t`` (no-op unless it requires grad)."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad += g
+
+
+def reference_emit(arr: np.ndarray, inputs: Sequence[Tensor], rule: BackwardRule) -> Tensor:
+    out = Tensor.__new__(Tensor)
+    out.data = arr
+    out.grad = None
+    out.requires_grad = any(t.requires_grad for t in inputs)
+    if _TAPES and out.requires_grad:
+        _TAPES[-1]._records.append((out, rule))
+    return out
+
+
+def reference_finite(arr: np.ndarray, op: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise NumericError(f"{op} produced non-finite values")
+    return arr
+
+
+def reference_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """Max-shifted softmax; every slice along ``axis`` sums to 1."""
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=axis, keepdims=True)
+
+    def rule(g: np.ndarray) -> None:
+        reference_accumulate_grad(a, p * (g - (g * p).sum(axis=axis, keepdims=True)))
+
+    return reference_emit(reference_finite(p, "softmax"), (a,), rule)
+
+
+def reference_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+    """Per-vector normalization over the last axis, then affine."""
+    d = x.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(f"layer_norm: gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    out = xhat * gain.data + bias.data
+
+    def rule(g: np.ndarray) -> None:
+        dxhat = g * gain.data
+        reference_accumulate_grad(
+            x,
+            inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)),
+        )
+        lead = tuple(range(g.ndim - 1))
+        reference_accumulate_grad(gain, (g * xhat).sum(axis=lead) if lead else g * xhat)
+        reference_accumulate_grad(bias, g.sum(axis=lead) if lead else g)
+
+    return reference_emit(reference_finite(out, "layer_norm"), (x, gain, bias), rule)
+
+
+def reference_reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    if int(np.prod(shape, dtype=np.int64)) != a.data.size:
+        raise ShapeError(f"reshape: cannot view {a.shape} as {tuple(shape)}")
+
+    def rule(g: np.ndarray) -> None:
+        reference_accumulate_grad(a, g.reshape(a.shape))
+
+    return reference_emit(a.data.reshape(shape), (a,), rule)
+
+
+def reference_transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
+    inv = tuple(np.argsort(axes))
+
+    def rule(g: np.ndarray) -> None:
+        reference_accumulate_grad(a, g.transpose(inv))
+
+    return reference_emit(a.data.transpose(axes), (a,), rule)
+
+
+def use_reference_tape_ops(monkeypatch) -> None:
+    """Patch the reference tape ops in wherever the package binds the fast ones."""
+    pairs = {
+        "accumulate_grad": reference_accumulate_grad,
+        "_emit": reference_emit,
+        "_finite": reference_finite,
+        "softmax": reference_softmax,
+        "layer_norm": reference_layer_norm,
+        "reshape": reference_reshape,
+        "transpose": reference_transpose,
+    }
+    for name, reference in pairs.items():
+        fast = getattr(tensor, name)
+        for module in (tensor, model, training):
+            if getattr(module, name, None) is fast:
+                monkeypatch.setattr(module, name, reference)

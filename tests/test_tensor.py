@@ -1,12 +1,24 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from ctcnat import decoding
 from ctcnat import tensor as T
+from ctcnat.data import EOS_ID, batch_pairs, gen_synthetic, synthetic_vocab
+from ctcnat.decoding import DecodeOptions, translate
+from ctcnat.model import VARIANTS, ModelConfig, init_params
 from ctcnat.tensor import GradTape, NumericError, ShapeError, Tensor
+from ctcnat.training import batch_loss, feasible_pairs
 
-from helpers import central_diff, rel_err
+from helpers import (
+    central_diff,
+    reference_emit,
+    reference_softmax,
+    rel_err,
+    use_reference_tape_ops,
+)
 
 
 class TestMatmul:
@@ -272,3 +284,111 @@ class TestInvariants:
             T.take_per_row(Tensor(np.zeros((2, 3))), [0, -1])
         with pytest.raises(ShapeError):
             T.take_per_row(Tensor(np.zeros((2, 3))), [0, 3])
+
+
+class TestLeanTape:
+    """The one-sum finiteness check, the copied first gradient and the
+    inverse axes of transpose keep the tape's contract."""
+
+    def test_finite_elements_whose_sum_overflows_do_not_raise(self):
+        with np.errstate(over="ignore"):  # the sum overflows; the elements do not
+            out = T.add(Tensor([1e308, 1e308]), Tensor([0.0, 0.0]))
+        assert out.data.tolist() == [1e308, 1e308]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_one_non_finite_element_raises_naming_the_op(self, bad):
+        values = np.ones((3, 4))
+        values[1, 2] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="^matmul produced non-finite values$"):
+            T.matmul(Tensor(values), Tensor(np.eye(4)))
+
+    def test_gradient_buffers_through_transpose_are_c_contiguous(self):
+        rng = np.random.default_rng(17)
+        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        with GradTape() as tape:
+            t = T.transpose(a, (1, 0, 2))
+            loss = T.sum_all(T.matmul(t, Tensor(rng.normal(size=(3, 4, 5)))))
+        tape.backward(loss)
+        assert t.grad.flags["C_CONTIGUOUS"] and a.grad.flags["C_CONTIGUOUS"]
+
+    def test_transpose_gradient_inverts_a_cyclic_permutation(self):
+        rng = np.random.default_rng(18)
+        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = rng.normal(size=(4, 2, 3))
+        with GradTape() as tape:
+            loss = T.sum_all(T.mul(T.transpose(a, (2, 0, 1)), Tensor(w)))
+        tape.backward(loss)
+        assert np.array_equal(a.grad, w.transpose(1, 2, 0))
+
+    def test_first_gradient_contribution_is_a_copy_with_positive_zeros(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        g = np.array([-0.0, 1.0, 2.0])
+        T.accumulate_grad(a, g)
+        g[1] = 5.0
+        assert a.grad.tolist() == [0.0, 1.0, 2.0]
+        assert not np.signbit(a.grad[0])
+
+
+def _sha1(values) -> str:
+    return hashlib.sha1(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+def _parity_config(variant: str, dropout: float) -> ModelConfig:
+    return ModelConfig(vocab_size=synthetic_vocab(6).vocab_size, d_model=16, ff_dim=32, heads=2,
+                       enc_layers=2, dec_layers=0 if variant == "deep-encoder" else 2, k=3,
+                       variant=variant, max_len=24, dropout_rate=dropout)
+
+
+def _gradient_digests(variant: str, dropout: float) -> list[str | None]:
+    cfg = _parity_config(variant, dropout)
+    params = init_params(cfg, 21)
+    pairs = gen_synthetic("duplicate-each-token", 6, 6, (1, 6), seed=22, vocab=synthetic_vocab(6))
+    pairs, _ = feasible_pairs(cfg, pairs)
+    rng = np.random.default_rng(23) if dropout else None
+    with GradTape() as tape:
+        loss = batch_loss(cfg, params, batch_pairs(pairs), dropout_rng=rng)
+    tape.backward(loss)
+    return [_sha1(loss.data)] + [None if params[n].grad is None else _sha1(params[n].grad)
+                                 for n in sorted(params)]
+
+
+def _decodes() -> list[tuple[int, ...]]:
+    outputs = []
+    for variant in VARIANTS:
+        cfg = _parity_config(variant, 0.0)
+        params = init_params(cfg, 31)
+        if cfg.is_autoregressive:
+            params["out.b"].data[EOS_ID - 1] = -30.0  # decode the whole budget
+        for src in ([4], [5, 6, 7, 8], [8, 4, 4, 6, 5, 7, 4]):
+            outputs.append(translate(cfg, params, src))
+            outputs.append(translate(cfg, params, src, DecodeOptions(beam_width=3)))
+    return outputs
+
+
+class TestReferenceParity:
+    """Against the tape ops they replace (``helpers.reference_*``): every
+    loss, gradient, decode and AR step row is equal, bit for bit."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_batch_loss_and_every_gradient(self, monkeypatch, variant, dropout):
+        fast = _gradient_digests(variant, dropout)
+        use_reference_tape_ops(monkeypatch)
+        assert T.softmax is reference_softmax and T._emit is reference_emit
+        assert _gradient_digests(variant, dropout) == fast
+
+    def test_greedy_and_beam_decodes_and_ar_step_rows(self, monkeypatch):
+        rows = []
+        step = decoding.decode_autoregressive_step
+
+        def recording(*args):
+            row = step(*args)
+            rows.append(_sha1(row.data))
+            return row
+
+        monkeypatch.setattr(decoding, "decode_autoregressive_step", recording)
+        fast = (_decodes(), list(rows))
+        assert len(fast[1]) > 100
+        rows.clear()
+        use_reference_tape_ops(monkeypatch)
+        assert (_decodes(), rows) == fast

@@ -1,3 +1,4 @@
+import logging
 import math
 import struct
 from types import SimpleNamespace
@@ -145,6 +146,25 @@ class TestFeasibility:
         pairs = [SentencePair((4, 5), (4, 4), "", "")]
         kept, skipped = feasible_pairs(cfg, pairs)
         assert skipped == 1
+
+    def test_sequences_longer_than_max_len_are_skipped(self, tmp_path, caplog):
+        # The AR decoder reads [EOS] + target, one position more than the
+        # target: a target of exactly max_len tokens does not fit.
+        vocab = synthetic_vocab(6)
+        fits = SentencePair((4, 5), (4, 5, 6), "", "")
+        long_target = SentencePair((4, 5), (4, 5, 6, 7), "", "")
+        long_source = SentencePair((4, 5, 6, 7, 8), (4,), "", "")
+        pairs = [fits, long_target, long_source]
+        cfg = small_config(vocab_size=vocab.vocab_size, variant="autoregressive-baseline", max_len=4)
+        assert feasible_pairs(cfg, pairs) == ([fits], 2)
+        assert feasible_pairs(small_config(vocab_size=vocab.vocab_size, max_len=4), pairs) == (
+            [fits, long_target], 1)
+        tc = TrainConfig(max_steps=2, validation_interval=1, batch_size=3,
+                         checkpoint_dir=str(tmp_path), warmup=1)
+        with caplog.at_level(logging.INFO, logger="ctcnat"):
+            _, log = train(cfg, pairs, [fits], tc, vocab)
+        assert len(log) == 2 and all(math.isfinite(row.train_loss) for row in log)
+        assert "skipped 2 infeasible pairs" in caplog.text
 
     def test_all_infeasible_raises_with_suggestion(self, tmp_path):
         vocab = synthetic_vocab(6)
