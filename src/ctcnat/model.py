@@ -30,15 +30,15 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
+    attention,
     dropout,
     embed,
     layer_norm,
+    linear,
     log_softmax,
-    matmul,
     relu,
     reshape,
     scale,
-    softmax,
     transpose,
 )
 
@@ -221,11 +221,14 @@ def _heads(x: Tensor, heads: int) -> Tensor:
     return transpose(reshape(x, (t, heads, d // heads)), (1, 0, 2))
 
 
+def _proj(params: ModelParams, prefix: str, x: Tensor, name: str = "") -> Tensor:
+    """x @ {prefix}.w{name} + {prefix}.b{name}."""
+    return linear(x, params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"])
+
+
 def _kv(params: ModelParams, prefix: str, x: Tensor, heads: int) -> KV:
     """Head-split keys and values of the positions in x."""
-    k = add(matmul(x, params[f"{prefix}.wk"]), params[f"{prefix}.bk"])
-    v = add(matmul(x, params[f"{prefix}.wv"]), params[f"{prefix}.bv"])
-    return _heads(k, heads), _heads(v, heads)
+    return _heads(_proj(params, prefix, x, "k"), heads), _heads(_proj(params, prefix, x, "v"), heads)
 
 
 def _mha(params: ModelParams, prefix: str, x_q: Tensor, x_kv: Tensor | None, heads: int,
@@ -237,26 +240,20 @@ def _mha(params: ModelParams, prefix: str, x_q: Tensor, x_kv: Tensor | None, hea
     the keys and values of every attended position.
     """
     t_q, d = x_q.shape
-    dh = d // heads
-    qh = _heads(add(matmul(x_q, params[f"{prefix}.wq"]), params[f"{prefix}.bq"]), heads)
+    qh = _heads(_proj(params, prefix, x_q, "q"), heads)
     if x_kv is None:
         kv = past
     else:
         kv = _kv(params, prefix, x_kv, heads)
         if past is not None:
             kv = tuple(Tensor(np.concatenate((old.data, new.data), axis=1)) for old, new in zip(past, kv))
-    kh, vh = kv
-    scores = scale(matmul(qh, transpose(kh, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    if mask is not None:
-        scores = add(scores, Tensor(mask))
-    ctx = matmul(softmax(scores, axis=-1), vh)
+    ctx = attention(qh, *kv, 1.0 / math.sqrt(d // heads), mask)
     merged = reshape(transpose(ctx, (1, 0, 2)), (t_q, d))
-    return add(matmul(merged, params[f"{prefix}.wo"]), params[f"{prefix}.bo"]), kv
+    return _proj(params, prefix, merged, "o"), kv
 
 
 def _ff(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
-    hidden = relu(add(matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
-    return add(matmul(hidden, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+    return _proj(params, prefix, relu(_proj(params, prefix, x, "1")), "2")
 
 
 def _ln(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
@@ -328,8 +325,7 @@ def split_states(params: ModelParams, enc: EncoderStates, k: int) -> SplitStates
     w = params["split.w"]
     if w.shape != (d, k * d):
         raise ShapeError(f"split projection has shape {w.shape}, need {(d, k * d)}")
-    projected = add(matmul(enc.states, w), params["split.b"])
-    return SplitStates(states=reshape(projected, (k * t_x, d)))
+    return SplitStates(states=reshape(_proj(params, "split", enc.states), (k * t_x, d)))
 
 
 def decode_parallel(config: ModelConfig, params: ModelParams, split: SplitStates,
@@ -343,17 +339,14 @@ def decode_parallel(config: ModelConfig, params: ModelParams, split: SplitStates
         raise ConfigError("decode_parallel requires a parallel-labeling variant")
     x = split.states
     if config.variant == "deep-encoder":
-        logits = add(matmul(x, params["out.w"]), params["out.b"])
-        return log_softmax(logits, axis=-1)
+        return log_softmax(_proj(params, "out", x), axis=-1)
     if config.variant == "encoder-decoder-posenc":
         table = sinusoid_table(config.k * config.max_len, config.d_model)
         x = add(x, Tensor(table[: x.shape[0]]))
     x = _maybe_drop(x, config, dropout_rng)
     for i in range(config.dec_layers):
         x, _ = _block(params, f"dec.{i}", x, config, enc_states=enc.states, rng=dropout_rng)
-    x = _ln(params, "dec.ln_out", x)
-    logits = add(matmul(x, params["out.w"]), params["out.b"])
-    return log_softmax(logits, axis=-1)
+    return log_softmax(_proj(params, "out", _ln(params, "dec.ln_out", x)), axis=-1)
 
 
 def parallel_log_probs(config: ModelConfig, params: ModelParams, source_ids) -> Tensor:
@@ -396,9 +389,7 @@ def _ar_decoder(config: ModelConfig, params: ModelParams, ids: list[int], start:
         x, kv = _block(params, f"dec.{i}", x, config, enc_states, mask, rng,
                        self_past=past[i] if past else None, src_kv=src_kv[i] if src_kv else None)
         kvs.append(kv)
-    x = _ln(params, "dec.ln_out", x)
-    logits = add(matmul(x, params["out.w"]), params["out.b"])
-    return log_softmax(logits, axis=-1), kvs
+    return log_softmax(_proj(params, "out", _ln(params, "dec.ln_out", x)), axis=-1), kvs
 
 
 def decode_autoregressive_full(config: ModelConfig, params: ModelParams, enc: EncoderStates,

@@ -4,8 +4,11 @@ Storage is flat row-major numpy with explicit shapes. The op set is exactly
 what the sequence models downstream need: matmul (optionally batched over a
 leading axis), suffix-broadcast add, elementwise mul, relu, softmax and
 log-softmax, layer norm, embedding gather, reshape / transpose, scalar
-reduction, dropout. Gradients are produced by replaying a GradTape in
-reverse recording order.
+reduction, dropout, and two fused ops: ``linear`` (x @ w + b) and
+scaled-dot-product ``attention`` over a leading head axis. Each fused op is
+one tape record that computes, bit for bit, what its unfused composition
+computes. Gradients are produced by replaying a GradTape in reverse
+recording order.
 
 Log-domain code represents probability zero as -inf. That sentinel is legal
 for ``log_sum_exp``, which is a plain float utility, not a taped op. Taped
@@ -153,17 +156,17 @@ def _emit(arr: np.ndarray, inputs: Sequence[Tensor], rule: BackwardRule) -> Tens
 
 
 def _finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
+    # np.add.reduce is what arr.sum() calls, without its Python wrapper.
+    if not math.isfinite(np.add.reduce(arr, None)) and not np.isfinite(arr).all():
         raise NumericError(f"{op} produced non-finite values")
     return arr
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise add; ``b`` may be a suffix shape of ``a`` (bias, mask)."""
-    if a.shape != b.shape:
-        if b.data.ndim > a.data.ndim or a.shape[a.data.ndim - b.data.ndim:] != b.shape:
-            raise ShapeError(f"add: shape {b.shape} is not a suffix of {a.shape}")
     lead = a.data.ndim - b.data.ndim
+    if lead < 0 or a.data.shape[lead:] != b.data.shape:
+        raise ShapeError(f"add: shape {b.shape} is not a suffix of {a.shape}")
 
     def rule(g: np.ndarray) -> None:
         accumulate_grad(a, g)
@@ -193,16 +196,66 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; 3-D operands batch over the leading axis."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul: operands must be at least 2-D, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) < 2 or len(sb) < 2:
+        raise ShapeError(f"matmul: operands must be at least 2-D, got {sa} and {sb}")
+    if sa[-1] != sb[-2] or sa[:-2] != sb[:-2]:
+        raise ShapeError(f"matmul: shapes {sa} and {sb} do not conform")
 
     def rule(g: np.ndarray) -> None:
         accumulate_grad(a, g @ b.data.swapaxes(-1, -2))
         accumulate_grad(b, a.data.swapaxes(-1, -2) @ g)
 
     return _emit(_finite(a.data @ b.data, "matmul"), (a, b), rule)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for a 2-D ``x``, a (d_in, d_out) ``w`` and a (d_out,) ``b``."""
+    sx, sw = x.data.shape, w.data.shape
+    if len(sx) != 2 or len(sw) != 2 or sx[1] != sw[0] or b.data.shape != sw[1:]:
+        raise ShapeError(f"linear: shapes {sx}, {sw} and {b.shape} do not conform")
+    out = x.data @ w.data
+    out += b.data
+
+    def rule(g: np.ndarray) -> None:
+        accumulate_grad(b, g.sum(axis=0))
+        accumulate_grad(x, g @ w.data.swapaxes(-1, -2))
+        accumulate_grad(w, x.data.swapaxes(-1, -2) @ g)
+
+    return _emit(_finite(out, "linear"), (x, w, b), rule)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, c: float, mask: np.ndarray | None = None) -> Tensor:
+    """``softmax(q @ kᵀ · c + mask) @ v`` per head, for (heads, t, d) operands.
+
+    ``mask`` is an additive array whose shape is a suffix of the scores'
+    (heads, t_q, t_k). The scores are scaled, masked and normalized in one
+    buffer; the tape keeps only the probabilities.
+    """
+    sq, sk, sv = q.data.shape, k.data.shape, v.data.shape
+    if len(sq) != 3 or len(sk) != 3 or len(sv) != 3 or sk[::2] != sq[::2] or sv[:2] != sk[:2]:
+        raise ShapeError(f"attention: shapes {sq}, {sk} and {sv} do not conform")
+    p = q.data @ k.data.swapaxes(-1, -2)
+    p *= c
+    if mask is not None:
+        if mask.ndim > 3 or p.shape[3 - mask.ndim:] != mask.shape:
+            raise ShapeError(f"attention: mask shape {mask.shape} is not a suffix of {p.shape}")
+        p += mask
+    # A finite score row has a finite softmax, so the scores are checked here.
+    _finite(p, "attention")
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def rule(g: np.ndarray) -> None:
+        accumulate_grad(v, p.swapaxes(-1, -2) @ g)
+        gp = g @ v.data.swapaxes(-1, -2)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        gs *= c
+        accumulate_grad(q, gs @ k.data)
+        accumulate_grad(k, (q.data.swapaxes(-1, -2) @ gs).transpose(0, 2, 1))
+
+    return _emit(_finite(p @ v.data, "attention"), (q, k, v), rule)
 
 
 def relu(a: Tensor) -> Tensor:

@@ -82,6 +82,14 @@ class TrainConfig:
             raise ConfigError(f"keep_top must be >= 1, got {self.keep_top}")
         if self.batch_size < 1 or self.max_steps < 1 or self.validation_interval < 1:
             raise ConfigError("batch_size, max_steps and validation_interval must be >= 1")
+        for name in ("learning_rate", "adam_eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        for name in ("adam_beta1", "adam_beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {value}")
 
 
 @dataclass

@@ -116,7 +116,8 @@ def reference_ctc_beam_search(log_probs, opts: DecodeOptions | None = None,
 
 # The tape ops that ``ctcnat.tensor`` makes cheaper, kept as their reference:
 # with these patched in, every loss, gradient and decode must be equal, bit
-# for bit. Verbatim apart from their names.
+# for bit. Verbatim apart from their names, except the two fused ops, which
+# are given as the compositions they replace.
 
 def reference_accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     """Add a gradient contribution to ``t`` (no-op unless it requires grad)."""
@@ -199,6 +200,19 @@ def reference_transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     return reference_emit(a.data.transpose(axes), (a,), rule)
 
 
+def reference_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The matmul and add that ``tensor.linear`` fuses."""
+    return tensor.add(tensor.matmul(x, w), b)
+
+
+def reference_attention(q: Tensor, k: Tensor, v: Tensor, c: float, mask: np.ndarray | None = None) -> Tensor:
+    """The five-op chain that ``tensor.attention`` fuses."""
+    scores = tensor.scale(tensor.matmul(q, tensor.transpose(k, (0, 2, 1))), c)
+    if mask is not None:
+        scores = tensor.add(scores, Tensor(mask))
+    return tensor.matmul(tensor.softmax(scores, axis=-1), v)
+
+
 def use_reference_tape_ops(monkeypatch) -> None:
     """Patch the reference tape ops in wherever the package binds the fast ones."""
     pairs = {
@@ -209,6 +223,8 @@ def use_reference_tape_ops(monkeypatch) -> None:
         "layer_norm": reference_layer_norm,
         "reshape": reference_reshape,
         "transpose": reference_transpose,
+        "linear": reference_linear,
+        "attention": reference_attention,
     }
     for name, reference in pairs.items():
         fast = getattr(tensor, name)

@@ -53,6 +53,15 @@ class TestTrainCommand:
         assert main(["train", "--config", str(path)]) == 2
         assert "foo" in capsys.readouterr().err
 
+    def test_nan_learning_rate_exits_2_naming_the_setting(self, tmp_path, capsys):
+        src, tgt = synth_corpus(tmp_path)
+        cfg_path = tmp_path / "run.cfg"
+        write_config(cfg_path, lr=float("nan"), train_src=str(src), train_tgt=str(tgt),
+                     valid_src=str(src), valid_tgt=str(tgt), checkpoint_dir=str(tmp_path / "ckpt"))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert "learning_rate must be finite and > 0, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
     def test_tiny_training_run(self, tmp_path):
         src, tgt = synth_corpus(tmp_path)
         vsrc, vtgt = synth_corpus(tmp_path, n=6, seed=1, prefix="valid")

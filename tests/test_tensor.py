@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ctcnat import decoding
+from ctcnat import decoding, model
 from ctcnat import tensor as T
 from ctcnat.data import EOS_ID, batch_pairs, gen_synthetic, synthetic_vocab
 from ctcnat.decoding import DecodeOptions, translate
@@ -14,7 +14,9 @@ from ctcnat.training import batch_loss, feasible_pairs
 
 from helpers import (
     central_diff,
+    reference_attention,
     reference_emit,
+    reference_linear,
     reference_softmax,
     rel_err,
     use_reference_tape_ops,
@@ -153,6 +155,11 @@ def _loss_through(op, tensors, rng):
     return T.sum_all(T.mul(out, Tensor(w))), w
 
 
+CAUSAL_4 = np.triu(np.full((4, 4), -1e9), k=1)
+_CONST = np.random.default_rng(19)
+CONST_K = Tensor(_CONST.normal(size=(4, 5, 2)))  # cached keys and values carry no gradient
+CONST_V = Tensor(_CONST.normal(size=(4, 5, 3)))
+
 FD_CASES = [
     ("add", lambda a, b: T.add(a, b), [(3, 4), (3, 4)]),
     ("add_bias", lambda a, b: T.add(a, b), [(2, 3, 4), (4,)]),
@@ -166,6 +173,15 @@ FD_CASES = [
     ("reshape", lambda a: T.reshape(a, (6, 2)), [(3, 4)]),
     ("transpose", lambda a: T.transpose(a, (1, 0, 2)), [(2, 3, 4)]),
     ("sum_all", lambda a: T.sum_all(a), [(4, 2)]),
+    ("linear", lambda x, w, b: T.linear(x, w, b), [(3, 4), (4, 5), (5,)]),
+    ("linear_one_row", lambda x, w, b: T.linear(x, w, b), [(1, 4), (4, 2), (2,)]),
+    ("attention", lambda q, k, v: T.attention(q, k, v, 0.7), [(4, 3, 2), (4, 5, 2), (4, 5, 3)]),
+    ("attention_one_query", lambda q, k, v: T.attention(q, k, v, 0.7), [(4, 1, 2), (4, 5, 2), (4, 5, 3)]),
+    ("attention_causal", lambda q, k, v: T.attention(q, k, v, 0.7, CAUSAL_4), [(4, 4, 2), (4, 4, 2), (4, 4, 3)]),
+    ("attention_causal_suffix", lambda q, k, v: T.attention(q, k, v, 0.7, CAUSAL_4[2:]),
+     [(4, 2, 2), (4, 4, 2), (4, 4, 3)]),
+    ("attention_constant_kv", lambda q: T.attention(q, CONST_K, CONST_V, 0.7), [(4, 3, 2)]),
+    ("attention_constant_kv_one_query", lambda q: T.attention(q, CONST_K, CONST_V, 0.7), [(4, 1, 2)]),
 ]
 
 
@@ -329,6 +345,88 @@ class TestLeanTape:
         assert not np.signbit(a.grad[0])
 
 
+def _linear_inputs():
+    rng = np.random.default_rng(24)
+    return [rng.normal(size=(3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)]
+
+
+def _attention_inputs():
+    rng = np.random.default_rng(25)
+    return [rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 5, 4)), rng.normal(size=(2, 5, 3)),
+            np.zeros((3, 5))]
+
+
+def _call(op: str, fused: bool, values):
+    if op == "linear":
+        return (T.linear if fused else reference_linear)(*(Tensor(a) for a in values))
+    q, k, v, mask = values
+    return (T.attention if fused else reference_attention)(Tensor(q), Tensor(k), Tensor(v), 0.5, mask)
+
+
+class TestFusedOps:
+    """``linear`` and ``attention`` raise ``NumericError`` on exactly the
+    inputs where their unfused compositions raise, and name themselves."""
+
+    def _raises_like_reference(self, op: str, values) -> None:
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError):
+                _call(op, False, values)
+            with pytest.raises(NumericError, match=f"^{op} produced non-finite values$"):
+                _call(op, True, values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("op,index", [("linear", 0), ("linear", 1), ("linear", 2), ("attention", 0),
+                                          ("attention", 1), ("attention", 2), ("attention", 3)])
+    def test_one_non_finite_input_element_raises(self, op, index, bad):
+        values = _linear_inputs() if op == "linear" else _attention_inputs()
+        values[index].reshape(-1)[values[index].size // 2] = bad
+        self._raises_like_reference(op, values)
+
+    def test_linear_output_that_overflows_raises(self):
+        self._raises_like_reference("linear", [np.full((1, 2), 1e308), np.full((2, 1), 1.0), np.zeros(1)])
+
+    def test_scores_that_overflow_from_finite_queries_and_keys_raise(self):
+        self._raises_like_reference(
+            "attention", [np.full((1, 1, 2), 1e200), np.full((1, 3, 2), 1e200), np.ones((1, 3, 1)), None])
+
+    def test_output_that_overflows_from_a_huge_value_raises(self):
+        # Scaled scores [0, t] give probabilities whose rounded sum exceeds 1
+        # by enough that p @ [MAX, MAX] overflows in either summation order.
+        t = -2.758515402125644
+        huge = np.full((1, 2, 1), np.finfo(np.float64).max)
+        self._raises_like_reference("attention", [np.ones((1, 1, 1)), np.array([[[0.0], [2 * t]]]), huge, None])
+
+    def test_finite_elements_whose_sum_overflows_do_not_raise(self):
+        with np.errstate(over="ignore"):  # the sums overflow; the elements do not
+            out = T.linear(Tensor([[1.0]]), Tensor([[1e308, 1e308]]), Tensor([0.0, 0.0]))
+            assert out.data.tolist() == [[1e308, 1e308]]
+            big = Tensor(np.full((1, 2, 1), 1e154))  # scores 1e308 and 1e308
+            out = T.attention(big, big, Tensor(np.full((1, 2, 2), 1e308)), 1.0)
+        assert out.data.tolist() == [[[1e308, 1e308], [1e308, 1e308]]]
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError, match="linear"):
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
+        with pytest.raises(ShapeError, match="linear"):
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 5))), Tensor(np.zeros(4)))
+        q, k, v = (Tensor(np.zeros(s)) for s in [(2, 3, 4), (2, 5, 4), (2, 5, 3)])
+        with pytest.raises(ShapeError, match="attention"):
+            T.attention(q, Tensor(np.zeros((2, 5, 3))), v, 1.0)
+        with pytest.raises(ShapeError, match="attention"):
+            T.attention(q, k, Tensor(np.zeros((2, 4, 3))), 1.0)
+        with pytest.raises(ShapeError, match="mask"):
+            T.attention(q, k, v, 1.0, np.zeros((5, 3)))
+
+    def test_tape_keeps_one_record_per_fused_op(self):
+        rng = np.random.default_rng(26)
+        q, k, v = (Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True) for _ in range(3))
+        w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        with GradTape() as tape:
+            T.attention(q, k, v, 0.5)
+            T.linear(Tensor(rng.normal(size=(3, 4))), w, Tensor(np.zeros(4)))
+        assert len(tape) == 2
+
+
 def _sha1(values) -> str:
     return hashlib.sha1(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
 
@@ -375,6 +473,7 @@ class TestReferenceParity:
         fast = _gradient_digests(variant, dropout)
         use_reference_tape_ops(monkeypatch)
         assert T.softmax is reference_softmax and T._emit is reference_emit
+        assert model.linear is reference_linear and model.attention is reference_attention
         assert _gradient_digests(variant, dropout) == fast
 
     def test_greedy_and_beam_decodes_and_ar_step_rows(self, monkeypatch):

@@ -50,6 +50,22 @@ class TestSchedule:
         assert lr_at(50, base, warmup) < base
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", -1.0), ("learning_rate", 0.0), ("learning_rate", math.nan),
+        ("learning_rate", math.inf), ("adam_beta1", 1.0), ("adam_beta1", -0.1),
+        ("adam_beta1", math.nan), ("adam_beta2", 1.0), ("adam_beta2", -0.1),
+        ("adam_beta2", math.nan), ("adam_eps", 0.0), ("adam_eps", -1e-9),
+        ("adam_eps", math.nan), ("adam_eps", math.inf),
+    ])
+    def test_bad_optimizer_setting_is_rejected_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} "):
+            TrainConfig(**{field: value})
+
+    def test_boundary_values_are_accepted(self):
+        TrainConfig(learning_rate=1e-300, adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e-300)
+
+
 class TestLosses:
     def test_one_adam_step_decreases_batch_loss(self):
         vocab, pairs = small_corpus()
