@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -71,6 +72,16 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# Config keys whose ModelConfig or TrainConfig field has another name.
+_FIELD_OF_KEY = {"dropout": "dropout_rate", "lr": "learning_rate", "valid_interval": "validation_interval"}
+
+
+def _keys_named(message: str) -> str:
+    """The config keys whose settings ``message`` names, in the order it names them."""
+    found = sorted((m.start(), key) for key in _FIELD_TYPES
+                   if (m := re.search(rf"\b{_FIELD_OF_KEY.get(key, key)}\b", message)))
+    keys = ", ".join(repr(key) for _, key in found)
+    return f"config key{'s' if len(found) > 1 else ''} {keys}: " if found else ""
 
 
 def parse_config(text: str) -> RunConfig:
@@ -133,7 +144,7 @@ def cmd_train(args) -> int:
             max_steps=run.max_steps, validation_interval=run.valid_interval,
             checkpoint_dir=run.checkpoint_dir, seed=run.seed, keep_top=run.keep_top)
     except ConfigError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"{_keys_named(str(exc))}{exc}") from exc
 
     train_pairs = load_parallel(run.train_src, run.train_tgt, vocab, max_len=run.max_len)
     valid_pairs = load_parallel(run.valid_src, run.valid_tgt, vocab, max_len=run.max_len)

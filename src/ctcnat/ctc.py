@@ -6,8 +6,9 @@ the log domain over the blank-extended label sequence b, y1, b, y2, ..., b
 with the usual forward (prefix) and backward (suffix) tables; the gradient
 falls out of the state occupancies alpha * beta. One sweep fills both: the
 suffix table is the prefix sweep of the time- and label-reversed table,
-flipped back. Accepted tables have every row normalized within 1e-6; -inf
-entries (zero probability) are allowed, NaN and +inf are rejected.
+flipped back, and the two tables run as two rows of one stacked sweep.
+Accepted tables have every row normalized within 1e-6; -inf entries (zero
+probability) are allowed, NaN and +inf are rejected.
 
 A note on alignment counting: the number of frame sequences of length T
 that collapse to a given target is larger than the binomial count of blank
@@ -114,34 +115,40 @@ def _skip_allowed(ext: np.ndarray) -> np.ndarray:
 
 
 def _sweep(emit: np.ndarray, skip: np.ndarray, plus=np.logaddexp, times=np.add, zero=NEG_INF) -> np.ndarray:
-    """Prefix table of the lattice over a (T, S) emission table.
+    """Prefix tables of R lattices at once, over an (R, T, S) emission table.
 
-    State s at frame t is reached from s, s-1 and, where ``skip[s]``, s-2
-    at frame t-1; the first frame may start in state 0 or 1. The semiring
-    defaults to log-probabilities; exact path counts use (+, *, 0) over
-    Python integers.
+    State s at frame t is reached from s, s-1 and, where ``skip[r, s]``,
+    s-2 at frame t-1; the first frame may start in state 0 or 1. The
+    semiring defaults to log-probabilities; exact path counts use (+, *, 0)
+    over Python integers. State 0 is reached only from itself, so its
+    column is one running product; every other state takes three in-place
+    ufuncs per frame for all R tables.
     """
-    T, S = emit.shape
-    alpha = np.full((T, S), zero, dtype=emit.dtype)
-    alpha[0, :2] = emit[0, :2]
+    R, T, S = emit.shape
+    table = np.full((T, R, S), zero, dtype=emit.dtype)  # frame-major: table[t] is one frame
+    table[0, :, 1:2] = emit[:, 0, 1:2]
+    table[:, :, 0] = times.accumulate(emit[:, :, 0], axis=1).T
+    cur, prev, prev_skip = table[:, :, 1:], table[:, :, :-1], table[:, :, :-2]
+    emit_cur, skip = emit[:, :, 1:].transpose(1, 0, 2), skip[:, 2:]
     for t in range(1, T):
-        prev = alpha[t - 1]
-        m = prev.copy()
-        m[1:] = plus(m[1:], prev[:-1])
-        m[2:] = np.where(skip[2:], plus(m[2:], prev[:-2]), m[2:])
-        alpha[t] = times(m, emit[t])
-    return alpha
+        out = cur[t]
+        plus(cur[t - 1], prev[t - 1], out=out)
+        plus(out[:, 1:], prev_skip[t - 1], out=out[:, 1:], where=skip)
+        times(out, emit_cur[t], out=out)
+    return table.transpose(1, 0, 2)
 
 
 def _lattice(lp: np.ndarray, labels: LabelSequence) -> CtcLattice:
     ext = _extended(labels)
     emit = lp[:, ext]
-    alpha = _sweep(emit, _skip_allowed(ext))
     # The suffix table is the prefix table of the time- and state-reversed
     # lattice: reversing ext maps each skip s+2 -> s onto a skip r-2 -> r.
-    beta = _sweep(emit[::-1, ::-1], _skip_allowed(ext[::-1]))[::-1, ::-1]
+    # Both run as the two rows of one sweep.
+    alpha, rev = _sweep(np.stack((emit, emit[::-1, ::-1])),
+                        np.stack((_skip_allowed(ext), _skip_allowed(ext[::-1]))))
     ll = float(np.logaddexp.reduce(alpha[-1, ::-1][:2]))
-    return CtcLattice(alpha=alpha, beta=beta, extended_labels=tuple(int(x) for x in ext), log_likelihood=ll)
+    return CtcLattice(alpha=alpha, beta=rev[::-1, ::-1], extended_labels=tuple(int(x) for x in ext),
+                      log_likelihood=ll)
 
 
 def ctc_lattice(log_probs, labels: Sequence[int]) -> CtcLattice:
@@ -189,8 +196,8 @@ def count_alignments(T: int, labels: Sequence[int]) -> int:
     if T == 0:
         return 1 if not labs else 0
     ext = _extended(labs)
-    ways = _sweep(np.ones((T, ext.size), dtype=object), _skip_allowed(ext), np.add, np.multiply, 0)
-    return int(sum(ways[-1, -2:]))
+    ways = _sweep(np.ones((1, T, ext.size), dtype=object), _skip_allowed(ext)[None], np.add, np.multiply, 0)
+    return int(sum(ways[0, -1, -2:]))
 
 
 def ctc_oracle_loss(log_probs, labels: Sequence[int]) -> float:

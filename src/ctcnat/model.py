@@ -27,19 +27,19 @@ import numpy as np
 
 from .data import EOS_ID, VocabularyError
 from .tensor import (
+    KV,
     ShapeError,
     Tensor,
     add,
-    attention,
     dropout,
     embed,
+    feed_forward,
     layer_norm,
     linear,
     log_softmax,
-    relu,
+    multi_head_attention,
     reshape,
     scale,
-    transpose,
 )
 
 VARIANTS = ("deep-encoder", "encoder-decoder", "encoder-decoder-posenc", "autoregressive-baseline")
@@ -99,7 +99,6 @@ class ModelConfig:
 
 
 ModelParams = dict[str, Tensor]
-KV = tuple[Tensor, Tensor]  # head-split keys and values, each (heads, positions, d / heads)
 
 
 @dataclass
@@ -215,12 +214,6 @@ def _causal_mask(n: int) -> np.ndarray:
     return mask
 
 
-def _heads(x: Tensor, heads: int) -> Tensor:
-    """Split (t, d) into (heads, t, d / heads)."""
-    t, d = x.shape
-    return transpose(reshape(x, (t, heads, d // heads)), (1, 0, 2))
-
-
 def _proj(params: ModelParams, prefix: str, x: Tensor, name: str = "") -> Tensor:
     """x @ {prefix}.w{name} + {prefix}.b{name}."""
     return linear(x, params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"])
@@ -228,32 +221,28 @@ def _proj(params: ModelParams, prefix: str, x: Tensor, name: str = "") -> Tensor
 
 def _kv(params: ModelParams, prefix: str, x: Tensor, heads: int) -> KV:
     """Head-split keys and values of the positions in x."""
-    return _heads(_proj(params, prefix, x, "k"), heads), _heads(_proj(params, prefix, x, "v"), heads)
+    t, d = x.shape
+    return tuple(_proj(params, prefix, x, name).data.reshape(t, heads, d // heads).transpose(1, 0, 2)
+                 for name in "kv")
+
+
+_ATTN_WEIGHTS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
 
 
 def _mha(params: ModelParams, prefix: str, x_q: Tensor, x_kv: Tensor | None, heads: int,
          mask: np.ndarray | None = None, past: KV | None = None) -> tuple[Tensor, KV]:
     """Attention of x_q over the positions of ``past`` followed by those of x_kv.
 
-    ``past`` holds keys and values projected earlier; it is joined without
-    a tape record, so only inference may pass it. Returns the output and
-    the keys and values of every attended position.
+    Only inference may pass ``past``. Returns the output and the keys and
+    values of every attended position.
     """
-    t_q, d = x_q.shape
-    qh = _heads(_proj(params, prefix, x_q, "q"), heads)
-    if x_kv is None:
-        kv = past
-    else:
-        kv = _kv(params, prefix, x_kv, heads)
-        if past is not None:
-            kv = tuple(Tensor(np.concatenate((old.data, new.data), axis=1)) for old, new in zip(past, kv))
-    ctx = attention(qh, *kv, 1.0 / math.sqrt(d // heads), mask)
-    merged = reshape(transpose(ctx, (1, 0, 2)), (t_q, d))
-    return _proj(params, prefix, merged, "o"), kv
+    weights = [params[f"{prefix}.{name}"] for name in _ATTN_WEIGHTS]
+    return multi_head_attention(x_q, x_kv, weights, heads, mask, past, prefix)
 
 
 def _ff(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
-    return _proj(params, prefix, relu(_proj(params, prefix, x, "1")), "2")
+    return feed_forward(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"],
+                        params[f"{prefix}.w2"], params[f"{prefix}.b2"], prefix)
 
 
 def _ln(params: ModelParams, prefix: str, x: Tensor) -> Tensor:

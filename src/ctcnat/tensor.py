@@ -4,11 +4,14 @@ Storage is flat row-major numpy with explicit shapes. The op set is exactly
 what the sequence models downstream need: matmul (optionally batched over a
 leading axis), suffix-broadcast add, elementwise mul, relu, softmax and
 log-softmax, layer norm, embedding gather, reshape / transpose, scalar
-reduction, dropout, and two fused ops: ``linear`` (x @ w + b) and
-scaled-dot-product ``attention`` over a leading head axis. Each fused op is
-one tape record that computes, bit for bit, what its unfused composition
-computes. Gradients are produced by replaying a GradTape in reverse
-recording order.
+reduction, dropout, and four fused ops: ``linear`` (x @ w + b),
+scaled-dot-product ``attention`` over a leading head axis, and the two
+transformer sublayers, ``multi_head_attention`` (projections, heads,
+attention and output projection) and ``feed_forward`` (linear, relu,
+linear). Each fused op is one tape record that computes, bit for bit, what
+its unfused composition computes. The sublayer ops add the layer scope
+they were given to a ``NumericError``. Gradients are produced by replaying
+a GradTape in reverse recording order.
 
 Log-domain code represents probability zero as -inf. That sentinel is legal
 for ``log_sum_exp``, which is a plain float utility, not a taped op. Taped
@@ -209,20 +212,56 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(_finite(a.data @ b.data, "matmul"), (a, b), rule)
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The forward of ``linear``: ``x @ w``, then ``b`` added in place."""
+    out = x @ w
+    out += b
+    return _finite(out, "linear")
+
+
+def _affine_grad(x: np.ndarray, w: Tensor, b: Tensor, g: np.ndarray) -> np.ndarray:
+    """Accumulate the gradients of ``b`` and ``w`` in ``x @ w + b``; return x's."""
+    accumulate_grad(b, g.sum(axis=0))
+    gx = g @ w.data.swapaxes(-1, -2)
+    accumulate_grad(w, x.swapaxes(-1, -2) @ g)
+    return gx
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` for a 2-D ``x``, a (d_in, d_out) ``w`` and a (d_out,) ``b``."""
     sx, sw = x.data.shape, w.data.shape
     if len(sx) != 2 or len(sw) != 2 or sx[1] != sw[0] or b.data.shape != sw[1:]:
         raise ShapeError(f"linear: shapes {sx}, {sw} and {b.shape} do not conform")
-    out = x.data @ w.data
-    out += b.data
 
     def rule(g: np.ndarray) -> None:
-        accumulate_grad(b, g.sum(axis=0))
-        accumulate_grad(x, g @ w.data.swapaxes(-1, -2))
-        accumulate_grad(w, x.data.swapaxes(-1, -2) @ g)
+        accumulate_grad(x, _affine_grad(x.data, w, b, g))
 
-    return _emit(_finite(out, "linear"), (x, w, b), rule)
+    return _emit(_affine(x.data, w.data, b.data), (x, w, b), rule)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, c: float,
+            mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The forward of ``attention``: the probabilities and the output."""
+    p = q @ k.swapaxes(-1, -2)
+    p *= c
+    if mask is not None:
+        if mask.ndim > 3 or p.shape[3 - mask.ndim:] != mask.shape:
+            raise ShapeError(f"attention: mask shape {mask.shape} is not a suffix of {p.shape}")
+        p += mask
+    # A finite score row has a finite softmax, so the scores are checked here.
+    _finite(p, "attention")
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p, _finite(p @ v, "attention")
+
+
+def _score_grad(p: np.ndarray, g: np.ndarray, v: np.ndarray, c: float) -> np.ndarray:
+    """The gradient of the scaled scores, given the output gradient ``g``."""
+    gp = g @ v.swapaxes(-1, -2)
+    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+    gs *= c
+    return gs
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, c: float, mask: np.ndarray | None = None) -> Tensor:
@@ -235,27 +274,86 @@ def attention(q: Tensor, k: Tensor, v: Tensor, c: float, mask: np.ndarray | None
     sq, sk, sv = q.data.shape, k.data.shape, v.data.shape
     if len(sq) != 3 or len(sk) != 3 or len(sv) != 3 or sk[::2] != sq[::2] or sv[:2] != sk[:2]:
         raise ShapeError(f"attention: shapes {sq}, {sk} and {sv} do not conform")
-    p = q.data @ k.data.swapaxes(-1, -2)
-    p *= c
-    if mask is not None:
-        if mask.ndim > 3 or p.shape[3 - mask.ndim:] != mask.shape:
-            raise ShapeError(f"attention: mask shape {mask.shape} is not a suffix of {p.shape}")
-        p += mask
-    # A finite score row has a finite softmax, so the scores are checked here.
-    _finite(p, "attention")
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p, out = _attend(q.data, k.data, v.data, c, mask)
 
     def rule(g: np.ndarray) -> None:
         accumulate_grad(v, p.swapaxes(-1, -2) @ g)
-        gp = g @ v.data.swapaxes(-1, -2)
-        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-        gs *= c
+        gs = _score_grad(p, g, v.data, c)
         accumulate_grad(q, gs @ k.data)
         accumulate_grad(k, (q.data.swapaxes(-1, -2) @ gs).transpose(0, 2, 1))
 
-    return _emit(_finite(p @ v.data, "attention"), (q, k, v), rule)
+    return _emit(out, (q, k, v), rule)
+
+
+KV = tuple[np.ndarray, np.ndarray]  # head-split keys and values, each (heads, positions, d / heads)
+
+
+def multi_head_attention(x_q: Tensor, x_kv: Tensor | None, weights: Sequence[Tensor], heads: int,
+                         mask: np.ndarray | None = None, past: KV | None = None,
+                         scope: str = "multi_head_attention") -> tuple[Tensor, KV]:
+    """One attention sublayer: the q/k/v projections, the head split,
+    ``attention``, the head merge and the output projection.
+
+    ``weights`` are (wq, bq, wk, bk, wv, bv, wo, bo). The queries of the
+    (t_q, d) ``x_q`` attend over the positions of ``past`` followed by those
+    of ``x_kv``. ``past`` is constant to the tape, so only inference may
+    pass it. Returns the output and the keys and values of every attended
+    position. A ``NumericError`` names ``scope``.
+    """
+    wq, bq, wk, bk, wv, bv, wo, bo = weights
+    t_q, d = x_q.data.shape
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+    try:
+        qh = _affine(x_q.data, wq.data, bq.data).reshape(t_q, heads, dh).transpose(1, 0, 2)
+        if x_kv is None:
+            kh, vh = past
+        else:
+            t_k = x_kv.data.shape[0]
+            kh = _affine(x_kv.data, wk.data, bk.data).reshape(t_k, heads, dh).transpose(1, 0, 2)
+            vh = _affine(x_kv.data, wv.data, bv.data).reshape(t_k, heads, dh).transpose(1, 0, 2)
+            if past is not None:
+                kh = np.ascontiguousarray(np.concatenate((past[0], kh), axis=1))
+                vh = np.ascontiguousarray(np.concatenate((past[1], vh), axis=1))
+        p, ctx = _attend(qh, kh, vh, c, mask)
+        merged = ctx.transpose(1, 0, 2).reshape(t_q, d)
+        out = _affine(merged, wo.data, bo.data)
+    except NumericError as exc:
+        raise NumericError(f"{exc} in {scope}") from None
+
+    def rule(g: np.ndarray) -> None:
+        # The head gradients are C-ordered where a matmul reads them, as the
+        # unfused chain left them, and x_kv receives v's part before k's.
+        gctx = _affine_grad(merged, wo, bo, g).reshape(t_q, heads, dh).transpose(1, 0, 2).copy()
+        gs = _score_grad(p, gctx, vh, c)
+        if x_kv is not None and past is None:
+            gv = (p.swapaxes(-1, -2) @ gctx).transpose(1, 0, 2).reshape(t_k, d)
+            accumulate_grad(x_kv, _affine_grad(x_kv.data, wv, bv, gv))
+            gk = np.ascontiguousarray((qh.swapaxes(-1, -2) @ gs).transpose(2, 0, 1)).reshape(t_k, d)
+            accumulate_grad(x_kv, _affine_grad(x_kv.data, wk, bk, gk))
+        gq = (gs @ kh).transpose(1, 0, 2).reshape(t_q, d)
+        accumulate_grad(x_q, _affine_grad(x_q.data, wq, bq, gq))
+
+    inputs = (x_q, *weights) if x_kv is None else (x_q, x_kv, *weights)
+    return _emit(out, inputs, rule), (kh, vh)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                 scope: str = "feed_forward") -> Tensor:
+    """``relu(x @ w1 + b1) @ w2 + b2``; a ``NumericError`` names ``scope``."""
+    try:
+        r = _affine(x.data, w1.data, b1.data)
+        np.maximum(r, 0.0, out=r)
+        out = _affine(r, w2.data, b2.data)
+    except NumericError as exc:
+        raise NumericError(f"{exc} in {scope}") from None
+
+    def rule(g: np.ndarray) -> None:
+        gr = _affine_grad(r, w2, b2, g)
+        gr *= r > 0.0  # where the pre-activation is positive
+        accumulate_grad(x, _affine_grad(x.data, w1, b1, gr))
+
+    return _emit(out, (x, w1, b1, w2, b2), rule)
 
 
 def relu(a: Tensor) -> Tensor:

@@ -80,8 +80,9 @@ class TrainConfig:
             raise ConfigError(f"warmup must be >= 1, got {self.warmup}")
         if self.keep_top < 1:
             raise ConfigError(f"keep_top must be >= 1, got {self.keep_top}")
-        if self.batch_size < 1 or self.max_steps < 1 or self.validation_interval < 1:
-            raise ConfigError("batch_size, max_steps and validation_interval must be >= 1")
+        for name in ("batch_size", "max_steps", "validation_interval"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("learning_rate", "adam_eps"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):

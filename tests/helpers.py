@@ -1,14 +1,16 @@
 """Shared test utilities: finite differences, random probability tables, the
-reference prefix beam search and the reference tape ops."""
+reference prefix beam search, the reference tape ops and the reference CTC
+lattice."""
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
-from ctcnat import model, tensor, training
-from ctcnat.ctc import LabelSequence
+from ctcnat import ctc, model, tensor, training
+from ctcnat.ctc import CtcLattice, LabelSequence, _extended, _skip_allowed
 from ctcnat.decoding import DecodeOptions, Hypothesis, OptionError, PrefixScorer, _as_table, _lse2
 from ctcnat.tensor import _TAPES, NEG_INF, BackwardRule, NumericError, ShapeError, Tensor
 
@@ -116,8 +118,8 @@ def reference_ctc_beam_search(log_probs, opts: DecodeOptions | None = None,
 
 # The tape ops that ``ctcnat.tensor`` makes cheaper, kept as their reference:
 # with these patched in, every loss, gradient and decode must be equal, bit
-# for bit. Verbatim apart from their names, except the two fused ops, which
-# are given as the compositions they replace.
+# for bit. Verbatim apart from their names, except the fused ops, which are
+# given as the compositions they replace.
 
 def reference_accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     """Add a gradient contribution to ``t`` (no-op unless it requires grad)."""
@@ -213,9 +215,67 @@ def reference_attention(q: Tensor, k: Tensor, v: Tensor, c: float, mask: np.ndar
     return tensor.matmul(tensor.softmax(scores, axis=-1), v)
 
 
-def use_reference_tape_ops(monkeypatch) -> None:
-    """Patch the reference tape ops in wherever the package binds the fast ones."""
-    pairs = {
+def _constant(arr: np.ndarray) -> Tensor:
+    """Wrap ``arr`` as it is, strides included, in a Tensor without a gradient."""
+    t = Tensor.__new__(Tensor)
+    t.data, t.requires_grad, t.grad = arr, False, None
+    return t
+
+
+def reference_multi_head_attention(x_q: Tensor, x_kv: Tensor | None, weights: Sequence[Tensor], heads: int,
+                                   mask: np.ndarray | None = None, past: tensor.KV | None = None,
+                                   scope: str = "") -> tuple[Tensor, tensor.KV]:
+    """The chain of ``linear``, head split, ``attention``, head merge and
+    ``linear`` that ``tensor.multi_head_attention`` fuses."""
+    wq, bq, wk, bk, wv, bv, wo, bo = weights
+    t_q, d = x_q.shape
+
+    def split(x: Tensor) -> Tensor:
+        return tensor.transpose(tensor.reshape(x, (x.shape[0], heads, d // heads)), (1, 0, 2))
+
+    qh = split(tensor.linear(x_q, wq, bq))
+    if x_kv is None:
+        kv = tuple(_constant(a) for a in past)
+    else:
+        kv = split(tensor.linear(x_kv, wk, bk)), split(tensor.linear(x_kv, wv, bv))
+        if past is not None:
+            kv = tuple(Tensor(np.concatenate((old, new.data), axis=1)) for old, new in zip(past, kv))
+    ctx = tensor.attention(qh, *kv, 1.0 / math.sqrt(d // heads), mask)
+    merged = tensor.reshape(tensor.transpose(ctx, (1, 0, 2)), (t_q, d))
+    return tensor.linear(merged, wo, bo), (kv[0].data, kv[1].data)
+
+
+def reference_feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, scope: str = "") -> Tensor:
+    """The ``linear``, ``relu`` and ``linear`` that ``tensor.feed_forward`` fuses."""
+    return tensor.linear(tensor.relu(tensor.linear(x, w1, b1)), w2, b2)
+
+
+def reference_sweep(emit: np.ndarray, skip: np.ndarray, plus=np.logaddexp, times=np.add, zero=NEG_INF) -> np.ndarray:
+    """The single-table sweep that ``ctc._sweep`` stacks: prefix table of a (T, S) lattice."""
+    T, S = emit.shape
+    alpha = np.full((T, S), zero, dtype=emit.dtype)
+    alpha[0, :2] = emit[0, :2]
+    for t in range(1, T):
+        prev = alpha[t - 1]
+        m = prev.copy()
+        m[1:] = plus(m[1:], prev[:-1])
+        m[2:] = np.where(skip[2:], plus(m[2:], prev[:-2]), m[2:])
+        alpha[t] = times(m, emit[t])
+    return alpha
+
+
+def reference_lattice(lp: np.ndarray, labels: LabelSequence) -> CtcLattice:
+    """Two sweeps, one per table, in place of ``ctc._lattice``'s one stacked sweep."""
+    ext = _extended(labels)
+    emit = lp[:, ext]
+    alpha = reference_sweep(emit, _skip_allowed(ext))
+    beta = reference_sweep(emit[::-1, ::-1], _skip_allowed(ext[::-1]))[::-1, ::-1]
+    ll = float(np.logaddexp.reduce(alpha[-1, ::-1][:2]))
+    return CtcLattice(alpha=alpha, beta=beta, extended_labels=tuple(int(x) for x in ext), log_likelihood=ll)
+
+
+REFERENCES = {
+    tensor: {
         "accumulate_grad": reference_accumulate_grad,
         "_emit": reference_emit,
         "_finite": reference_finite,
@@ -225,9 +285,18 @@ def use_reference_tape_ops(monkeypatch) -> None:
         "transpose": reference_transpose,
         "linear": reference_linear,
         "attention": reference_attention,
-    }
-    for name, reference in pairs.items():
-        fast = getattr(tensor, name)
-        for module in (tensor, model, training):
-            if getattr(module, name, None) is fast:
-                monkeypatch.setattr(module, name, reference)
+        "multi_head_attention": reference_multi_head_attention,
+        "feed_forward": reference_feed_forward,
+    },
+    ctc: {"_lattice": reference_lattice},
+}
+
+
+def use_reference_tape_ops(monkeypatch) -> None:
+    """Patch the reference tape ops and lattice in wherever the package binds the fast ones."""
+    for home, pairs in REFERENCES.items():
+        for name, reference in pairs.items():
+            fast = getattr(home, name)
+            for module in (tensor, model, training, ctc):
+                if getattr(module, name, None) is fast:
+                    monkeypatch.setattr(module, name, reference)

@@ -62,6 +62,21 @@ class TestTrainCommand:
         assert "learning_rate must be finite and > 0, got nan" in capsys.readouterr().err
         assert not (tmp_path / "ckpt").exists()
 
+    @pytest.mark.parametrize("setting,message", [
+        ({"lr": float("nan")}, "config key 'lr': learning_rate must be finite and > 0, got nan"),
+        ({"dropout": 1.5}, "config key 'dropout': dropout_rate must be in [0, 1), got 1.5"),
+        ({"valid_interval": 0}, "config key 'valid_interval': validation_interval must be >= 1, got 0"),
+        ({"d_model": 30, "heads": 4}, "config keys 'd_model', 'heads': d_model=30 not divisible by heads=4"),
+    ])
+    def test_bad_setting_exits_2_naming_the_config_key(self, tmp_path, capsys, setting, message):
+        src, tgt = synth_corpus(tmp_path)
+        cfg_path = tmp_path / "run.cfg"
+        write_config(cfg_path, train_src=str(src), train_tgt=str(tgt), valid_src=str(src), valid_tgt=str(tgt),
+                     checkpoint_dir=str(tmp_path / "ckpt"), **setting)
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
     def test_tiny_training_run(self, tmp_path):
         src, tgt = synth_corpus(tmp_path)
         vsrc, vtgt = synth_corpus(tmp_path, n=6, seed=1, prefix="valid")

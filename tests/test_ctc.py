@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ctcnat import ctc
 from ctcnat.ctc import (
     BoundError,
     InputError,
@@ -15,10 +16,11 @@ from ctcnat.ctc import (
     ctc_oracle_loss,
     min_frames,
 )
+from ctcnat.ctc import _extended, _skip_allowed
 from ctcnat.data import VocabularyError
 from ctcnat.tensor import log_sum_exp
 
-from helpers import random_log_probs, rel_err
+from helpers import random_log_probs, reference_lattice, reference_sweep, rel_err
 
 
 def with_zero_probability(lp, cells):
@@ -217,6 +219,52 @@ class TestLattice:
             live = np.isfinite(lat.alpha[t]) & np.isfinite(lat.beta[t])
             combined = lat.alpha[t, live] + lat.beta[t, live] - emit[t, live]
             assert log_sum_exp(combined) == pytest.approx(lat.log_likelihood, abs=1e-9)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestStackedSweep:
+    """``_lattice`` runs alpha and beta as two rows of one sweep; against the
+    two single-table sweeps it replaces (``helpers.reference_lattice``)
+    every table, likelihood, loss and gradient is equal, bit for bit."""
+
+    def test_equals_two_sweeps_on_random_tables(self, monkeypatch):
+        rng = np.random.default_rng(4000)
+        seen = {"T=1": 0, "no labels": 0, "-inf cells": 0, "infeasible": 0}
+        cases = []
+        for i in range(3200):
+            T = 1 if i % 10 == 0 else int(rng.integers(1, 16))
+            V = int(rng.integers(1, 6))
+            lp = random_log_probs(rng, T, V + 1)
+            if i % 3 == 0:  # zero-probability cells; each row keeps its largest entry
+                dead = (rng.random(lp.shape) < 0.3) & (lp < lp.max(axis=1, keepdims=True))
+                lp = with_zero_probability(lp, list(zip(*np.nonzero(dead))))
+                seen["-inf cells"] += bool(dead.any())
+            n_labels = 0 if i % 7 == 0 else int(rng.integers(0, T + 2))
+            labels = tuple(int(y) for y in rng.integers(1, V + 1, size=n_labels))
+            fast, ref = ctc._lattice(lp, labels), reference_lattice(lp, labels)
+            assert fast.extended_labels == ref.extended_labels
+            assert _bits(fast.alpha) == _bits(ref.alpha) and _bits(fast.beta) == _bits(ref.beta), (i, labels)
+            assert fast.log_likelihood.hex() == ref.log_likelihood.hex(), i
+            seen["T=1"] += T == 1
+            seen["no labels"] += not labels
+            seen["infeasible"] += fast.log_likelihood == -math.inf
+            cases.append((lp, labels, ctc_loss(lp, labels)))
+        assert min(seen.values()) >= 200, seen
+        monkeypatch.setattr(ctc, "_lattice", reference_lattice)
+        for lp, labels, (loss, grad) in cases:
+            ref_loss, ref_grad = ctc_loss(lp, labels)
+            assert loss.hex() == ref_loss.hex() and _bits(grad) == _bits(ref_grad)
+
+    def test_alignment_counts_equal_the_single_table_sweep(self):
+        for T in range(1, 13):
+            for labels in [(), (1,), (1, 1), (1, 2), (2, 2, 2), (1, 2, 1, 3), (3, 3, 1, 1, 2)]:
+                ext = _extended(labels)
+                ways = reference_sweep(np.ones((T, ext.size), dtype=object), _skip_allowed(ext),
+                                       np.add, np.multiply, 0)
+                assert count_alignments(T, labels) == int(sum(ways[-1, -2:])), (T, labels)
 
 
 class TestCountAlignments:

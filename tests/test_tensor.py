@@ -1,22 +1,26 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
-from ctcnat import decoding, model
+from ctcnat import ctc, decoding, model
 from ctcnat import tensor as T
 from ctcnat.data import EOS_ID, batch_pairs, gen_synthetic, synthetic_vocab
 from ctcnat.decoding import DecodeOptions, translate
 from ctcnat.model import VARIANTS, ModelConfig, init_params
 from ctcnat.tensor import GradTape, NumericError, ShapeError, Tensor
-from ctcnat.training import batch_loss, feasible_pairs
+from ctcnat.training import batch_loss, feasible_pairs, sentence_loss
 
 from helpers import (
     central_diff,
     reference_attention,
     reference_emit,
+    reference_feed_forward,
+    reference_lattice,
     reference_linear,
+    reference_multi_head_attention,
     reference_softmax,
     rel_err,
     use_reference_tape_ops,
@@ -159,6 +163,15 @@ CAUSAL_4 = np.triu(np.full((4, 4), -1e9), k=1)
 _CONST = np.random.default_rng(19)
 CONST_K = Tensor(_CONST.normal(size=(4, 5, 2)))  # cached keys and values carry no gradient
 CONST_V = Tensor(_CONST.normal(size=(4, 5, 3)))
+MHA_WEIGHTS = [(4, 4), (4,), (4, 4), (4, 4), (4,), (4, 4), (4,)]  # wq, bq, wk, wv, bv, wo, bo at d=4
+# The key bias adds the same q · bk to every score of a row, so its gradient is
+# zero and finite differences of it are noise; it is held constant.
+MHA_KEY_BIAS = Tensor(_CONST.normal(size=4))
+
+
+def _mha(x_q, x_kv, weights, mask=None):
+    wq, bq, wk, wv, bv, wo, bo = weights
+    return T.multi_head_attention(x_q, x_kv, (wq, bq, wk, MHA_KEY_BIAS, wv, bv, wo, bo), 2, mask)[0]
 
 FD_CASES = [
     ("add", lambda a, b: T.add(a, b), [(3, 4), (3, 4)]),
@@ -182,6 +195,12 @@ FD_CASES = [
      [(4, 2, 2), (4, 4, 2), (4, 4, 3)]),
     ("attention_constant_kv", lambda q: T.attention(q, CONST_K, CONST_V, 0.7), [(4, 3, 2)]),
     ("attention_constant_kv_one_query", lambda q: T.attention(q, CONST_K, CONST_V, 0.7), [(4, 1, 2)]),
+    ("mha_self", lambda x, *w: _mha(x, x, w), [(3, 4)] + MHA_WEIGHTS),
+    ("mha_cross", lambda q, kv, *w: _mha(q, kv, w), [(3, 4), (5, 4)] + MHA_WEIGHTS),
+    ("mha_causal", lambda x, *w: _mha(x, x, w, CAUSAL_4), [(4, 4)] + MHA_WEIGHTS),
+    ("mha_one_query", lambda q, kv, *w: _mha(q, kv, w), [(1, 4), (5, 4)] + MHA_WEIGHTS),
+    ("feed_forward", lambda x, *w: T.feed_forward(x, *w), [(3, 4), (4, 6), (6,), (6, 4), (4,)]),
+    ("feed_forward_one_row", lambda x, *w: T.feed_forward(x, *w), [(1, 4), (4, 6), (6,), (6, 4), (4,)]),
 ]
 
 
@@ -427,6 +446,44 @@ class TestFusedOps:
         assert len(tape) == 2
 
 
+class TestSublayerOps:
+    """Each attention and feed-forward sublayer is one tape record, and a
+    ``NumericError`` inside one names the layer it came from."""
+
+    @pytest.mark.parametrize("weight,scope", [("enc.0.ff.w2", "enc.0.ff"),
+                                              ("enc.1.self_attn.wq", "enc.1.self_attn"),
+                                              ("dec.0.src_attn.wv", "dec.0.src_attn"),
+                                              ("dec.1.self_attn.wo", "dec.1.self_attn"),
+                                              ("dec.1.ff.w1", "dec.1.ff")])
+    def test_numeric_error_names_the_layer_scope(self, weight, scope):
+        cfg = _parity_config("encoder-decoder", 0.0)
+        params = init_params(cfg, 21)
+        params[weight].data[0, 0] = math.inf
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericError, match=f"^linear produced non-finite values in {re.escape(scope)}$"):
+            model.parallel_log_probs(cfg, params, [4, 5, 6])
+
+    def test_cached_ar_step_records_24_ops(self):
+        cfg = _parity_config("autoregressive-baseline", 0.0)
+        params = init_params(cfg, 31)
+        enc = model.encode(cfg, params, [4, 5, 6])
+        cache = model.DecoderCache.build(cfg, params, enc)
+        model.decode_autoregressive_step(cfg, params, enc, [], cache)
+        with GradTape() as tape:
+            model.decode_autoregressive_step(cfg, params, enc, [7], cache)
+        # embed, scale, position add; per layer 3 × (layer norm, sublayer, add); norm, out, log-softmax
+        assert len(tape) == 3 + 9 * cfg.dec_layers + 3 == 24
+
+    @pytest.mark.parametrize("dropout,records", [(0.0, 40), (0.1, 52)])
+    def test_encoder_decoder_sentence_records(self, dropout, records):
+        cfg = _parity_config("encoder-decoder", dropout)
+        params = init_params(cfg, 21)
+        rng = np.random.default_rng(0) if dropout else None
+        with GradTape() as tape:
+            sentence_loss(cfg, params, [4, 5, 6], [4, 4, 5], dropout_rng=rng)
+        assert len(tape) == records
+
+
 def _sha1(values) -> str:
     return hashlib.sha1(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
 
@@ -473,7 +530,8 @@ class TestReferenceParity:
         fast = _gradient_digests(variant, dropout)
         use_reference_tape_ops(monkeypatch)
         assert T.softmax is reference_softmax and T._emit is reference_emit
-        assert model.linear is reference_linear and model.attention is reference_attention
+        assert model.linear is reference_linear and model.multi_head_attention is reference_multi_head_attention
+        assert model.feed_forward is reference_feed_forward and ctc._lattice is reference_lattice
         assert _gradient_digests(variant, dropout) == fast
 
     def test_greedy_and_beam_decodes_and_ar_step_rows(self, monkeypatch):
