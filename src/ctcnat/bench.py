@@ -70,7 +70,8 @@ def _make_runner(mode: str, ar_model, nar_model, beam: DecodeOptions,
     if config.is_autoregressive != autoregressive:
         raise ConfigError(f"mode {mode} needs a {family} model, got {config.variant}")
     opts = beam if mode.endswith("beam") else None
-    return lambda p: translate(config, params, p.source_ids, opts, ar_max_steps or len(p.source_ids))
+    return lambda p: translate(config, params, p.source_ids, opts,
+                               len(p.source_ids) if ar_max_steps is None else ar_max_steps)
 
 
 @functools.lru_cache(maxsize=None)

@@ -24,7 +24,7 @@ from .data import (
     load_parallel,
     synthetic_vocab,
 )
-from .decoding import DecodeOptions, OptionError, translate
+from .decoding import DecodeOptions, OptionError, check_max_steps, translate
 from .evaluation import EvalReport, corpus_bleu
 from .model import ConfigError, ModelConfig
 from .training import (
@@ -178,9 +178,18 @@ def _beam_options(width: int) -> DecodeOptions:
         raise UsageError(f"--beam: {exc}") from None
 
 
+def _check_ar_budget(flag: str, config: ModelConfig, max_steps: int | None) -> None:
+    if max_steps is not None and config.is_autoregressive:
+        try:
+            check_max_steps(config, max_steps)
+        except OptionError as exc:
+            raise UsageError(f"{flag}: {exc}") from None
+
+
 def cmd_translate(args) -> int:
     beam = _beam_options(args.beam) if args.mode == "beam" else None
     ckpt = load_checkpoint(args.model)
+    _check_ar_budget("--max-steps", ckpt.config, args.max_steps)
     vocab = _load_vocab_for_model(args.model, ckpt.config, args.vocab, args.vocab_mode)
     out_lines = []
     for line in _read_lines(args.input):
@@ -235,6 +244,7 @@ def cmd_bench(args) -> int:
     vocabs = []
     if args.ar_model:
         ckpt = load_checkpoint(args.ar_model)
+        _check_ar_budget("--ar-max-steps", ckpt.config, args.ar_max_steps)
         ar = (ckpt.config, ckpt.params)
         vocabs.append(_load_vocab_for_model(args.ar_model, ckpt.config, args.vocab, args.vocab_mode))
     if args.nar_model:

@@ -219,11 +219,19 @@ def ctc_beam_search(log_probs, opts: DecodeOptions | None = None,
     return [Hypothesis(prefix, pb, pnb) for prefix, pb, pnb in beams]
 
 
+def check_max_steps(config: ModelConfig, max_steps: int) -> None:
+    """Reject an autoregressive step budget the decoder cannot run: step t
+    feeds t + 1 decoder positions, at most max_len."""
+    if not 0 <= max_steps <= config.max_len:
+        raise OptionError(f"max_steps must be in 0..{config.max_len} (the model's max_len), got {max_steps}")
+
+
 def ar_greedy_decode(config: ModelConfig, params: ModelParams, source_ids,
                      max_steps: int) -> LabelSequence:
     """Argmax one token at a time until end-of-sequence or max_steps."""
     if not config.is_autoregressive:
         raise ConfigError("ar_greedy_decode requires the autoregressive-baseline variant")
+    check_max_steps(config, max_steps)
     enc = encode(config, params, source_ids)
     cache = DecoderCache.build(config, params, enc)
     out: list[int] = []
@@ -248,6 +256,7 @@ def ar_beam_decode(config: ModelConfig, params: ModelParams, source_ids,
         raise ConfigError("ar_beam_decode requires the autoregressive-baseline variant")
     if opts.beam_width < 1:
         raise OptionError(f"beam_width must be >= 1, got {opts.beam_width}")
+    check_max_steps(config, max_steps)
     enc = encode(config, params, source_ids)
     cache = DecoderCache.build(config, params, enc)
     alive: list[tuple[float, LabelSequence]] = [(0.0, ())]

@@ -13,8 +13,12 @@ times longer than the source and the labeler can emit targets longer than
 the source.
 
 Blocks are pre-norm (norm before each sublayer, final norm after the
-stack), which is the stabler choice at desk scale. Forward passes are pure
-given immutable params; dropout only runs when a generator is supplied.
+stack), which is the stabler choice at desk scale. Each sublayer, with its
+norm, dropout and residual add, is one tape op (``multi_head_attention``,
+``feed_forward``), so a block is three calls. Forward passes are pure given
+immutable params; dropout only runs when a generator is supplied. The
+baseline's incremental decoder writes each step's self-attention keys and
+values in place into buffers preallocated to max_len (``DecoderCache``).
 """
 
 from __future__ import annotations
@@ -22,12 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from .data import EOS_ID, VocabularyError
 from .tensor import (
     KV,
+    Past,
     ShapeError,
     Tensor,
     add,
@@ -226,25 +232,6 @@ def _kv(params: ModelParams, prefix: str, x: Tensor, heads: int) -> KV:
                  for name in "kv")
 
 
-_ATTN_WEIGHTS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
-
-
-def _mha(params: ModelParams, prefix: str, x_q: Tensor, x_kv: Tensor | None, heads: int,
-         mask: np.ndarray | None = None, past: KV | None = None) -> tuple[Tensor, KV]:
-    """Attention of x_q over the positions of ``past`` followed by those of x_kv.
-
-    Only inference may pass ``past``. Returns the output and the keys and
-    values of every attended position.
-    """
-    weights = [params[f"{prefix}.{name}"] for name in _ATTN_WEIGHTS]
-    return multi_head_attention(x_q, x_kv, weights, heads, mask, past, prefix)
-
-
-def _ff(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
-    return feed_forward(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"],
-                        params[f"{prefix}.w2"], params[f"{prefix}.b2"], prefix)
-
-
 def _ln(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
     return layer_norm(x, params[f"{prefix}.gain"], params[f"{prefix}.bias"])
 
@@ -255,28 +242,40 @@ def _maybe_drop(x: Tensor, config: ModelConfig, rng: np.random.Generator | None)
     return dropout(x, config.dropout_rate, rng)
 
 
+@lru_cache(maxsize=256)
+def _sublayers(prefix: str, cross: bool) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """The scope and parameter names of each sublayer of block ``prefix``,
+    in the order the sublayer ops take them: norm gain and bias, then weights."""
+    def sublayer(norm: str, scope: str, weights: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
+        return f"{prefix}.{scope}", (f"{prefix}.{norm}.gain", f"{prefix}.{norm}.bias",
+                                     *(f"{prefix}.{scope}.{w}" for w in weights))
+
+    attn = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+    cross_attn = (sublayer("ln2", "src_attn", attn),) if cross else ()
+    return (sublayer("ln1", "self_attn", attn), *cross_attn,
+            sublayer("ln3" if cross else "ln2", "ff", ("w1", "b1", "w2", "b2")))
+
+
 def _block(params: ModelParams, prefix: str, x: Tensor, config: ModelConfig,
-           enc_states: Tensor | None = None, mask: np.ndarray | None = None,
-           rng: np.random.Generator | None = None, *, self_past: KV | None = None,
-           src_kv: KV | None = None) -> tuple[Tensor, KV]:
+           memory: Tensor | KV | None = None, mask: np.ndarray | None = None,
+           rng: np.random.Generator | None = None, past: Past | None = None) -> Tensor:
     """One pre-norm block over the positions in x.
 
-    ``enc_states``, or their encoder-attention keys and values ``src_kv``,
-    add the encoder-attention sublayer. ``self_past`` holds the
-    self-attention keys and values of the positions before x. Returns the
-    output and the self-attention keys and values of every position.
+    ``memory``, the encoder states or their encoder-attention keys and
+    values, adds the encoder-attention sublayer. ``past`` holds the key and
+    value buffers of the self-attention, filled up to the positions of x.
     """
-    normed = _ln(params, f"{prefix}.ln1", x)
-    attn, self_kv = _mha(params, f"{prefix}.self_attn", normed, normed, config.heads, mask, self_past)
-    x = add(x, _maybe_drop(attn, config, rng))
-    if enc_states is not None or src_kv is not None:
-        normed = _ln(params, f"{prefix}.ln2", x)
-        attn, _ = _mha(params, f"{prefix}.src_attn", normed, enc_states, config.heads, past=src_kv)
-        x = add(x, _maybe_drop(attn, config, rng))
-        ln_ff = f"{prefix}.ln3"
-    else:
-        ln_ff = f"{prefix}.ln2"
-    return add(x, _maybe_drop(_ff(params, f"{prefix}.ff", _ln(params, ln_ff, x)), config, rng)), self_kv
+    rate = config.dropout_rate
+    sublayers = _sublayers(prefix, memory is not None)
+    scope, names = sublayers[0]
+    x = multi_head_attention(x, [params[n] for n in names], config.heads, mask=mask, past=past, rate=rate,
+                             rng=rng, scope=scope)
+    if memory is not None:
+        scope, names = sublayers[1]
+        x = multi_head_attention(x, [params[n] for n in names], config.heads, memory, rate=rate, rng=rng,
+                                 scope=scope)
+    scope, names = sublayers[-1]
+    return feed_forward(x, [params[n] for n in names], rate, rng, scope)
 
 
 def _check_ids(ids, config: ModelConfig) -> list[int]:
@@ -304,7 +303,7 @@ def encode(config: ModelConfig, params: ModelParams, source_ids,
         x = add(x, Tensor(sinusoid_table(config.max_len, config.d_model)[: len(ids)]))
     x = _maybe_drop(x, config, dropout_rng)
     for i in range(config.enc_layers):
-        x, _ = _block(params, f"enc.{i}", x, config, rng=dropout_rng)
+        x = _block(params, f"enc.{i}", x, config, rng=dropout_rng)
     return EncoderStates(states=_ln(params, "enc.ln_out", x))
 
 
@@ -334,7 +333,7 @@ def decode_parallel(config: ModelConfig, params: ModelParams, split: SplitStates
         x = add(x, Tensor(table[: x.shape[0]]))
     x = _maybe_drop(x, config, dropout_rng)
     for i in range(config.dec_layers):
-        x, _ = _block(params, f"dec.{i}", x, config, enc_states=enc.states, rng=dropout_rng)
+        x = _block(params, f"dec.{i}", x, config, enc.states, rng=dropout_rng)
     return log_softmax(_proj(params, "out", _ln(params, "dec.ln_out", x)), axis=-1)
 
 
@@ -359,26 +358,24 @@ def _decoder_input(config: ModelConfig, target_ids) -> list[int]:
 
 
 def _ar_decoder(config: ModelConfig, params: ModelParams, ids: list[int], start: int,
-                enc_states: Tensor | None = None, src_kv: list[KV] | None = None,
-                past: list[KV] | None = None,
-                rng: np.random.Generator | None = None) -> tuple[Tensor, list[KV]]:
+                memory: Sequence[Tensor | KV], past: KVBuffers | None = None,
+                rng: np.random.Generator | None = None) -> Tensor:
     """The causal decoder over decoder-input positions start..len(ids)-1.
 
-    ``past`` holds each layer's self-attention keys and values of the
-    positions before ``start``. Returns the log-probability rows of the
-    positions run and each layer's self-attention keys and values of all
-    positions.
+    ``memory`` gives each layer the encoder states or their encoder-attention
+    keys and values. ``past`` holds each layer's self-attention keys and
+    values of the positions before ``start``; the decoder writes those of
+    the positions it runs after them. Returns the log-probability rows of
+    the positions run.
     """
     x = scale(embed(params["tgt_embed"], ids[start:]), math.sqrt(config.d_model))
     x = add(x, Tensor(sinusoid_table(config.max_len, config.d_model)[start:len(ids)]))
     x = _maybe_drop(x, config, rng)
     mask = _causal_mask(len(ids))[start:] if len(ids) - start > 1 else None
-    kvs = []
     for i in range(config.dec_layers):
-        x, kv = _block(params, f"dec.{i}", x, config, enc_states, mask, rng,
-                       self_past=past[i] if past else None, src_kv=src_kv[i] if src_kv else None)
-        kvs.append(kv)
-    return log_softmax(_proj(params, "out", _ln(params, "dec.ln_out", x)), axis=-1), kvs
+        x = _block(params, f"dec.{i}", x, config, memory[i], mask, rng,
+                   None if past is None else (past.kv[i, 0], past.kv[i, 1], start))
+    return log_softmax(_proj(params, "out", _ln(params, "dec.ln_out", x)), axis=-1)
 
 
 def decode_autoregressive_full(config: ModelConfig, params: ModelParams, enc: EncoderStates,
@@ -389,7 +386,24 @@ def decode_autoregressive_full(config: ModelConfig, params: ModelParams, enc: En
     Output columns are the vocab_size non-blank ids; column j scores id j+1.
     """
     ids = _decoder_input(config, target_ids)
-    return _ar_decoder(config, params, ids, 0, enc_states=enc.states, rng=dropout_rng)[0]
+    return _ar_decoder(config, params, ids, 0, [enc.states] * config.dec_layers, rng=dropout_rng)
+
+
+class KVBuffers:
+    """The self-attention keys and values of every decoder layer, in one
+    (layers, 2, heads, max_len, d / heads) buffer whose first ``filled``
+    positions are written."""
+
+    __slots__ = ("kv", "filled")
+
+    def __init__(self, kv: np.ndarray, filled: int):
+        self.kv, self.filled = kv, filled
+
+    def copy(self, n: int) -> "KVBuffers":
+        """A new buffer holding the first n positions of this one."""
+        kv = np.empty_like(self.kv)
+        kv[..., :n, :] = self.kv[..., :n, :]
+        return KVBuffers(kv, n)
 
 
 @dataclass
@@ -397,27 +411,44 @@ class DecoderCache:
     """Keys and values that autoregressive decoding of one source reuses.
 
     ``src`` holds each decoder layer's encoder-attention keys and values,
-    computed once. ``prefixes`` maps a decoded prefix to each layer's
-    self-attention keys and values at its decoder-input positions,
-    [EOS] + prefix. It keeps two generations (prefix lengths), the one
-    the latest step wrote and the one before it, which is all that greedy
-    and beam decoding read: at most twice the beam width.
+    computed once. ``prefixes`` maps a decoded prefix to the buffers whose
+    first len(prefix) + 1 positions hold each layer's self-attention keys
+    and values at its decoder-input positions, [EOS] + prefix. A step
+    extends its parent's buffers in place when the parent's positions are
+    all they hold; when a sibling has already extended them, it copies the
+    parent's positions to new buffers first. Writes land only past every
+    stored prefix, so what a stored prefix reads never changes. The cache
+    keeps two generations (prefix lengths), the one the latest step wrote
+    and the one before it, which is all that greedy and beam decoding read:
+    at most twice the beam width.
     """
 
     src: list[KV]
-    prefixes: dict[tuple[int, ...], list[KV]] = field(default_factory=dict)
+    buffer_shape: tuple[int, ...]
+    prefixes: dict[tuple[int, ...], KVBuffers] = field(default_factory=dict)
 
     @classmethod
     def build(cls, config: ModelConfig, params: ModelParams, enc: EncoderStates) -> "DecoderCache":
         _require_autoregressive(config)
-        return cls([_kv(params, f"dec.{i}.src_attn", enc.states, config.heads)
-                    for i in range(config.dec_layers)])
+        return cls([_kv(params, f"dec.{i}.src_attn", enc.states, config.heads) for i in range(config.dec_layers)],
+                   (config.dec_layers, 2, config.heads, config.max_len, config.d_model // config.heads))
 
-    def store(self, prefix: tuple[int, ...], kvs: list[KV]) -> None:
+    def extendable(self, parent: tuple[int, ...] | None) -> KVBuffers:
+        """Buffers holding the positions of ``parent`` (none for None) and nothing after them."""
+        if parent is None:
+            return KVBuffers(np.empty(self.buffer_shape), 0)
+        buffers = self.prefixes[parent]
+        n = len(parent) + 1
+        return buffers if buffers.filled == n else buffers.copy(n)
+
+    def store(self, prefix: tuple[int, ...], buffers: KVBuffers) -> None:
+        """Record that ``buffers`` now hold the positions of ``prefix``, and
+        drop the prefixes older than its parent's generation."""
         n = len(prefix)
+        buffers.filled = n + 1
         for old in [p for p in self.prefixes if not n - 1 <= len(p) <= n]:
             del self.prefixes[old]
-        self.prefixes[prefix] = kvs
+        self.prefixes[prefix] = buffers
 
 
 def decode_autoregressive_step(config: ModelConfig, params: ModelParams, enc: EncoderStates,
@@ -436,7 +467,7 @@ def decode_autoregressive_step(config: ModelConfig, params: ModelParams, enc: En
     start = len(prefix)
     while start and prefix[:start - 1] not in cache.prefixes:
         start -= 1
-    past = cache.prefixes[prefix[:start - 1]] if start else None
-    rows, kvs = _ar_decoder(config, params, ids, start, src_kv=cache.src, past=past)
-    cache.store(prefix, kvs)
+    past = cache.extendable(prefix[:start - 1] if start else None)
+    rows = _ar_decoder(config, params, ids, start, cache.src, past)
+    cache.store(prefix, past)
     return Tensor(rows.data[-1])

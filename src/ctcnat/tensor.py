@@ -6,12 +6,12 @@ leading axis), suffix-broadcast add, elementwise mul, relu, softmax and
 log-softmax, layer norm, embedding gather, reshape / transpose, scalar
 reduction, dropout, and four fused ops: ``linear`` (x @ w + b),
 scaled-dot-product ``attention`` over a leading head axis, and the two
-transformer sublayers, ``multi_head_attention`` (projections, heads,
-attention and output projection) and ``feed_forward`` (linear, relu,
-linear). Each fused op is one tape record that computes, bit for bit, what
-its unfused composition computes. The sublayer ops add the layer scope
-they were given to a ``NumericError``. Gradients are produced by replaying
-a GradTape in reverse recording order.
+pre-norm residual transformer sublayers, ``x + dropout(f(layer_norm(x)))``:
+``multi_head_attention`` (f: projections, heads, attention and output
+projection, optionally over cached keys and values extended in place) and
+``feed_forward`` (f: linear, relu, linear). Each fused op is one tape record
+that computes, bit for bit, what its unfused composition computes.
+Gradients are produced by replaying a GradTape in reverse recording order.
 
 Log-domain code represents probability zero as -inf. That sentinel is legal
 for ``log_sum_exp``, which is a plain float utility, not a taped op. Taped
@@ -19,6 +19,16 @@ forward ops on finite inputs must produce finite outputs; a NaN or Inf there
 raises NumericError. Finiteness is checked by one sum, which is finite
 whenever every element is; only a non-finite sum is confirmed element by
 element, because finite elements can still overflow it.
+
+The sublayer ops check only where a NaN or Inf can hide: the attention
+scores (softmax turns -inf into 0), the feed-forward pre-activation (relu
+does the same) and their output. Under IEEE arithmetic any other
+intermediate's NaN or Inf reaches the output, since even 0 * inf is NaN.
+When a check fails, the op re-checks its intermediates in the order the
+unfused chain checked them and raises that chain's first error, with the
+layer scope it was given appended (``layer_norm produced non-finite values
+in enc.0.self_attn``). So exactly the inputs that made the chain raise make
+the op raise.
 """
 
 from __future__ import annotations
@@ -216,7 +226,7 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The forward of ``linear``: ``x @ w``, then ``b`` added in place."""
     out = x @ w
     out += b
-    return _finite(out, "linear")
+    return out
 
 
 def _affine_grad(x: np.ndarray, w: Tensor, b: Tensor, g: np.ndarray) -> np.ndarray:
@@ -236,24 +246,26 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def rule(g: np.ndarray) -> None:
         accumulate_grad(x, _affine_grad(x.data, w, b, g))
 
-    return _emit(_affine(x.data, w.data, b.data), (x, w, b), rule)
+    return _emit(_finite(_affine(x.data, w.data, b.data), "linear"), (x, w, b), rule)
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, c: float,
-            mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The forward of ``attention``: the probabilities and the output."""
+def _scores(q: np.ndarray, k: np.ndarray, c: float, mask: np.ndarray | None) -> np.ndarray:
+    """The scaled and masked attention scores ``q @ kᵀ · c + mask``, in a new buffer."""
     p = q @ k.swapaxes(-1, -2)
     p *= c
     if mask is not None:
         if mask.ndim > 3 or p.shape[3 - mask.ndim:] != mask.shape:
             raise ShapeError(f"attention: mask shape {mask.shape} is not a suffix of {p.shape}")
         p += mask
-    # A finite score row has a finite softmax, so the scores are checked here.
-    _finite(p, "attention")
+    return p
+
+
+def _normalize_rows(p: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax over the last axis, in place."""
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    return p, _finite(p @ v, "attention")
+    return p
 
 
 def _score_grad(p: np.ndarray, g: np.ndarray, v: np.ndarray, c: float) -> np.ndarray:
@@ -274,7 +286,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, c: float, mask: np.ndarray | None
     sq, sk, sv = q.data.shape, k.data.shape, v.data.shape
     if len(sq) != 3 or len(sk) != 3 or len(sv) != 3 or sk[::2] != sq[::2] or sv[:2] != sk[:2]:
         raise ShapeError(f"attention: shapes {sq}, {sk} and {sv} do not conform")
-    p, out = _attend(q.data, k.data, v.data, c, mask)
+    # A finite score row has a finite softmax, so the scores are checked here.
+    p = _normalize_rows(_finite(_scores(q.data, k.data, c, mask), "attention"))
+    out = _finite(p @ v.data, "attention")
 
     def rule(g: np.ndarray) -> None:
         accumulate_grad(v, p.swapaxes(-1, -2) @ g)
@@ -285,75 +299,176 @@ def attention(q: Tensor, k: Tensor, v: Tensor, c: float, mask: np.ndarray | None
     return _emit(out, (q, k, v), rule)
 
 
+def _normalize(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+               eps: float = 1e-6) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward of ``layer_norm``: the output, the normalized input and
+    the inverse standard deviation."""
+    d = x.shape[-1]
+    # sum / d is what mean() computes, bit for bit, without its overhead.
+    mu = x.sum(axis=-1, keepdims=True) / d
+    centered = x - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def _normalize_grad(g: np.ndarray, gain: Tensor, bias: Tensor, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Accumulate the gradients of ``gain`` and ``bias`` in ``layer_norm``; return x's."""
+    d = g.shape[-1]
+    dxhat = g * gain.data
+    gx = inv * (dxhat - dxhat.sum(axis=-1, keepdims=True) / d
+                - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d))
+    lead = tuple(range(g.ndim - 1))
+    accumulate_grad(gain, (g * xhat).sum(axis=lead) if lead else g * xhat)
+    accumulate_grad(bias, g.sum(axis=lead) if lead else g)
+    return gx
+
+
+def _dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
+    if rate >= 1.0:
+        raise ShapeError(f"dropout: rate must be < 1, got {rate}")
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def _residual(x: np.ndarray, sub: np.ndarray, rate: float,
+              rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """``x + dropout(sub)`` and the dropout mask, None without dropout. The
+    mask is drawn after the sublayer ran, as the unfused chain drew it."""
+    if rng is None or rate <= 0.0:
+        return x + sub, None
+    drop = _dropout_mask(sub.shape, rate, rng)
+    return x + sub * drop, drop
+
+
+def _unfused_error(scope: str, *checked: tuple[str, np.ndarray]) -> NumericError:
+    """The error the unfused chain raises: ``checked`` lists its checks in
+    order, the last one failed, and the first that fails names the op."""
+    op = next(op for op, arr in checked if not np.isfinite(arr).all())
+    return NumericError(f"{op} produced non-finite values in {scope}")
+
+
 KV = tuple[np.ndarray, np.ndarray]  # head-split keys and values, each (heads, positions, d / heads)
+Past = tuple[np.ndarray, np.ndarray, int]  # key and value buffers (heads, capacity, d / heads), positions filled
 
 
-def multi_head_attention(x_q: Tensor, x_kv: Tensor | None, weights: Sequence[Tensor], heads: int,
-                         mask: np.ndarray | None = None, past: KV | None = None,
-                         scope: str = "multi_head_attention") -> tuple[Tensor, KV]:
-    """One attention sublayer: the q/k/v projections, the head split,
-    ``attention``, the head merge and the output projection.
+def multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int, memory: Tensor | KV | None = None,
+                         mask: np.ndarray | None = None, past: Past | None = None, rate: float = 0.0,
+                         rng: np.random.Generator | None = None,
+                         scope: str = "multi_head_attention") -> Tensor:
+    """One pre-norm attention sublayer, ``x + dropout(attend(layer_norm(x)))``.
 
-    ``weights`` are (wq, bq, wk, bk, wv, bv, wo, bo). The queries of the
-    (t_q, d) ``x_q`` attend over the positions of ``past`` followed by those
-    of ``x_kv``. ``past`` is constant to the tape, so only inference may
-    pass it. Returns the output and the keys and values of every attended
-    position. A ``NumericError`` names ``scope``.
+    ``params`` are (gain, bias, wq, bq, wk, bk, wv, bv, wo, bo). The normed
+    (t, d) ``x`` gives the queries. With ``memory`` None, it also gives the
+    keys and values, which follow the first n positions of ``past``'s key
+    and value buffers: the op writes them there in place and attends over
+    all n + t. A tensor ``memory`` gives the keys and values instead; a KV
+    ``memory`` is head-split keys and values. ``past`` and a KV ``memory``
+    are constant to the tape, so only inference may pass them. Dropout runs
+    when ``rng`` is given and ``rate`` > 0.
+
+    Only the scores, whose -inf the softmax would hide, and the output are
+    checked for non-finite values: any other intermediate's NaN or Inf
+    reaches the output. A failed check raises the first error the unfused
+    chain (layer norm, projections, attention, projection, dropout, add)
+    would raise, naming ``scope``.
     """
-    wq, bq, wk, bk, wv, bv, wo, bo = weights
-    t_q, d = x_q.data.shape
+    gain, bias, wq, bq, wk, bk, wv, bv, wo, bo = params
+    t_q, d = x.data.shape
     dh = d // heads
     c = 1.0 / math.sqrt(dh)
+    normed, xhat, inv = _normalize(x.data, gain.data, bias.data)
+    q = _affine(normed, wq.data, bq.data)
+    qh = q.reshape(t_q, heads, dh).transpose(1, 0, 2)
+    if memory is None or isinstance(memory, Tensor):
+        source = normed if memory is None else memory.data
+        t_k = source.shape[0]
+        k = _affine(source, wk.data, bk.data)
+        v = _affine(source, wv.data, bv.data)
+        projected = (("linear", k), ("linear", v))
+        kh = k.reshape(t_k, heads, dh).transpose(1, 0, 2)
+        vh = v.reshape(t_k, heads, dh).transpose(1, 0, 2)
+        if past is not None:
+            keys, values, n = past
+            keys[:, n:n + t_k] = kh
+            values[:, n:n + t_k] = vh
+            kh, vh = keys[:, :n + t_k], values[:, :n + t_k]
+    else:
+        source, projected = None, ()
+        kh, vh = memory
+    p = _scores(qh, kh, c, mask)
     try:
-        qh = _affine(x_q.data, wq.data, bq.data).reshape(t_q, heads, dh).transpose(1, 0, 2)
-        if x_kv is None:
-            kh, vh = past
-        else:
-            t_k = x_kv.data.shape[0]
-            kh = _affine(x_kv.data, wk.data, bk.data).reshape(t_k, heads, dh).transpose(1, 0, 2)
-            vh = _affine(x_kv.data, wv.data, bv.data).reshape(t_k, heads, dh).transpose(1, 0, 2)
-            if past is not None:
-                kh = np.ascontiguousarray(np.concatenate((past[0], kh), axis=1))
-                vh = np.ascontiguousarray(np.concatenate((past[1], vh), axis=1))
-        p, ctx = _attend(qh, kh, vh, c, mask)
-        merged = ctx.transpose(1, 0, 2).reshape(t_q, d)
-        out = _affine(merged, wo.data, bo.data)
-    except NumericError as exc:
-        raise NumericError(f"{exc} in {scope}") from None
+        _finite(p, "attention")
+    except NumericError:
+        raise _unfused_error(scope, ("layer_norm", normed), ("linear", q), *projected, ("attention", p)) from None
+    ctx = _normalize_rows(p) @ vh
+    merged = ctx.transpose(1, 0, 2).reshape(t_q, d)
+    sub = _affine(merged, wo.data, bo.data)
+    out, drop = _residual(x.data, sub, rate, rng)
+    try:
+        _finite(out, "add")
+    except NumericError:
+        raise _unfused_error(scope, ("layer_norm", normed), ("linear", q), *projected, ("attention", ctx),
+                             ("linear", sub), ("add", out)) from None
 
     def rule(g: np.ndarray) -> None:
-        # The head gradients are C-ordered where a matmul reads them, as the
-        # unfused chain left them, and x_kv receives v's part before k's.
-        gctx = _affine_grad(merged, wo, bo, g).reshape(t_q, heads, dh).transpose(1, 0, 2).copy()
+        # x receives the residual before the norm's gradient. The head
+        # gradients are C-ordered where a matmul reads them, as the unfused
+        # chain left them.
+        accumulate_grad(x, g)
+        gctx = _affine_grad(merged, wo, bo, g if drop is None else g * drop)
+        gctx = gctx.reshape(t_q, heads, dh).transpose(1, 0, 2).copy()
         gs = _score_grad(p, gctx, vh, c)
-        if x_kv is not None and past is None:
-            gv = (p.swapaxes(-1, -2) @ gctx).transpose(1, 0, 2).reshape(t_k, d)
-            accumulate_grad(x_kv, _affine_grad(x_kv.data, wv, bv, gv))
+        gn = _affine_grad(normed, wq, bq, (gs @ kh).transpose(1, 0, 2).reshape(t_q, d))
+        if source is not None and past is None:
+            gv = _affine_grad(source, wv, bv, (p.swapaxes(-1, -2) @ gctx).transpose(1, 0, 2).reshape(t_k, d))
             gk = np.ascontiguousarray((qh.swapaxes(-1, -2) @ gs).transpose(2, 0, 1)).reshape(t_k, d)
-            accumulate_grad(x_kv, _affine_grad(x_kv.data, wk, bk, gk))
-        gq = (gs @ kh).transpose(1, 0, 2).reshape(t_q, d)
-        accumulate_grad(x_q, _affine_grad(x_q.data, wq, bq, gq))
+            gk = _affine_grad(source, wk, bk, gk)
+            if memory is None:  # the sum runs in the unfused chain's order: v's part, k's, q's
+                gv += gk
+                gv += gn
+                gn = gv
+            else:
+                accumulate_grad(memory, gv)
+                accumulate_grad(memory, gk)
+        accumulate_grad(x, _normalize_grad(gn, gain, bias, xhat, inv))
 
-    inputs = (x_q, *weights) if x_kv is None else (x_q, x_kv, *weights)
-    return _emit(out, inputs, rule), (kh, vh)
+    return _emit(out, (x, memory, *params) if isinstance(memory, Tensor) else (x, *params), rule)
 
 
-def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+def feed_forward(x: Tensor, params: Sequence[Tensor], rate: float = 0.0, rng: np.random.Generator | None = None,
                  scope: str = "feed_forward") -> Tensor:
-    """``relu(x @ w1 + b1) @ w2 + b2``; a ``NumericError`` names ``scope``."""
+    """One pre-norm feed-forward sublayer, ``x + dropout(relu(n @ w1 + b1) @ w2 + b2)``
+    with ``n = layer_norm(x)``.
+
+    ``params`` are (gain, bias, w1, b1, w2, b2). Dropout runs when ``rng``
+    is given and ``rate`` > 0. Only the pre-activation, whose -inf the relu
+    would hide, and the output are checked for non-finite values. A failed
+    check raises the first error the unfused chain (layer norm, linear,
+    relu, linear, dropout, add) would raise, naming ``scope``.
+    """
+    gain, bias, w1, b1, w2, b2 = params
+    normed, xhat, inv = _normalize(x.data, gain.data, bias.data)
+    r = _affine(normed, w1.data, b1.data)
     try:
-        r = _affine(x.data, w1.data, b1.data)
-        np.maximum(r, 0.0, out=r)
-        out = _affine(r, w2.data, b2.data)
-    except NumericError as exc:
-        raise NumericError(f"{exc} in {scope}") from None
+        _finite(r, "linear")
+    except NumericError:
+        raise _unfused_error(scope, ("layer_norm", normed), ("linear", r)) from None
+    np.maximum(r, 0.0, out=r)
+    sub = _affine(r, w2.data, b2.data)
+    out, drop = _residual(x.data, sub, rate, rng)
+    try:
+        _finite(out, "add")
+    except NumericError:
+        raise _unfused_error(scope, ("layer_norm", normed), ("linear", sub), ("add", out)) from None
 
     def rule(g: np.ndarray) -> None:
-        gr = _affine_grad(r, w2, b2, g)
+        accumulate_grad(x, g)
+        gr = _affine_grad(r, w2, b2, g if drop is None else g * drop)
         gr *= r > 0.0  # where the pre-activation is positive
-        accumulate_grad(x, _affine_grad(x.data, w1, b1, gr))
+        accumulate_grad(x, _normalize_grad(_affine_grad(normed, w1, b1, gr), gain, bias, xhat, inv))
 
-    return _emit(out, (x, w1, b1, w2, b2), rule)
+    return _emit(out, (x, *params), rule)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -392,24 +507,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    # sum / d is what mean() computes, bit for bit, without its overhead.
-    mu = x.data.sum(axis=-1, keepdims=True) / d
-    centered = x.data - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = xhat * gain.data + bias.data
+    out, xhat, inv = _normalize(x.data, gain.data, bias.data, eps)
 
     def rule(g: np.ndarray) -> None:
-        dxhat = g * gain.data
-        accumulate_grad(
-            x,
-            inv * (dxhat - dxhat.sum(axis=-1, keepdims=True) / d
-                   - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)),
-        )
-        lead = tuple(range(g.ndim - 1))
-        accumulate_grad(gain, (g * xhat).sum(axis=lead) if lead else g * xhat)
-        accumulate_grad(bias, g.sum(axis=lead) if lead else g)
+        accumulate_grad(x, _normalize_grad(g, gain, bias, xhat, inv))
 
     return _emit(_finite(out, "layer_norm"), (x, gain, bias), rule)
 
@@ -481,9 +582,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; identity when rate <= 0."""
     if rate <= 0.0:
         return a
-    if rate >= 1.0:
-        raise ShapeError(f"dropout: rate must be < 1, got {rate}")
-    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    mask = _dropout_mask(a.shape, rate, rng)
 
     def rule(g: np.ndarray) -> None:
         accumulate_grad(a, g * mask)

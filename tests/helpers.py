@@ -222,32 +222,53 @@ def _constant(arr: np.ndarray) -> Tensor:
     return t
 
 
-def reference_multi_head_attention(x_q: Tensor, x_kv: Tensor | None, weights: Sequence[Tensor], heads: int,
-                                   mask: np.ndarray | None = None, past: tensor.KV | None = None,
-                                   scope: str = "") -> tuple[Tensor, tensor.KV]:
-    """The chain of ``linear``, head split, ``attention``, head merge and
-    ``linear`` that ``tensor.multi_head_attention`` fuses."""
-    wq, bq, wk, bk, wv, bv, wo, bo = weights
-    t_q, d = x_q.shape
+def reference_multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int,
+                                   memory: Tensor | tensor.KV | None = None, mask: np.ndarray | None = None,
+                                   past: tensor.Past | None = None, rate: float = 0.0,
+                                   rng: np.random.Generator | None = None,
+                                   scope: str = "multi_head_attention") -> Tensor:
+    """The chain of ``layer_norm``, ``linear``, head split, ``attention``,
+    head merge, ``linear``, ``dropout`` and ``add`` that
+    ``tensor.multi_head_attention`` fuses. It attends over the cached keys
+    and values joined by ``np.concatenate`` and writes the new positions
+    into ``past``'s buffers, as the fused op does."""
+    gain, bias, wq, bq, wk, bk, wv, bv, wo, bo = params
+    t_q, d = x.shape
 
-    def split(x: Tensor) -> Tensor:
-        return tensor.transpose(tensor.reshape(x, (x.shape[0], heads, d // heads)), (1, 0, 2))
+    def split(h: Tensor) -> Tensor:
+        return tensor.transpose(tensor.reshape(h, (h.shape[0], heads, d // heads)), (1, 0, 2))
 
-    qh = split(tensor.linear(x_q, wq, bq))
-    if x_kv is None:
-        kv = tuple(_constant(a) for a in past)
-    else:
-        kv = split(tensor.linear(x_kv, wk, bk)), split(tensor.linear(x_kv, wv, bv))
-        if past is not None:
-            kv = tuple(Tensor(np.concatenate((old, new.data), axis=1)) for old, new in zip(past, kv))
-    ctx = tensor.attention(qh, *kv, 1.0 / math.sqrt(d // heads), mask)
-    merged = tensor.reshape(tensor.transpose(ctx, (1, 0, 2)), (t_q, d))
-    return tensor.linear(merged, wo, bo), (kv[0].data, kv[1].data)
+    try:
+        normed = tensor.layer_norm(x, gain, bias)
+        qh = split(tensor.linear(normed, wq, bq))
+        if memory is None or isinstance(memory, Tensor):
+            source = normed if memory is None else memory
+            kv = split(tensor.linear(source, wk, bk)), split(tensor.linear(source, wv, bv))
+            if past is not None:
+                *buffers, n = past
+                for buf, new in zip(buffers, kv):
+                    buf[:, n:n + new.shape[1]] = new.data
+                kv = tuple(Tensor(np.concatenate((buf[:, :n], new.data), axis=1)) for buf, new in zip(buffers, kv))
+        else:
+            kv = tuple(_constant(a) for a in memory)
+        ctx = tensor.attention(qh, *kv, 1.0 / math.sqrt(d // heads), mask)
+        merged = tensor.reshape(tensor.transpose(ctx, (1, 0, 2)), (t_q, d))
+        sub = tensor.linear(merged, wo, bo)
+        return tensor.add(x, sub if rng is None else tensor.dropout(sub, rate, rng))
+    except NumericError as exc:
+        raise NumericError(f"{exc} in {scope}") from None
 
 
-def reference_feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, scope: str = "") -> Tensor:
-    """The ``linear``, ``relu`` and ``linear`` that ``tensor.feed_forward`` fuses."""
-    return tensor.linear(tensor.relu(tensor.linear(x, w1, b1)), w2, b2)
+def reference_feed_forward(x: Tensor, params: Sequence[Tensor], rate: float = 0.0,
+                           rng: np.random.Generator | None = None, scope: str = "feed_forward") -> Tensor:
+    """The ``layer_norm``, ``linear``, ``relu``, ``linear``, ``dropout`` and
+    ``add`` that ``tensor.feed_forward`` fuses."""
+    gain, bias, w1, b1, w2, b2 = params
+    try:
+        sub = tensor.linear(tensor.relu(tensor.linear(tensor.layer_norm(x, gain, bias), w1, b1)), w2, b2)
+        return tensor.add(x, sub if rng is None else tensor.dropout(sub, rate, rng))
+    except NumericError as exc:
+        raise NumericError(f"{exc} in {scope}") from None
 
 
 def reference_sweep(emit: np.ndarray, skip: np.ndarray, plus=np.logaddexp, times=np.add, zero=NEG_INF) -> np.ndarray:

@@ -48,6 +48,11 @@ class TestBenchDecode:
         records, _ = bench_decode(pairs, modes=("AR-greedy",), ar_model=ar, reps=3)
         assert records[0].out_len == 5  # max_steps defaults to the source length
 
+    def test_zero_ar_budget_is_a_budget(self):
+        ar, _ = models()
+        records, _ = bench_decode(corpus([5]), modes=("AR-greedy",), ar_model=ar, reps=3, ar_max_steps=0)
+        assert records[0].out_len == 0
+
     def test_reps_minimum(self):
         ar, nar = models()
         with pytest.raises(ConfigError):

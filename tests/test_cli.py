@@ -189,6 +189,25 @@ class TestTranslateCommand:
         assert g_out.read_text() == b_out.read_text()
 
 
+    @pytest.mark.parametrize("max_steps", ["-1", "33"])
+    def test_ar_budget_past_max_len_is_usage_error(self, tmp_path, capsys, max_steps):
+        from ctcnat.data import synthetic_vocab
+        cfg = ModelConfig(vocab_size=synthetic_vocab(8).vocab_size, d_model=16, ff_dim=32, heads=2,
+                          enc_layers=1, dec_layers=1, variant="autoregressive-baseline", max_len=32,
+                          dropout_rate=0.0)
+        model = tmp_path / "ar.bin"
+        save_checkpoint(Checkpoint(cfg, init_params(cfg, 7), 1, 0.0), model)
+        synthetic_vocab(8).save(tmp_path / "vocab.txt")
+        inp = tmp_path / "in.txt"
+        inp.write_text("w0 w1 w2\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        assert main(["translate", "--model", str(model), "--input", str(inp), "--output", str(out),
+                     "--max-steps", max_steps]) == 2
+        assert f"--max-steps: max_steps must be in 0..32 (the model's max_len), got {max_steps}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEvaluateCommand:
     def test_identity_prints_100(self, tmp_path, capsys):
         hyp = tmp_path / "hyp.txt"
@@ -338,6 +357,24 @@ def test_bench_rejects_a_vocabulary_that_does_not_fit_the_model(tmp_path, capsys
     assert rc == 2
     err = capsys.readouterr().err
     assert "vocab_size=11 but model" in err and "has vocab_size=8" in err
+    assert not out_csv.exists()
+
+
+def test_bench_ar_budget_past_max_len_is_usage_error(tmp_path, capsys):
+    from ctcnat.data import synthetic_vocab
+    cfg = ModelConfig(vocab_size=synthetic_vocab(8).vocab_size, d_model=16, ff_dim=32, heads=2,
+                      enc_layers=1, dec_layers=1, variant="autoregressive-baseline", max_len=32,
+                      dropout_rate=0.0)
+    model = tmp_path / "ar.bin"
+    save_checkpoint(Checkpoint(cfg, init_params(cfg, 9), 1, 0.0), model)
+    synthetic_vocab(8).save(tmp_path / "vocab.txt")
+    inp = tmp_path / "in.txt"
+    inp.write_text("w0 w1\n", encoding="utf-8")
+    out_csv = tmp_path / "times.csv"
+    rc = main(["bench", "--input", str(inp), "--ar-model", str(model), "--ar-max-steps", "33",
+               "--out", str(out_csv)])
+    assert rc == 2
+    assert "--ar-max-steps: max_steps must be in 0..32 (the model's max_len), got 33" in capsys.readouterr().err
     assert not out_csv.exists()
 
 

@@ -391,6 +391,24 @@ class TestAutoregressiveDecoding:
         out = translate(cfg, params, [5] * src_len, beam)
         assert out == (4,) * min(2 * src_len + 8, cfg.max_len - 1)
 
+    @pytest.mark.parametrize("beam", [None, DecodeOptions(beam_width=2)])
+    def test_budget_up_to_max_len_decodes_it_all(self, beam):
+        """Step t feeds t + 1 decoder positions, so max_len steps fit."""
+        cfg = ar_config(max_len=8)
+        params = rigged_params(cfg, favored_id=4)
+        assert translate(cfg, params, [4, 5, 3], beam, 8) == (4,) * 8
+        assert translate(cfg, params, [4, 5, 3], beam, 0) == ()
+
+    @pytest.mark.parametrize("beam", [None, DecodeOptions(beam_width=2)])
+    @pytest.mark.parametrize("max_steps", [-1, 9, 20])
+    def test_budget_the_decoder_cannot_run_is_rejected_before_decoding(self, monkeypatch, beam, max_steps):
+        cfg = ar_config(max_len=8)
+        params = rigged_params(cfg, favored_id=4)
+        calls = recorded_steps(monkeypatch)
+        with pytest.raises(OptionError, match=rf"^max_steps must be in 0\.\.8 .*got {max_steps}$"):
+            translate(cfg, params, [4, 5, 3], beam, max_steps)
+        assert calls == []
+
     def test_beam_ties_at_the_cut_keep_the_smaller_sequence(self, monkeypatch):
         """Every row is the same, so (5, 4) and (4, 5) score exactly alike.
         At the cut of a width-2 beam the lexicographically smaller one

@@ -236,6 +236,41 @@ class TestAutoregressive:
             assert len(cache.prefixes) <= 2
         assert set(cache.prefixes) == {()}
 
+    def test_siblings_extend_the_buffers_in_place_or_copy_them(self):
+        """The first child of a prefix extends its buffers in place, a sibling
+        copies them, and a grandchild extends the copy in place. Every row
+        equals the row of a fresh cache walking the same prefix, bit for
+        bit, and what a stored older prefix reads never changes."""
+        cfg = tiny_config(variant="autoregressive-baseline")
+        params = init_params(cfg, 14)
+        enc = encode(cfg, params, [4, 5, 6])
+        cache = DecoderCache.build(cfg, params, enc)
+
+        def step(prefix, cache):
+            return decode_autoregressive_step(cfg, params, enc, list(prefix), cache).data.tobytes()
+
+        def fresh(prefix):
+            walk = DecoderCache.build(cfg, params, enc)
+            return [step(prefix[:n], walk) for n in range(len(prefix) + 1)][-1]
+
+        def seen(buffers, n):
+            return buffers.kv[..., :n, :].tobytes()
+
+        rows = {prefix: step(prefix, cache) for prefix in [(), (4,)]}
+        parent = cache.prefixes[(4,)]
+        parent_view = seen(parent, 2)
+        rows[(4, 5)] = step((4, 5), cache)
+        assert cache.prefixes[(4, 5)] is parent and parent.filled == 3
+        first_view = seen(parent, 3)
+        rows[(4, 6)] = step((4, 6), cache)
+        sibling = cache.prefixes[(4, 6)]
+        assert sibling is not parent and parent.filled == 3 and sibling.filled == 3
+        rows[(4, 6, 7)] = step((4, 6, 7), cache)
+        assert cache.prefixes[(4, 6, 7)] is sibling and sibling.filled == 4
+        assert seen(parent, 2) == parent_view and seen(parent, 3) == first_view
+        for prefix, row in rows.items():
+            assert row == fresh(prefix), prefix
+
     def test_cache_rejects_parallel_variant(self):
         cfg = tiny_config()
         params = init_params(cfg, 0)

@@ -163,15 +163,26 @@ CAUSAL_4 = np.triu(np.full((4, 4), -1e9), k=1)
 _CONST = np.random.default_rng(19)
 CONST_K = Tensor(_CONST.normal(size=(4, 5, 2)))  # cached keys and values carry no gradient
 CONST_V = Tensor(_CONST.normal(size=(4, 5, 3)))
-MHA_WEIGHTS = [(4, 4), (4,), (4, 4), (4, 4), (4,), (4, 4), (4,)]  # wq, bq, wk, wv, bv, wo, bo at d=4
+# gain, bias, wq, bq, wk, wv, bv, wo, bo at d=4
+MHA_PARAMS = [(4,), (4,), (4, 4), (4,), (4, 4), (4, 4), (4,), (4, 4), (4,)]
+FF_PARAMS = [(4,), (4,), (4, 6), (6,), (6, 4), (4,)]  # gain, bias, w1, b1, w2, b2
 # The key bias adds the same q · bk to every score of a row, so its gradient is
 # zero and finite differences of it are noise; it is held constant.
 MHA_KEY_BIAS = Tensor(_CONST.normal(size=4))
+MHA_CONST_KV = (_CONST.normal(size=(2, 5, 2)), _CONST.normal(size=(2, 5, 2)))
+UNUSED_KV = [Tensor(np.zeros(s)) for s in [(4, 4), (4, 4), (4,)]]  # wk, wv, bv beside constant keys and values
 
 
-def _mha(x_q, x_kv, weights, mask=None):
-    wq, bq, wk, wv, bv, wo, bo = weights
-    return T.multi_head_attention(x_q, x_kv, (wq, bq, wk, MHA_KEY_BIAS, wv, bv, wo, bo), 2, mask)[0]
+def _mha(x, memory, params, mask=None, rate=0.0):
+    gain, bias, wq, bq, wk, wv, bv, wo, bo = params
+    rng = np.random.default_rng(27) if rate else None  # the same mask on every call
+    return T.multi_head_attention(x, (gain, bias, wq, bq, wk, MHA_KEY_BIAS, wv, bv, wo, bo), 2, memory, mask,
+                                  rate=rate, rng=rng)
+
+
+def _ff(x, params, rate=0.0):
+    return T.feed_forward(x, params, rate, np.random.default_rng(28) if rate else None)
+
 
 FD_CASES = [
     ("add", lambda a, b: T.add(a, b), [(3, 4), (3, 4)]),
@@ -195,12 +206,16 @@ FD_CASES = [
      [(4, 2, 2), (4, 4, 2), (4, 4, 3)]),
     ("attention_constant_kv", lambda q: T.attention(q, CONST_K, CONST_V, 0.7), [(4, 3, 2)]),
     ("attention_constant_kv_one_query", lambda q: T.attention(q, CONST_K, CONST_V, 0.7), [(4, 1, 2)]),
-    ("mha_self", lambda x, *w: _mha(x, x, w), [(3, 4)] + MHA_WEIGHTS),
-    ("mha_cross", lambda q, kv, *w: _mha(q, kv, w), [(3, 4), (5, 4)] + MHA_WEIGHTS),
-    ("mha_causal", lambda x, *w: _mha(x, x, w, CAUSAL_4), [(4, 4)] + MHA_WEIGHTS),
-    ("mha_one_query", lambda q, kv, *w: _mha(q, kv, w), [(1, 4), (5, 4)] + MHA_WEIGHTS),
-    ("feed_forward", lambda x, *w: T.feed_forward(x, *w), [(3, 4), (4, 6), (6,), (6, 4), (4,)]),
-    ("feed_forward_one_row", lambda x, *w: T.feed_forward(x, *w), [(1, 4), (4, 6), (6,), (6, 4), (4,)]),
+    ("mha_self", lambda x, *w: _mha(x, None, w), [(3, 4)] + MHA_PARAMS),
+    ("mha_self_dropout", lambda x, *w: _mha(x, None, w, rate=0.3), [(3, 4)] + MHA_PARAMS),
+    ("mha_cross", lambda x, m, *w: _mha(x, m, w), [(3, 4), (5, 4)] + MHA_PARAMS),
+    ("mha_causal", lambda x, *w: _mha(x, None, w, CAUSAL_4), [(4, 4)] + MHA_PARAMS),
+    ("mha_one_query", lambda x, m, *w: _mha(x, m, w), [(1, 4), (5, 4)] + MHA_PARAMS),
+    ("mha_constant_kv", lambda x, g, b, wq, bq, wo, bo: _mha(x, MHA_CONST_KV, (g, b, wq, bq, *UNUSED_KV, wo, bo)),
+     [(3, 4), (4,), (4,), (4, 4), (4,), (4, 4), (4,)]),
+    ("feed_forward", lambda x, *w: _ff(x, w), [(3, 4)] + FF_PARAMS),
+    ("feed_forward_one_row", lambda x, *w: _ff(x, w), [(1, 4)] + FF_PARAMS),
+    ("feed_forward_dropout", lambda x, *w: _ff(x, w, rate=0.3), [(3, 4)] + FF_PARAMS),
 ]
 
 
@@ -447,7 +462,7 @@ class TestFusedOps:
 
 
 class TestSublayerOps:
-    """Each attention and feed-forward sublayer is one tape record, and a
+    """Each pre-norm residual sublayer is one tape record, and a
     ``NumericError`` inside one names the layer it came from."""
 
     @pytest.mark.parametrize("weight,scope", [("enc.0.ff.w2", "enc.0.ff"),
@@ -463,18 +478,47 @@ class TestSublayerOps:
                 NumericError, match=f"^linear produced non-finite values in {re.escape(scope)}$"):
             model.parallel_log_probs(cfg, params, [4, 5, 6])
 
-    def test_cached_ar_step_records_24_ops(self):
+    def test_layer_norm_error_names_the_layer_scope(self):
+        cfg = _parity_config("encoder-decoder", 0.0)
+        params = init_params(cfg, 21)
+        params["enc.0.ln1.gain"].data[3] = math.inf
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericError, match=r"^layer_norm produced non-finite values in enc\.0\.self_attn$"):
+            model.parallel_log_probs(cfg, params, [4, 5, 6])
+
+    def test_residual_add_error_names_the_layer_scope(self):
+        # The encoder attention leaves about 1e308 in column 0; the norm maps
+        # that row to finite values, and the feed-forward adds 1e308 more.
+        cfg = _parity_config("encoder-decoder", 0.0)
+        params = init_params(cfg, 21)
+        params["dec.1.src_attn.bo"].data[0] = 1e308
+        params["dec.1.ff.b2"].data[0] = 1e308
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericError, match=r"^add produced non-finite values in dec\.1\.ff$"):
+            model.parallel_log_probs(cfg, params, [4, 5, 6])
+
+    def test_cached_ar_step_runs_12_ops_and_17_checks(self, monkeypatch):
         cfg = _parity_config("autoregressive-baseline", 0.0)
         params = init_params(cfg, 31)
         enc = model.encode(cfg, params, [4, 5, 6])
         cache = model.DecoderCache.build(cfg, params, enc)
         model.decode_autoregressive_step(cfg, params, enc, [], cache)
+        checks = []
+        finite = T._finite
+
+        def counting(arr, op):
+            checks.append(op)
+            return finite(arr, op)
+
+        monkeypatch.setattr(T, "_finite", counting)
         with GradTape() as tape:
             model.decode_autoregressive_step(cfg, params, enc, [7], cache)
-        # embed, scale, position add; per layer 3 × (layer norm, sublayer, add); norm, out, log-softmax
-        assert len(tape) == 3 + 9 * cfg.dec_layers + 3 == 24
+        # embed, scale, position add; per layer 3 sublayers; norm, out, log-softmax
+        assert len(tape) == 3 + 3 * cfg.dec_layers + 3 == 12
+        # scale, position add; per layer 2 per sublayer; norm, out, log-softmax
+        assert len(checks) == 2 + 6 * cfg.dec_layers + 3 == 17
 
-    @pytest.mark.parametrize("dropout,records", [(0.0, 40), (0.1, 52)])
+    @pytest.mark.parametrize("dropout,records", [(0.0, 20), (0.1, 22)])
     def test_encoder_decoder_sentence_records(self, dropout, records):
         cfg = _parity_config("encoder-decoder", dropout)
         params = init_params(cfg, 21)
@@ -482,6 +526,154 @@ class TestSublayerOps:
         with GradTape() as tape:
             sentence_loss(cfg, params, [4, 5, 6], [4, 4, 5], dropout_rng=rng)
         assert len(tape) == records
+
+
+BAD_VALUES = [math.nan, math.inf, -math.inf, 1e300]  # 1e300 is finite but overflows products
+
+
+def _outcome(call) -> bytes | str:
+    """The bytes of what ``call`` returns, or the message of the NumericError it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return call().data.tobytes()
+    except NumericError as exc:
+        return str(exc)
+
+
+def _sublayer_parameters(cfg: ModelConfig) -> list[str]:
+    return [n for n in model.parameter_shapes(cfg) if re.search(r"\.(self_attn|src_attn|ff|ln[123])\.", n)]
+
+
+def _use_reference_sublayers(monkeypatch) -> None:
+    monkeypatch.setattr(model, "multi_head_attention", reference_multi_head_attention)
+    monkeypatch.setattr(model, "feed_forward", reference_feed_forward)
+
+
+MHA_SHAPES = [(4,), (4,)] + [(4, 4), (4,)] * 4  # gain, bias, (w, b) of q, k, v and the output
+
+
+def _sublayer_form(form: str, rng: np.random.Generator):
+    """One form of a sublayer at d=4 with 2 heads: the fused op, the chain it
+    replaces, x, the parameters, the positional arguments after them and a
+    factory of the keyword arguments (fresh cache buffers on each call)."""
+    x = rng.normal(size=(3, 4))
+    if form == "ff":
+        return T.feed_forward, reference_feed_forward, x, [Tensor(rng.normal(size=s)) for s in FF_PARAMS], (), dict
+    params = [Tensor(rng.normal(size=s)) for s in MHA_SHAPES]
+    memory = {"cross": Tensor(rng.normal(size=(5, 4))),
+              "constant_kv": (rng.normal(size=(2, 5, 2)), rng.normal(size=(2, 5, 2)))}.get(form)
+    # two cached positions, then room for x's three and one more never read
+    cached = [np.concatenate((rng.normal(size=(2, 2, 2)), np.full((2, 4, 2), np.nan)), axis=1) for _ in "kv"]
+    causal = np.triu(np.full((5, 5), -1e9), k=1)
+
+    def kwargs():
+        if form == "past":
+            return {"past": (*[b.copy() for b in cached], 2), "mask": causal[2:]}
+        return {"memory": memory, "mask": causal[2:, 2:] if form == "self" else None}
+
+    return T.multi_head_attention, reference_multi_head_attention, x, params, (2,), kwargs
+
+
+class TestCheckRule:
+    """The sublayer ops check only the scores, the pre-activation and their
+    output. Against the unfused chain they replace, every poisoned input
+    raises the same error or yields the same bytes."""
+
+    def _cases(self, monkeypatch, cfg: ModelConfig, names: list[str], run) -> list[tuple[str, float]]:
+        """Run ``run(params)`` with one element of each named parameter
+        poisoned, fused and unfused; return the cases that raised."""
+        params = init_params(cfg, 41)
+        raised = []
+        for name in names:
+            flat = params[name].data.reshape(-1)
+            i = flat.size // 2
+            clean = flat[i]
+            for bad in BAD_VALUES:
+                flat[i] = bad
+                fused = _outcome(lambda: run(params))
+                with monkeypatch.context() as m:
+                    _use_reference_sublayers(m)
+                    unfused = _outcome(lambda: run(params))
+                assert fused == unfused, (name, bad)
+                if isinstance(fused, str):
+                    raised.append((name, bad))
+            flat[i] = clean
+        return raised
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_poisoned_parameters_in_an_encoder_decoder_forward(self, monkeypatch, dropout):
+        cfg = _parity_config("encoder-decoder", dropout)
+
+        def run(params):
+            rng = np.random.default_rng(42) if dropout else None
+            enc = model.encode(cfg, params, [4, 5, 6, 7], dropout_rng=rng)
+            return model.decode_parallel(cfg, params, model.split_states(params, enc, cfg.k), enc, dropout_rng=rng)
+
+        names = _sublayer_parameters(cfg)
+        raised = self._cases(monkeypatch, cfg, names, run)
+        assert 0 < len(raised) < len(names) * len(BAD_VALUES)
+
+    def test_poisoned_parameters_in_a_cached_ar_step(self, monkeypatch):
+        cfg = _parity_config("autoregressive-baseline", 0.0)
+        clean = init_params(cfg, 41)
+        enc = model.encode(cfg, clean, [4, 5, 6])
+
+        def run(params):
+            cache = model.DecoderCache.build(cfg, clean, enc)
+            for prefix in ([], [5], [5, 7]):
+                model.decode_autoregressive_step(cfg, clean, enc, prefix, cache)
+            return model.decode_autoregressive_step(cfg, params, enc, [5, 7, 4], cache)
+
+        names = [n for n in _sublayer_parameters(cfg) if n.startswith("dec.")]  # the encoder ran clean
+        assert len(names) == 52
+        raised = self._cases(monkeypatch, cfg, names, run)
+        assert 0 < len(raised) < len(names) * len(BAD_VALUES)
+
+    @pytest.mark.parametrize("form", ["self", "cross", "constant_kv", "past", "ff"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_poisoned_residual_input(self, form, dropout):
+        op, reference, x, params, args, kwargs = _sublayer_form(form, np.random.default_rng(43))
+        for i in (0, x.size - 1):
+            for bad in BAD_VALUES:
+                poisoned = x.copy()
+                poisoned.reshape(-1)[i] = bad
+                fused, unfused = (_outcome(lambda: f(Tensor(poisoned), params, *args, **kwargs(), rate=dropout,
+                                                     rng=np.random.default_rng(44)))
+                                  for f in (op, reference))
+                assert fused == unfused, (i, bad)
+                if not math.isfinite(bad):
+                    assert fused == f"layer_norm produced non-finite values in {op.__name__}"
+
+    def _same_error(self, op, reference, *args, **kwargs) -> str:
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError) as unfused:
+                reference(*args, **kwargs)
+            with pytest.raises(NumericError) as fused:
+                op(*args, **kwargs)
+        assert str(fused.value) == str(unfused.value)
+        return str(fused.value)
+
+    def test_nan_values_reach_the_output_through_a_zero_output_projection(self):
+        # v is NaN and wo is 0: only 0 * NaN = NaN, which a BLAS that skips
+        # zero terms would not compute, carries it to the checked output.
+        rng = np.random.default_rng(45)
+        params = [Tensor(rng.normal(size=s)) for s in MHA_SHAPES]
+        params[6].data[1, 2] = math.nan  # wv
+        params[8].data[:] = 0.0  # wo
+        message = self._same_error(T.multi_head_attention, reference_multi_head_attention,
+                                   Tensor(rng.normal(size=(3, 4))), params, 2)
+        assert message == "linear produced non-finite values in multi_head_attention"
+
+    def test_infinite_queries_reach_the_scores_through_a_zero_key_column(self):
+        # q's column 0 is inf and k's is 0: the scores hold inf * 0 = NaN.
+        rng = np.random.default_rng(46)
+        params = [Tensor(rng.normal(size=s)) for s in MHA_SHAPES]
+        params[3].data[0] = math.inf  # bq
+        params[4].data[:, 0] = 0.0  # wk
+        params[5].data[0] = 0.0  # bk
+        message = self._same_error(T.multi_head_attention, reference_multi_head_attention,
+                                   Tensor(rng.normal(size=(3, 4))), params, 2)
+        assert message == "linear produced non-finite values in multi_head_attention"
 
 
 def _sha1(values) -> str:
