@@ -137,8 +137,6 @@ def ctc_beam_search(log_probs, opts: DecodeOptions | None = None,
     as the reference.
     """
     opts = opts or DecodeOptions()
-    if opts.beam_width < 1:
-        raise OptionError(f"beam_width must be >= 1, got {opts.beam_width}")
     lp = _as_table(log_probs)
     T, C = lp.shape
 
@@ -254,8 +252,6 @@ def ar_beam_decode(config: ModelConfig, params: ModelParams, source_ids,
     """
     if not config.is_autoregressive:
         raise ConfigError("ar_beam_decode requires the autoregressive-baseline variant")
-    if opts.beam_width < 1:
-        raise OptionError(f"beam_width must be >= 1, got {opts.beam_width}")
     check_max_steps(config, max_steps)
     enc = encode(config, params, source_ids)
     cache = DecoderCache.build(config, params, enc)

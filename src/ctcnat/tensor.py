@@ -1,16 +1,15 @@
 """float64 tensors with an explicit reverse-mode gradient tape.
 
 Storage is flat row-major numpy with explicit shapes. The op set is exactly
-what the sequence models downstream need: matmul (optionally batched over a
-leading axis), suffix-broadcast add, elementwise mul, relu, softmax and
-log-softmax, layer norm, embedding gather, reshape / transpose, scalar
-reduction, dropout, and four fused ops: ``linear`` (x @ w + b),
-scaled-dot-product ``attention`` over a leading head axis, and the two
+what the sequence models downstream need: suffix-broadcast add, scale,
+log-softmax, layer norm, embedding gather, reshape, per-row take, scalar
+reduction, dropout, and three fused ops: ``linear`` (x @ w + b) and the two
 pre-norm residual transformer sublayers, ``x + dropout(f(layer_norm(x)))``:
-``multi_head_attention`` (f: projections, heads, attention and output
-projection, optionally over cached keys and values extended in place) and
-``feed_forward`` (f: linear, relu, linear). Each fused op is one tape record
-that computes, bit for bit, what its unfused composition computes.
+``multi_head_attention`` (f: projections, heads, scaled-dot-product
+attention and output projection, optionally over cached keys and values
+extended in place) and ``feed_forward`` (f: linear, relu, linear). Each
+fused op is one tape record that computes, bit for bit, what its unfused
+composition computes; the tests keep those compositions as the reference.
 Gradients are produced by replaying a GradTape in reverse recording order.
 
 Log-domain code represents probability zero as -inf. That sentinel is legal
@@ -63,37 +62,14 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def tolist(self):
-        return self.data.tolist()
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
 
 
 BackwardRule = Callable[[np.ndarray], None]
@@ -188,38 +164,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _emit(_finite(a.data + b.data, "add"), (a, b), rule)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
-
-    def rule(g: np.ndarray) -> None:
-        accumulate_grad(a, g * b.data)
-        accumulate_grad(b, g * a.data)
-
-    return _emit(_finite(a.data * b.data, "mul"), (a, b), rule)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     def rule(g: np.ndarray) -> None:
         accumulate_grad(a, g * c)
 
     return _emit(_finite(a.data * c, "scale"), (a,), rule)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; 3-D operands batch over the leading axis."""
-    sa, sb = a.data.shape, b.data.shape
-    if len(sa) < 2 or len(sb) < 2:
-        raise ShapeError(f"matmul: operands must be at least 2-D, got {sa} and {sb}")
-    if sa[-1] != sb[-2] or sa[:-2] != sb[:-2]:
-        raise ShapeError(f"matmul: shapes {sa} and {sb} do not conform")
-
-    def rule(g: np.ndarray) -> None:
-        accumulate_grad(a, g @ b.data.swapaxes(-1, -2))
-        accumulate_grad(b, a.data.swapaxes(-1, -2) @ g)
-
-    return _emit(_finite(a.data @ b.data, "matmul"), (a, b), rule)
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -274,29 +223,6 @@ def _score_grad(p: np.ndarray, g: np.ndarray, v: np.ndarray, c: float) -> np.nda
     gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
     gs *= c
     return gs
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, c: float, mask: np.ndarray | None = None) -> Tensor:
-    """``softmax(q @ kᵀ · c + mask) @ v`` per head, for (heads, t, d) operands.
-
-    ``mask`` is an additive array whose shape is a suffix of the scores'
-    (heads, t_q, t_k). The scores are scaled, masked and normalized in one
-    buffer; the tape keeps only the probabilities.
-    """
-    sq, sk, sv = q.data.shape, k.data.shape, v.data.shape
-    if len(sq) != 3 or len(sk) != 3 or len(sv) != 3 or sk[::2] != sq[::2] or sv[:2] != sk[:2]:
-        raise ShapeError(f"attention: shapes {sq}, {sk} and {sv} do not conform")
-    # A finite score row has a finite softmax, so the scores are checked here.
-    p = _normalize_rows(_finite(_scores(q.data, k.data, c, mask), "attention"))
-    out = _finite(p @ v.data, "attention")
-
-    def rule(g: np.ndarray) -> None:
-        accumulate_grad(v, p.swapaxes(-1, -2) @ g)
-        gs = _score_grad(p, g, v.data, c)
-        accumulate_grad(q, gs @ k.data)
-        accumulate_grad(k, (q.data.swapaxes(-1, -2) @ gs).transpose(0, 2, 1))
-
-    return _emit(out, (q, k, v), rule)
 
 
 def _normalize(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
@@ -471,26 +397,6 @@ def feed_forward(x: Tensor, params: Sequence[Tensor], rate: float = 0.0, rng: np
     return _emit(out, (x, *params), rule)
 
 
-def relu(a: Tensor) -> Tensor:
-    def rule(g: np.ndarray) -> None:
-        accumulate_grad(a, g * (a.data > 0.0))
-
-    return _emit(np.maximum(a.data, 0.0), (a,), rule)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Max-shifted softmax; every slice along ``axis`` sums to 1."""
-    # In place: attention scores are the largest arrays a forward makes.
-    p = a.data - a.data.max(axis=axis, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=axis, keepdims=True)
-
-    def rule(g: np.ndarray) -> None:
-        accumulate_grad(a, p * (g - (g * p).sum(axis=axis, keepdims=True)))
-
-    return _emit(_finite(p, "softmax"), (a,), rule)
-
-
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     m = a.data.max(axis=axis, keepdims=True)
     shifted = a.data - m
@@ -539,17 +445,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
         accumulate_grad(a, g.reshape(a.shape))
 
     return _emit(a.data.reshape(shape), (a,), rule)
-
-
-def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inv = [0] * len(axes)
-    for i, axis in enumerate(axes):
-        inv[axis] = i
-
-    def rule(g: np.ndarray) -> None:
-        accumulate_grad(a, g.transpose(inv))
-
-    return _emit(a.data.transpose(axes), (a,), rule)
 
 
 def take_per_row(a: Tensor, cols: Sequence[int]) -> Tensor:

@@ -119,7 +119,9 @@ def reference_ctc_beam_search(log_probs, opts: DecodeOptions | None = None,
 # The tape ops that ``ctcnat.tensor`` makes cheaper, kept as their reference:
 # with these patched in, every loss, gradient and decode must be equal, bit
 # for bit. Verbatim apart from their names, except the fused ops, which are
-# given as the compositions they replace.
+# given as the compositions they replace. ``matmul``, ``mul``, ``relu``,
+# ``softmax`` and ``transpose`` live only here, as parts of those
+# compositions.
 
 def reference_accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     """Add a gradient contribution to ``t`` (no-op unless it requires grad)."""
@@ -144,6 +146,40 @@ def reference_finite(arr: np.ndarray, op: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NumericError(f"{op} produced non-finite values")
     return arr
+
+
+def reference_mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product of same-shape tensors."""
+    if a.shape != b.shape:
+        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
+
+    def rule(g: np.ndarray) -> None:
+        reference_accumulate_grad(a, g * b.data)
+        reference_accumulate_grad(b, g * a.data)
+
+    return reference_emit(reference_finite(a.data * b.data, "mul"), (a, b), rule)
+
+
+def reference_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product; 3-D operands batch over the leading axis."""
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) < 2 or len(sb) < 2:
+        raise ShapeError(f"matmul: operands must be at least 2-D, got {sa} and {sb}")
+    if sa[-1] != sb[-2] or sa[:-2] != sb[:-2]:
+        raise ShapeError(f"matmul: shapes {sa} and {sb} do not conform")
+
+    def rule(g: np.ndarray) -> None:
+        reference_accumulate_grad(a, g @ b.data.swapaxes(-1, -2))
+        reference_accumulate_grad(b, a.data.swapaxes(-1, -2) @ g)
+
+    return reference_emit(reference_finite(a.data @ b.data, "matmul"), (a, b), rule)
+
+
+def reference_relu(a: Tensor) -> Tensor:
+    def rule(g: np.ndarray) -> None:
+        reference_accumulate_grad(a, g * (a.data > 0.0))
+
+    return reference_emit(np.maximum(a.data, 0.0), (a,), rule)
 
 
 def reference_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -204,15 +240,16 @@ def reference_transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 def reference_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """The matmul and add that ``tensor.linear`` fuses."""
-    return tensor.add(tensor.matmul(x, w), b)
+    return tensor.add(reference_matmul(x, w), b)
 
 
 def reference_attention(q: Tensor, k: Tensor, v: Tensor, c: float, mask: np.ndarray | None = None) -> Tensor:
-    """The five-op chain that ``tensor.attention`` fuses."""
-    scores = tensor.scale(tensor.matmul(q, tensor.transpose(k, (0, 2, 1))), c)
+    """The five-op chain of scaled-dot-product attention over a leading head
+    axis that ``tensor.multi_head_attention`` fuses."""
+    scores = tensor.scale(reference_matmul(q, reference_transpose(k, (0, 2, 1))), c)
     if mask is not None:
         scores = tensor.add(scores, Tensor(mask))
-    return tensor.matmul(tensor.softmax(scores, axis=-1), v)
+    return reference_matmul(reference_softmax(scores, axis=-1), v)
 
 
 def _constant(arr: np.ndarray) -> Tensor:
@@ -227,16 +264,18 @@ def reference_multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: i
                                    past: tensor.Past | None = None, rate: float = 0.0,
                                    rng: np.random.Generator | None = None,
                                    scope: str = "multi_head_attention") -> Tensor:
-    """The chain of ``layer_norm``, ``linear``, head split, ``attention``,
-    head merge, ``linear``, ``dropout`` and ``add`` that
+    """The chain of ``layer_norm``, ``linear``, head split, attention, head
+    merge, ``linear``, ``dropout`` and ``add`` that
     ``tensor.multi_head_attention`` fuses. It attends over the cached keys
     and values joined by ``np.concatenate`` and writes the new positions
-    into ``past``'s buffers, as the fused op does."""
+    into ``past``'s buffers, as the fused op does. An error of any op inside
+    the attention names ``attention``, as the fused op's score and output
+    checks do."""
     gain, bias, wq, bq, wk, bk, wv, bv, wo, bo = params
     t_q, d = x.shape
 
     def split(h: Tensor) -> Tensor:
-        return tensor.transpose(tensor.reshape(h, (h.shape[0], heads, d // heads)), (1, 0, 2))
+        return reference_transpose(tensor.reshape(h, (h.shape[0], heads, d // heads)), (1, 0, 2))
 
     try:
         normed = tensor.layer_norm(x, gain, bias)
@@ -251,8 +290,11 @@ def reference_multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: i
                 kv = tuple(Tensor(np.concatenate((buf[:, :n], new.data), axis=1)) for buf, new in zip(buffers, kv))
         else:
             kv = tuple(_constant(a) for a in memory)
-        ctx = tensor.attention(qh, *kv, 1.0 / math.sqrt(d // heads), mask)
-        merged = tensor.reshape(tensor.transpose(ctx, (1, 0, 2)), (t_q, d))
+        try:
+            ctx = reference_attention(qh, *kv, 1.0 / math.sqrt(d // heads), mask)
+        except NumericError:
+            raise NumericError("attention produced non-finite values") from None
+        merged = tensor.reshape(reference_transpose(ctx, (1, 0, 2)), (t_q, d))
         sub = tensor.linear(merged, wo, bo)
         return tensor.add(x, sub if rng is None else tensor.dropout(sub, rate, rng))
     except NumericError as exc:
@@ -265,7 +307,7 @@ def reference_feed_forward(x: Tensor, params: Sequence[Tensor], rate: float = 0.
     ``add`` that ``tensor.feed_forward`` fuses."""
     gain, bias, w1, b1, w2, b2 = params
     try:
-        sub = tensor.linear(tensor.relu(tensor.linear(tensor.layer_norm(x, gain, bias), w1, b1)), w2, b2)
+        sub = tensor.linear(reference_relu(tensor.linear(tensor.layer_norm(x, gain, bias), w1, b1)), w2, b2)
         return tensor.add(x, sub if rng is None else tensor.dropout(sub, rate, rng))
     except NumericError as exc:
         raise NumericError(f"{exc} in {scope}") from None
@@ -300,12 +342,9 @@ REFERENCES = {
         "accumulate_grad": reference_accumulate_grad,
         "_emit": reference_emit,
         "_finite": reference_finite,
-        "softmax": reference_softmax,
         "layer_norm": reference_layer_norm,
         "reshape": reference_reshape,
-        "transpose": reference_transpose,
         "linear": reference_linear,
-        "attention": reference_attention,
         "multi_head_attention": reference_multi_head_attention,
         "feed_forward": reference_feed_forward,
     },
