@@ -18,6 +18,7 @@ from ctcnat.training import batch_loss, feasible_pairs, sentence_loss
 
 from helpers import (
     central_diff,
+    reference_attention,
     reference_emit,
     reference_feed_forward,
     reference_lattice,
@@ -168,6 +169,8 @@ def _loss_through(op, tensors, rng):
 
 CAUSAL_4 = np.triu(np.full((4, 4), -1e9), k=1)
 _CONST = np.random.default_rng(19)
+CONST_K = Tensor(_CONST.normal(size=(4, 5, 2)))  # cached keys and values carry no gradient
+CONST_V = Tensor(_CONST.normal(size=(4, 5, 3)))
 # gain, bias, wq, bq, wk, wv, bv, wo, bo at d=4
 MHA_PARAMS = [(4,), (4,), (4, 4), (4,), (4, 4), (4, 4), (4,), (4, 4), (4,)]
 FF_PARAMS = [(4,), (4,), (4, 6), (6,), (6, 4), (4,)]  # gain, bias, w1, b1, w2, b2
@@ -204,6 +207,14 @@ FD_CASES = [
     ("sum_all", lambda a: T.sum_all(a), [(4, 2)]),
     ("linear", lambda x, w, b: T.linear(x, w, b), [(3, 4), (4, 5), (5,)]),
     ("linear_one_row", lambda x, w, b: T.linear(x, w, b), [(1, 4), (4, 2), (2,)]),
+    ("attention", lambda q, k, v: reference_attention(q, k, v, 0.7), [(4, 3, 2), (4, 5, 2), (4, 5, 3)]),
+    ("attention_one_query", lambda q, k, v: reference_attention(q, k, v, 0.7), [(4, 1, 2), (4, 5, 2), (4, 5, 3)]),
+    ("attention_causal", lambda q, k, v: reference_attention(q, k, v, 0.7, CAUSAL_4),
+     [(4, 4, 2), (4, 4, 2), (4, 4, 3)]),
+    ("attention_causal_suffix", lambda q, k, v: reference_attention(q, k, v, 0.7, CAUSAL_4[2:]),
+     [(4, 2, 2), (4, 4, 2), (4, 4, 3)]),
+    ("attention_constant_kv", lambda q: reference_attention(q, CONST_K, CONST_V, 0.7), [(4, 3, 2)]),
+    ("attention_constant_kv_one_query", lambda q: reference_attention(q, CONST_K, CONST_V, 0.7), [(4, 1, 2)]),
     ("mha_self", lambda x, *w: _mha(x, None, w), [(3, 4)] + MHA_PARAMS),
     ("mha_self_dropout", lambda x, *w: _mha(x, None, w, rate=0.3), [(3, 4)] + MHA_PARAMS),
     ("mha_cross", lambda x, m, *w: _mha(x, m, w), [(3, 4), (5, 4)] + MHA_PARAMS),
@@ -394,17 +405,18 @@ def _linear_inputs():
 
 def _attention_inputs():
     rng = np.random.default_rng(25)
-    return [0.5, rng.normal(size=(1, 5, 1)), rng.normal(size=(1, 5, 1)), np.zeros((3, 5)), 3]
+    return [np.array([0.5]), rng.normal(size=(1, 5, 1)), rng.normal(size=(1, 5, 1)), np.zeros((3, 5)), 3]
 
 
-def _attend(op, q: float, keys: np.ndarray, values: np.ndarray, mask: np.ndarray | None = None, rows: int = 1):
+def _attend(op, q: float | np.ndarray, keys: np.ndarray, values: np.ndarray, mask: np.ndarray | None = None,
+            rows: int = 1):
     """``op``, ``multi_head_attention`` or its reference, reduced to its
     attention step: one head at d=1, where the normed input is the bias 0, so
     each of the ``rows`` queries is ``q``. The (1, positions, 1) ``keys`` and
     ``values`` come as a KV memory, and the output projection is 1, so the
     output is the attention output added to zeros."""
     one, zero = Tensor([[1.0]]), Tensor([0.0])
-    params = (Tensor([1.0]), zero, Tensor([[0.0]]), Tensor([q]), one, zero, one, zero, one, zero)
+    params = (Tensor([1.0]), zero, Tensor([[0.0]]), Tensor(np.reshape(q, 1)), one, zero, one, zero, one, zero)
     return op(Tensor(np.zeros((rows, 1))), params, 1, (keys, values), mask)
 
 
@@ -424,23 +436,26 @@ class TestFusedOps:
     ``NumericError`` on exactly the inputs where their unfused compositions
     raise, and name themselves."""
 
-    def _raises_like_reference(self, op: str, values) -> None:
+    def _raises_like_reference(self, op: str, values, message: str | None = None) -> None:
+        message = message or MESSAGES[op]
         with np.errstate(all="ignore"):
             with pytest.raises(NumericError) as unfused:
                 _call(op, False, values)
-            with pytest.raises(NumericError, match=f"^{MESSAGES[op]}$"):
+            with pytest.raises(NumericError, match=f"^{message}$"):
                 _call(op, True, values)
-        # The unfused linear names its matmul or add; the attention chain names attention.
-        assert op == "linear" or str(unfused.value) == MESSAGES[op]
+        # The unfused linear names its matmul or add; the sublayer chain names what the fused op does.
+        assert op == "linear" or str(unfused.value) == message
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("op,index", [("linear", 0), ("linear", 1), ("linear", 2), ("attention", 1),
-                                          ("attention", 2), ("attention", 3)])
+    @pytest.mark.parametrize("op,index", [("linear", 0), ("linear", 1), ("linear", 2), ("attention", 0),
+                                          ("attention", 1), ("attention", 2), ("attention", 3)])
     def test_one_non_finite_input_element_raises(self, op, index, bad):
-        # attention's inputs 1, 2 and 3 are the keys, the values and the mask
+        # attention's inputs 0 to 3 are the query, the keys, the values and the
+        # mask; a non-finite query is first the query projection's error
         values = _linear_inputs() if op == "linear" else _attention_inputs()
         values[index].reshape(-1)[values[index].size // 2] = bad
-        self._raises_like_reference(op, values)
+        query = (op, index) == ("attention", 0)
+        self._raises_like_reference(op, values, f"{MESSAGES['linear']} in multi_head_attention" if query else None)
 
     def test_linear_output_that_overflows_raises(self):
         self._raises_like_reference("linear", [np.full((1, 2), 1e308), np.full((2, 1), 1.0), np.zeros(1)])
