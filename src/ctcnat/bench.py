@@ -57,7 +57,6 @@ class TimingRecord:
     out_len: int
     mode: str
     ms: float
-    repetitions: int
 
 
 def _make_runner(mode: str, ar_model, nar_model, beam: DecodeOptions,
@@ -160,8 +159,7 @@ def bench_decode(pairs: Sequence[SentencePair], modes: Sequence[str] = MODES,
         for i, pair in enumerate(pairs):
             ms = statistics.median(per_rep[i][j][0] for per_rep in rounds)
             records.append(TimingRecord(sentence_id=i, src_len=len(pair.source_ids),
-                                        out_len=len(rounds[-1][i][j][1]), mode=mode, ms=ms,
-                                        repetitions=reps))
+                                        out_len=len(rounds[-1][i][j][1]), mode=mode, ms=ms))
     return records, summarize(records, blas_before)
 
 

@@ -179,36 +179,16 @@ def load_parallel(source_path: str | Path, target_path: str | Path, vocab: Vocab
 
 @dataclass(frozen=True)
 class Batch:
-    """Padded id matrices plus the true lengths needed to strip padding."""
+    """The unpadded source and target id sequences of a batch, in pair order."""
 
-    source: np.ndarray
-    target: np.ndarray
-    source_lengths: tuple[int, ...]
-    target_lengths: tuple[int, ...]
-
-    def source_row(self, i: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.source[i, : self.source_lengths[i]])
-
-    def target_row(self, i: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.target[i, : self.target_lengths[i]])
+    sources: tuple[tuple[int, ...], ...]
+    targets: tuple[tuple[int, ...], ...]
 
 
 def batch_pairs(pairs: Sequence[SentencePair]) -> Batch:
     if not pairs:
         raise CorpusError("cannot batch zero pairs")
-    s_lens = tuple(len(p.source_ids) for p in pairs)
-    t_lens = tuple(len(p.target_ids) for p in pairs)
-    src = np.full((len(pairs), max(s_lens)), PAD_ID, dtype=np.int64)
-    tgt = np.full((len(pairs), max(t_lens)), PAD_ID, dtype=np.int64)
-    for i, p in enumerate(pairs):
-        src[i, : s_lens[i]] = p.source_ids
-        tgt[i, : t_lens[i]] = p.target_ids
-    return Batch(source=src, target=tgt, source_lengths=s_lens, target_lengths=t_lens)
-
-
-def unbatch(batch: Batch) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Recover the exact unpadded id sequences."""
-    return [(batch.source_row(i), batch.target_row(i)) for i in range(len(batch.source_lengths))]
+    return Batch(sources=tuple(p.source_ids for p in pairs), targets=tuple(p.target_ids for p in pairs))
 
 
 def synthetic_vocab(vocab_size: int) -> Vocabulary:

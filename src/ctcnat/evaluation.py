@@ -188,14 +188,12 @@ def _guarded_pearson(xs, ys) -> float | None:
 
 
 def analyze(config: ModelConfig, params: ModelParams, vocab: Vocabulary,
-            pairs: Sequence[SentencePair], opts: DecodeOptions | None = None,
-            mode: str = "greedy", max_steps: int | None = None) -> EvalReport:
-    """Decode a corpus and correlate sentence BLEU with source length and,
-    for the parallel models, with the null-symbol count of the greedy frame
-    labeling (the only place nulls exist)."""
-    if mode not in ("greedy", "beam"):
-        raise InputError(f"unknown decode mode {mode!r}")
-    beam = (opts or DecodeOptions()) if mode == "beam" else None
+            pairs: Sequence[SentencePair], beam: DecodeOptions | None = None,
+            max_steps: int | None = None) -> EvalReport:
+    """Decode a corpus, greedily or with ``beam``, and correlate sentence
+    BLEU with source length and, for the parallel models, with the
+    null-symbol count of the greedy frame labeling (the only place nulls
+    exist)."""
     hyps, nulls = [], []
     for pair in pairs:
         if config.is_autoregressive:

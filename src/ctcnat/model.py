@@ -113,10 +113,6 @@ class EncoderStates:
 
     states: Tensor
 
-    @property
-    def source_length(self) -> int:
-        return self.states.shape[0]
-
 
 @dataclass
 class SplitStates:
@@ -125,32 +121,25 @@ class SplitStates:
     states: Tensor
 
 
-def _attn_shapes(prefix: str, d: int) -> dict[str, tuple[int, ...]]:
-    out = {}
-    for name in ("wq", "wk", "wv", "wo"):
-        out[f"{prefix}.{name}"] = (d, d)
-    for name in ("bq", "bk", "bv", "bo"):
-        out[f"{prefix}.{name}"] = (d,)
-    return out
+@lru_cache(maxsize=256)
+def _sublayers(prefix: str, cross: bool) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """The scope and parameter names of each sublayer of block ``prefix``,
+    in the order the sublayer ops take them: norm gain and bias, then weights."""
+    def sublayer(norm: str, scope: str, weights: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
+        return f"{prefix}.{scope}", (f"{prefix}.{norm}.gain", f"{prefix}.{norm}.bias",
+                                     *(f"{prefix}.{scope}.{w}" for w in weights))
+
+    attn = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+    cross_attn = (sublayer("ln2", "src_attn", attn),) if cross else ()
+    return (sublayer("ln1", "self_attn", attn), *cross_attn,
+            sublayer("ln3" if cross else "ln2", "ff", ("w1", "b1", "w2", "b2")))
 
 
 def _block_shapes(prefix: str, d: int, ff: int, cross: bool) -> dict[str, tuple[int, ...]]:
-    out = {}
-    out.update(_attn_shapes(f"{prefix}.self_attn", d))
-    out[f"{prefix}.ln1.gain"] = (d,)
-    out[f"{prefix}.ln1.bias"] = (d,)
-    if cross:
-        out.update(_attn_shapes(f"{prefix}.src_attn", d))
-        out[f"{prefix}.ln2.gain"] = (d,)
-        out[f"{prefix}.ln2.bias"] = (d,)
-    ln_ff = "ln3" if cross else "ln2"
-    out[f"{prefix}.{ln_ff}.gain"] = (d,)
-    out[f"{prefix}.{ln_ff}.bias"] = (d,)
-    out[f"{prefix}.ff.w1"] = (d, ff)
-    out[f"{prefix}.ff.b1"] = (ff,)
-    out[f"{prefix}.ff.w2"] = (ff, d)
-    out[f"{prefix}.ff.b2"] = (d,)
-    return out
+    """The shape of every parameter that ``_sublayers`` names for block ``prefix``."""
+    ff_shapes = {f"{prefix}.ff.w1": (d, ff), f"{prefix}.ff.b1": (ff,), f"{prefix}.ff.w2": (ff, d)}
+    return {name: ff_shapes.get(name, (d, d) if name.rsplit(".", 1)[1].startswith("w") else (d,))
+            for _, names in _sublayers(prefix, cross) for name in names}
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -242,20 +231,6 @@ def _maybe_drop(x: Tensor, config: ModelConfig, rng: np.random.Generator | None)
     return dropout(x, config.dropout_rate, rng)
 
 
-@lru_cache(maxsize=256)
-def _sublayers(prefix: str, cross: bool) -> tuple[tuple[str, tuple[str, ...]], ...]:
-    """The scope and parameter names of each sublayer of block ``prefix``,
-    in the order the sublayer ops take them: norm gain and bias, then weights."""
-    def sublayer(norm: str, scope: str, weights: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
-        return f"{prefix}.{scope}", (f"{prefix}.{norm}.gain", f"{prefix}.{norm}.bias",
-                                     *(f"{prefix}.{scope}.{w}" for w in weights))
-
-    attn = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
-    cross_attn = (sublayer("ln2", "src_attn", attn),) if cross else ()
-    return (sublayer("ln1", "self_attn", attn), *cross_attn,
-            sublayer("ln3" if cross else "ln2", "ff", ("w1", "b1", "w2", "b2")))
-
-
 def _block(params: ModelParams, prefix: str, x: Tensor, config: ModelConfig,
            memory: Tensor | KV | None = None, mask: np.ndarray | None = None,
            rng: np.random.Generator | None = None, past: Past | None = None) -> Tensor:
@@ -287,20 +262,15 @@ def _check_ids(ids, config: ModelConfig) -> list[int]:
 
 
 def encode(config: ModelConfig, params: ModelParams, source_ids,
-           *, dropout_rng: np.random.Generator | None = None, posenc: bool = True) -> EncoderStates:
-    """Run the shared encoder stack over a source id sequence.
-
-    ``posenc=False`` drops the position table, which makes the encoder
-    permutation-equivariant; used by diagnostics and tests.
-    """
+           *, dropout_rng: np.random.Generator | None = None) -> EncoderStates:
+    """Run the shared encoder stack over a source id sequence."""
     ids = _check_ids(source_ids, config)
     if not ids:
         raise LengthError("empty source sequence")
     if len(ids) > config.max_len:
         raise LengthError(f"source length {len(ids)} exceeds max_len {config.max_len}")
     x = scale(embed(params["src_embed"], ids), math.sqrt(config.d_model))
-    if posenc:
-        x = add(x, Tensor(sinusoid_table(config.max_len, config.d_model)[: len(ids)]))
+    x = add(x, Tensor(sinusoid_table(config.max_len, config.d_model)[: len(ids)]))
     x = _maybe_drop(x, config, dropout_rng)
     for i in range(config.enc_layers):
         x = _block(params, f"enc.{i}", x, config, rng=dropout_rng)
@@ -327,14 +297,14 @@ def decode_parallel(config: ModelConfig, params: ModelParams, split: SplitStates
         raise ConfigError("decode_parallel requires a parallel-labeling variant")
     x = split.states
     if config.variant == "deep-encoder":
-        return log_softmax(_proj(params, "out", x), axis=-1)
+        return log_softmax(_proj(params, "out", x))
     if config.variant == "encoder-decoder-posenc":
         table = sinusoid_table(config.k * config.max_len, config.d_model)
         x = add(x, Tensor(table[: x.shape[0]]))
     x = _maybe_drop(x, config, dropout_rng)
     for i in range(config.dec_layers):
         x = _block(params, f"dec.{i}", x, config, enc.states, rng=dropout_rng)
-    return log_softmax(_proj(params, "out", _ln(params, "dec.ln_out", x)), axis=-1)
+    return log_softmax(_proj(params, "out", _ln(params, "dec.ln_out", x)))
 
 
 def parallel_log_probs(config: ModelConfig, params: ModelParams, source_ids) -> Tensor:
@@ -375,7 +345,7 @@ def _ar_decoder(config: ModelConfig, params: ModelParams, ids: list[int], start:
     for i in range(config.dec_layers):
         x = _block(params, f"dec.{i}", x, config, memory[i], mask, rng,
                    None if past is None else (past.kv[i, 0], past.kv[i, 1], start))
-    return log_softmax(_proj(params, "out", _ln(params, "dec.ln_out", x)), axis=-1)
+    return log_softmax(_proj(params, "out", _ln(params, "dec.ln_out", x)))
 
 
 def decode_autoregressive_full(config: ModelConfig, params: ModelParams, enc: EncoderStates,

@@ -38,6 +38,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 NEG_INF = float("-inf")
+LAYER_NORM_EPS = 1e-6
 
 
 class ShapeError(ValueError):
@@ -225,8 +226,7 @@ def _score_grad(p: np.ndarray, g: np.ndarray, v: np.ndarray, c: float) -> np.nda
     return gs
 
 
-def _normalize(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-               eps: float = 1e-6) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _normalize(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The forward of ``layer_norm``: the output, the normalized input and
     the inverse standard deviation."""
     d = x.shape[-1]
@@ -234,7 +234,7 @@ def _normalize(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     mu = x.sum(axis=-1, keepdims=True) / d
     centered = x - mu
     var = (centered * centered).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
     return xhat * gain + bias, xhat, inv
 
@@ -397,23 +397,25 @@ def feed_forward(x: Tensor, params: Sequence[Tensor], rate: float = 0.0, rng: np
     return _emit(out, (x, *params), rule)
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    m = a.data.max(axis=axis, keepdims=True)
+def log_softmax(a: Tensor) -> Tensor:
+    """Log-probabilities over the last axis."""
+    m = a.data.max(axis=-1, keepdims=True)
     shifted = a.data - m
-    out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
     def rule(g: np.ndarray) -> None:
-        accumulate_grad(a, g - np.exp(out) * g.sum(axis=axis, keepdims=True))
+        accumulate_grad(a, g - np.exp(out) * g.sum(axis=-1, keepdims=True))
 
     return _emit(_finite(out, "log_softmax"), (a,), rule)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Per-vector normalization over the last axis, then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-vector normalization over the last axis, with ``LAYER_NORM_EPS``
+    added to the variance, then affine."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    out, xhat, inv = _normalize(x.data, gain.data, bias.data, eps)
+    out, xhat, inv = _normalize(x.data, gain.data, bias.data)
 
     def rule(g: np.ndarray) -> None:
         accumulate_grad(x, _normalize_grad(g, gain, bias, xhat, inv))

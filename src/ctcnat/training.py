@@ -17,6 +17,7 @@ bit-exact.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
@@ -58,16 +59,20 @@ class FormatError(ValueError):
     """Unreadable checkpoint file."""
 
 
+# The Transformer's Adam settings, which the paper trains with.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.98
+ADAM_EPS = 1e-9
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimization settings; learning rate ramps linearly over ``warmup``
-    steps then decays as 1/sqrt(step)."""
+    steps then decays as 1/sqrt(step). Adam runs with the fixed
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``."""
 
     learning_rate: float = 3e-3
     warmup: int = 200
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.98
-    adam_eps: float = 1e-9
     batch_size: int = 16
     max_steps: int = 1000
     validation_interval: int = 200
@@ -83,14 +88,8 @@ class TrainConfig:
         for name in ("batch_size", "max_steps", "validation_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("learning_rate", "adam_eps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{name} must be finite and > 0, got {value}")
-        for name in ("adam_beta1", "adam_beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {value}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -99,7 +98,6 @@ class Checkpoint:
     params: ModelParams
     step: int
     valid_score: float
-    version: str = FORMAT_VERSION
 
 
 @dataclass(frozen=True)
@@ -114,30 +112,30 @@ def lr_at(step: int, base: float, warmup: int) -> float:
 
 
 class Adam:
-    """Standard Adam with bias correction over a named parameter set."""
+    """Standard Adam with bias correction over a named parameter set, with
+    betas ``ADAM_BETA1``, ``ADAM_BETA2`` and epsilon ``ADAM_EPS``."""
 
-    def __init__(self, params: ModelParams, beta1: float = 0.9, beta2: float = 0.98, eps: float = 1e-9):
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.t = 0
 
     def step(self, lr: float) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params.items():
             if p.grad is None:
                 continue
             g = p.grad
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -172,15 +170,10 @@ def sentence_loss(config: ModelConfig, params: ModelParams, source_ids, target_i
 
 def batch_loss(config: ModelConfig, params: ModelParams, batch: Batch,
                *, dropout_rng: np.random.Generator | None = None) -> Tensor:
-    """Mean per-sentence loss; padding is stripped via the stored lengths
-    and never touches the forward pass."""
-    n = len(batch.source_lengths)
-    total = sentence_loss(config, params, batch.source_row(0), batch.target_row(0),
-                          dropout_rng=dropout_rng)
-    for i in range(1, n):
-        total = add(total, sentence_loss(config, params, batch.source_row(i), batch.target_row(i),
-                                         dropout_rng=dropout_rng))
-    return scale(total, 1.0 / n)
+    """Mean per-sentence loss, the sentence losses added in batch order."""
+    losses = (sentence_loss(config, params, source_ids, target_ids, dropout_rng=dropout_rng)
+              for source_ids, target_ids in zip(batch.sources, batch.targets))
+    return scale(functools.reduce(add, losses), 1.0 / len(batch.sources))
 
 
 def feasible_pairs(config: ModelConfig, pairs: Sequence[SentencePair]) -> tuple[list[SentencePair], int]:
@@ -257,7 +250,7 @@ def train(model_config: ModelConfig, train_pairs: Sequence[SentencePair],
 
     rng = np.random.default_rng(train_config.seed)
     params = init_params(model_config, rng)
-    optimizer = Adam(params, train_config.adam_beta1, train_config.adam_beta2, train_config.adam_eps)
+    optimizer = Adam(params)
     ckpt_dir = Path(train_config.checkpoint_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     retention = _Retention(ckpt_dir, train_config.keep_top)
@@ -348,7 +341,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(MAGIC + ckpt.version.encode("ascii"))
+            f.write(MAGIC + FORMAT_VERSION.encode("ascii"))
             f.write(struct.pack("<I", len(lines)))
             for line in lines:
                 raw = line.encode("utf-8")
@@ -436,4 +429,4 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
             raise CheckpointError(f"parameter {name} has shape {params[name].shape}, config implies {shape}")
     if expected_config is not None and config != expected_config:
         raise CheckpointError(f"checkpoint config {config} does not match expected {expected_config}")
-    return Checkpoint(config=config, params=params, step=step, valid_score=valid_score, version=version)
+    return Checkpoint(config=config, params=params, step=step, valid_score=valid_score)

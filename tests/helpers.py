@@ -11,7 +11,7 @@ import numpy as np
 
 from ctcnat import ctc, model, tensor, training
 from ctcnat.ctc import CtcLattice, LabelSequence, _extended, _skip_allowed
-from ctcnat.decoding import DecodeOptions, Hypothesis, OptionError, PrefixScorer, _as_table, _lse2
+from ctcnat.decoding import DecodeOptions, Hypothesis, PrefixScorer, _as_table, _lse2
 from ctcnat.tensor import _TAPES, NEG_INF, BackwardRule, NumericError, ShapeError, Tensor
 
 
@@ -69,8 +69,6 @@ def reference_ctc_beam_search(log_probs, opts: DecodeOptions | None = None,
     always the pure CTC mass.
     """
     opts = opts or DecodeOptions()
-    if opts.beam_width < 1:
-        raise OptionError(f"beam_width must be >= 1, got {opts.beam_width}")
     lp = _as_table(log_probs)
     T, C = lp.shape
 

@@ -1,9 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from ctcnat.cli import RunConfig, main, parse_config, serialize_config
+from ctcnat.cli import _FIELD_OF_KEY, RunConfig, main, parse_config, serialize_config
 from ctcnat.model import ModelConfig, init_params
-from ctcnat.training import Checkpoint, load_checkpoint, save_checkpoint
+from ctcnat.training import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
 
 
 def write_config(path, **overrides):
@@ -41,6 +43,13 @@ class TestConfigFile:
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# comment\n\nd_model=24\n")
         assert cfg.d_model == 24
+
+    def test_every_model_and_training_setting_has_a_config_key(self):
+        """No setting of a training run is reachable from the library alone;
+        vocab_size comes from the vocabulary."""
+        settable = {_FIELD_OF_KEY.get(f.name, f.name) for f in fields(RunConfig)}
+        settings = {f.name for f in fields(ModelConfig) + fields(TrainConfig)} - {"vocab_size"}
+        assert sorted(settings - settable) == []
 
 
 class TestTrainCommand:

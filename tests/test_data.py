@@ -17,7 +17,6 @@ from ctcnat.data import (
     gen_synthetic,
     load_parallel,
     synthetic_vocab,
-    unbatch,
 )
 
 
@@ -113,14 +112,8 @@ class TestBatching:
         pairs = [SentencePair((4, 5), (5,), "a b", "b"),
                  SentencePair((6,), (4, 5, 6), "c", "a b c")]
         batch = batch_pairs(pairs)
-        assert batch.source.shape == (2, 2)
-        assert batch.target.shape == (2, 3)
-        assert unbatch(batch) == [((4, 5), (5,)), ((6,), (4, 5, 6))]
-
-    def test_padding_uses_pad_id(self):
-        pairs = [SentencePair((4,), (4,), "a", "a"), SentencePair((5, 6), (5, 6), "b c", "b c")]
-        batch = batch_pairs(pairs)
-        assert batch.source[0, 1] == PAD_ID
+        assert batch.sources == ((4, 5), (6,))
+        assert batch.targets == ((5,), (4, 5, 6))
 
     def test_empty_rejected(self):
         with pytest.raises(CorpusError):

@@ -138,7 +138,7 @@ class TestAnalyze:
         vocab, pairs, cfg = self.autoregressive_setup()
         params = init_params(cfg, 1)  # greedy stops at once here, beam-4 does not
         opts = DecodeOptions(beam_width=4)
-        beam = analyze(cfg, params, vocab, pairs, opts, mode="beam")
+        beam = analyze(cfg, params, vocab, pairs, beam=opts)
         greedy = analyze(cfg, params, vocab, pairs)
         want = [ar_beam_decode(cfg, params, p.source_ids, opts, min(2 * len(p.source_ids) + 8, 31))
                 for p in pairs]

@@ -77,7 +77,7 @@ class TestEncode:
         params = init_params(cfg, 0)
         enc = encode(cfg, params, [4, 5, 6, 7])
         assert enc.states.shape == (4, cfg.d_model)
-        assert enc.source_length == 4
+        assert enc.states.shape[0] == 4
 
     def test_deterministic_forward(self):
         cfg = tiny_config()
@@ -86,13 +86,14 @@ class TestEncode:
         b = encode(cfg, params, [4, 5, 6]).states.data
         assert np.array_equal(a, b)
 
-    def test_permutation_equivariance_without_positions(self):
+    def test_permutation_equivariance_without_positions(self, monkeypatch):
+        monkeypatch.setattr(M, "sinusoid_table", lambda length, d: np.zeros((length, d)))
         cfg = tiny_config()
         params = init_params(cfg, 2)
         ids = [4, 5, 6, 7, 8]
         perm = [2, 0, 4, 1, 3]
-        base = encode(cfg, params, ids, posenc=False).states.data
-        permuted = encode(cfg, params, [ids[i] for i in perm], posenc=False).states.data
+        base = encode(cfg, params, ids).states.data
+        permuted = encode(cfg, params, [ids[i] for i in perm]).states.data
         assert np.allclose(permuted, base[perm], atol=1e-10)
 
     def test_id_out_of_range(self):
