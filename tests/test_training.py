@@ -10,7 +10,7 @@ from ctcnat import training
 from ctcnat.ctc import count_alignments
 from ctcnat.data import SentencePair, batch_pairs, gen_synthetic, synthetic_vocab
 from ctcnat.model import ConfigError, ModelConfig, init_params
-from ctcnat.tensor import GradTape
+from ctcnat.tensor import GradTape, Tensor
 from ctcnat.training import (
     Adam,
     Checkpoint,
@@ -59,8 +59,33 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=f"^{field} "):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("field", ["warmup", "keep_top", "batch_size", "max_steps",
+                                       "validation_interval"])
+    def test_count_below_one_is_rejected_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be >= 1, got {value}$"):
+            TrainConfig(**{field: value})
+
     def test_boundary_values_are_accepted(self):
         TrainConfig(learning_rate=1e-300)
+
+
+class TestAdam:
+    def test_two_steps_match_the_transformer_settings(self):
+        """Two bias-corrected steps, worked out with beta1 0.9, beta2 0.98 and
+        epsilon 1e-9; the second coordinate's gradient is small enough that
+        epsilon dominates its denominator."""
+        p = Tensor(np.array([1.0, -2.0]))
+        optimizer = Adam({"w": p})
+        want = p.data.copy()
+        m = v = np.zeros(2)
+        for t, g in enumerate([np.array([0.5, 1e-12]), np.array([-1.0, 3e-12])], start=1):
+            p.grad = g.copy()
+            optimizer.step(0.1)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.98 * v + (1.0 - 0.98) * (g * g)
+            want = want - 0.1 * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.98 ** t)) + 1e-9)
+        np.testing.assert_allclose(p.data, want, rtol=1e-14, atol=0.0)
 
 
 class TestLosses:
