@@ -24,12 +24,13 @@ from .ctc import LabelSequence, collapse
 from .data import EOS_ID
 from .model import (
     ConfigError,
-    DecoderCache,
     ModelConfig,
     ModelParams,
     decode_autoregressive_step,
     encode,
     parallel_log_probs,
+    self_attention_buffer,
+    source_keys_values,
 )
 from .tensor import NEG_INF
 
@@ -230,11 +231,11 @@ def ar_greedy_decode(config: ModelConfig, params: ModelParams, source_ids,
     if not config.is_autoregressive:
         raise ConfigError("ar_greedy_decode requires the autoregressive-baseline variant")
     check_max_steps(config, max_steps)
-    enc = encode(config, params, source_ids)
-    cache = DecoderCache.build(config, params, enc)
+    src = source_keys_values(config, params, encode(config, params, source_ids))
+    kv = self_attention_buffer(config)
     out: list[int] = []
     while len(out) < max_steps:
-        row = decode_autoregressive_step(config, params, enc, out, cache).data
+        row = decode_autoregressive_step(config, params, src, out, kv).data
         token = int(row.argmax()) + 1  # column j scores id j+1
         if token == EOS_ID:
             break
@@ -253,27 +254,34 @@ def ar_beam_decode(config: ModelConfig, params: ModelParams, source_ids,
     if not config.is_autoregressive:
         raise ConfigError("ar_beam_decode requires the autoregressive-baseline variant")
     check_max_steps(config, max_steps)
-    enc = encode(config, params, source_ids)
-    cache = DecoderCache.build(config, params, enc)
-    alive: list[tuple[float, LabelSequence]] = [(0.0, ())]
+    src = source_keys_values(config, params, encode(config, params, source_ids))
+    # (cum, tokens, the buffer its parent stepped in, shared by its siblings)
+    alive: list[tuple[float, LabelSequence, np.ndarray]] = [(0.0, (), self_attention_buffer(config))]
     finished: list[tuple[float, LabelSequence]] = []  # (normalized score, tokens)
     for step in range(max_steps):
-        rows = [decode_autoregressive_step(config, params, enc, tokens, cache).data
-                for _, tokens in alive]
-        scores = np.array([cum for cum, _ in alive])[:, None] + np.array(rows)
+        rows, buffers = [], []
+        for _, tokens, kv in alive:
+            if any(kv is b for b in buffers):
+                # A sibling extended the parent's buffer in place first: copy
+                # the parent's positions, [EOS] + tokens[:-1], to a new one.
+                kv, shared = np.empty_like(kv), kv
+                kv[..., :len(tokens), :] = shared[..., :len(tokens), :]
+            buffers.append(kv)
+            rows.append(decode_autoregressive_step(config, params, src, tokens, kv).data)
+        scores = np.array([cum for cum, _, _ in alive])[:, None] + np.array(rows)
         keep = _best(scores, opts.beam_width)
-        # (-score, tokens + (token,)); column j scores id j+1
-        pool = sorted((-s, alive[f // config.vocab_size][1] + (f % config.vocab_size + 1,))
+        # (-score, tokens + (token,), parent); column j scores id j+1
+        pool = sorted((-s, alive[f // config.vocab_size][1] + (f % config.vocab_size + 1,), f // config.vocab_size)
                       for f, s in zip(keep, scores.ravel()[keep].tolist()))
         alive = []
-        for neg, tokens in pool[: opts.beam_width]:
+        for neg, tokens, parent in pool[: opts.beam_width]:
             if tokens[-1] == EOS_ID:
                 finished.append((-neg / len(tokens), tokens[:-1]))
             else:
-                alive.append((-neg, tokens))
+                alive.append((-neg, tokens, buffers[parent]))
         if not alive:
             break
-    for cum, tokens in alive:
+    for cum, tokens, _ in alive:
         finished.append((cum / max(len(tokens), 1), tokens))
     finished.sort(key=lambda e: (-e[0], e[1]))
     return finished[0][1]

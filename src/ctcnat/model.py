@@ -17,14 +17,15 @@ stack), which is the stabler choice at desk scale. Each sublayer, with its
 norm, dropout and residual add, is one tape op (``multi_head_attention``,
 ``feed_forward``), so a block is three calls. Forward passes are pure given
 immutable params; dropout only runs when a generator is supplied. The
-baseline's incremental decoder writes each step's self-attention keys and
-values in place into buffers preallocated to max_len (``DecoderCache``).
+baseline's incremental decoder gives each hypothesis its own self-attention
+key and value buffer, preallocated to max_len; each step runs one position
+and writes its keys and values in place (``decode_autoregressive_step``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -328,7 +329,7 @@ def _decoder_input(config: ModelConfig, target_ids) -> list[int]:
 
 
 def _ar_decoder(config: ModelConfig, params: ModelParams, ids: list[int], start: int,
-                memory: Sequence[Tensor | KV], past: KVBuffers | None = None,
+                memory: Sequence[Tensor | KV], past: np.ndarray | None = None,
                 rng: np.random.Generator | None = None) -> Tensor:
     """The causal decoder over decoder-input positions start..len(ids)-1.
 
@@ -344,7 +345,7 @@ def _ar_decoder(config: ModelConfig, params: ModelParams, ids: list[int], start:
     mask = _causal_mask(len(ids))[start:] if len(ids) - start > 1 else None
     for i in range(config.dec_layers):
         x = _block(params, f"dec.{i}", x, config, memory[i], mask, rng,
-                   None if past is None else (past.kv[i, 0], past.kv[i, 1], start))
+                   None if past is None else (past[i, 0], past[i, 1], start))
     return log_softmax(_proj(params, "out", _ln(params, "dec.ln_out", x)))
 
 
@@ -359,85 +360,29 @@ def decode_autoregressive_full(config: ModelConfig, params: ModelParams, enc: En
     return _ar_decoder(config, params, ids, 0, [enc.states] * config.dec_layers, rng=dropout_rng)
 
 
-class KVBuffers:
-    """The self-attention keys and values of every decoder layer, in one
-    (layers, 2, heads, max_len, d / heads) buffer whose first ``filled``
-    positions are written."""
-
-    __slots__ = ("kv", "filled")
-
-    def __init__(self, kv: np.ndarray, filled: int):
-        self.kv, self.filled = kv, filled
-
-    def copy(self, n: int) -> "KVBuffers":
-        """A new buffer holding the first n positions of this one."""
-        kv = np.empty_like(self.kv)
-        kv[..., :n, :] = self.kv[..., :n, :]
-        return KVBuffers(kv, n)
+def source_keys_values(config: ModelConfig, params: ModelParams, enc: EncoderStates) -> list[KV]:
+    """Each decoder layer's encoder-attention keys and values of ``enc``,
+    which every autoregressive step over that source reads."""
+    _require_autoregressive(config)
+    return [_kv(params, f"dec.{i}.src_attn", enc.states, config.heads) for i in range(config.dec_layers)]
 
 
-@dataclass
-class DecoderCache:
-    """Keys and values that autoregressive decoding of one source reuses.
-
-    ``src`` holds each decoder layer's encoder-attention keys and values,
-    computed once. ``prefixes`` maps a decoded prefix to the buffers whose
-    first len(prefix) + 1 positions hold each layer's self-attention keys
-    and values at its decoder-input positions, [EOS] + prefix. A step
-    extends its parent's buffers in place when the parent's positions are
-    all they hold; when a sibling has already extended them, it copies the
-    parent's positions to new buffers first. Writes land only past every
-    stored prefix, so what a stored prefix reads never changes. The cache
-    keeps two generations (prefix lengths), the one the latest step wrote
-    and the one before it, which is all that greedy and beam decoding read:
-    at most twice the beam width.
-    """
-
-    src: list[KV]
-    buffer_shape: tuple[int, ...]
-    prefixes: dict[tuple[int, ...], KVBuffers] = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, config: ModelConfig, params: ModelParams, enc: EncoderStates) -> "DecoderCache":
-        _require_autoregressive(config)
-        return cls([_kv(params, f"dec.{i}.src_attn", enc.states, config.heads) for i in range(config.dec_layers)],
-                   (config.dec_layers, 2, config.heads, config.max_len, config.d_model // config.heads))
-
-    def extendable(self, parent: tuple[int, ...] | None) -> KVBuffers:
-        """Buffers holding the positions of ``parent`` (none for None) and nothing after them."""
-        if parent is None:
-            return KVBuffers(np.empty(self.buffer_shape), 0)
-        buffers = self.prefixes[parent]
-        n = len(parent) + 1
-        return buffers if buffers.filled == n else buffers.copy(n)
-
-    def store(self, prefix: tuple[int, ...], buffers: KVBuffers) -> None:
-        """Record that ``buffers`` now hold the positions of ``prefix``, and
-        drop the prefixes older than its parent's generation."""
-        n = len(prefix)
-        buffers.filled = n + 1
-        for old in [p for p in self.prefixes if not n - 1 <= len(p) <= n]:
-            del self.prefixes[old]
-        self.prefixes[prefix] = buffers
+def self_attention_buffer(config: ModelConfig) -> np.ndarray:
+    """Room for every decoder layer's self-attention keys and values at
+    max_len positions: an uninitialized (dec_layers, 2, heads, max_len,
+    d / heads) array, one per hypothesis."""
+    return np.empty((config.dec_layers, 2, config.heads, config.max_len, config.d_model // config.heads))
 
 
-def decode_autoregressive_step(config: ModelConfig, params: ModelParams, enc: EncoderStates,
-                               prefix_ids, cache: DecoderCache | None = None) -> Tensor:
+def decode_autoregressive_step(config: ModelConfig, params: ModelParams, src: Sequence[KV],
+                               prefix_ids, kv: np.ndarray) -> Tensor:
     """Next-token log-distribution after a decoded prefix (inference only).
 
-    ``cache`` must belong to ``enc``. The step runs only the positions
-    after the longest cached prefix of ``prefix_ids[:-1]``, which is just
-    the newest one when the previous step cached its parent; ``None``
-    starts a fresh cache.
+    ``src`` is ``source_keys_values`` of the source. ``kv``, a
+    ``self_attention_buffer``, holds the self-attention keys and values of
+    the decoder-input positions [EOS] + prefix_ids[:-1]. The step runs only
+    position len(prefix_ids) and writes its keys and values into ``kv`` in
+    place, so the buffer then holds [EOS] + prefix_ids.
     """
     ids = _decoder_input(config, prefix_ids)
-    if cache is None:
-        cache = DecoderCache.build(config, params, enc)
-    prefix = tuple(ids[1:])
-    start = len(prefix)
-    while start and prefix[:start - 1] not in cache.prefixes:
-        start -= 1
-    past = cache.extendable(prefix[:start - 1] if start else None)
-    rows = _ar_decoder(config, params, ids, start, cache.src, past)
-    cache.store(prefix, past)
-    return Tensor(rows.data[-1])
+    return Tensor(_ar_decoder(config, params, ids, len(ids) - 1, src, kv).data[0])

@@ -279,9 +279,8 @@ Past = tuple[np.ndarray, np.ndarray, int]  # key and value buffers (heads, capac
 
 
 def multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int, memory: Tensor | KV | None = None,
-                         mask: np.ndarray | None = None, past: Past | None = None, rate: float = 0.0,
-                         rng: np.random.Generator | None = None,
-                         scope: str = "multi_head_attention") -> Tensor:
+                         mask: np.ndarray | None = None, past: Past | None = None, *, rate: float,
+                         rng: np.random.Generator | None, scope: str) -> Tensor:
     """One pre-norm attention sublayer, ``x + dropout(attend(layer_norm(x)))``.
 
     ``params`` are (gain, bias, wq, bq, wk, bk, wv, bv, wo, bo). The normed
@@ -362,8 +361,8 @@ def multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int, memory
     return _emit(out, (x, memory, *params) if isinstance(memory, Tensor) else (x, *params), rule)
 
 
-def feed_forward(x: Tensor, params: Sequence[Tensor], rate: float = 0.0, rng: np.random.Generator | None = None,
-                 scope: str = "feed_forward") -> Tensor:
+def feed_forward(x: Tensor, params: Sequence[Tensor], rate: float, rng: np.random.Generator | None,
+                 scope: str) -> Tensor:
     """One pre-norm feed-forward sublayer, ``x + dropout(relu(n @ w1 + b1) @ w2 + b2)``
     with ``n = layer_norm(x)``.
 

@@ -1,6 +1,6 @@
-"""Shared test utilities: finite differences, random probability tables, the
-reference prefix beam search, the reference tape ops and the reference CTC
-lattice."""
+"""Shared test utilities: finite differences, random probability tables, an
+autoregressive step walk, the reference prefix beam search, the reference
+tape ops and the reference CTC lattice."""
 
 from __future__ import annotations
 
@@ -54,6 +54,15 @@ def peaked_log_probs(col_per_frame, cols: int, peak: float = 0.999) -> np.ndarra
     for t, c in enumerate(col_per_frame):
         table[t, c] = np.log(peak)
     return table
+
+
+def stepped_row(config: model.ModelConfig, params: model.ModelParams, enc: model.EncoderStates,
+                prefix) -> Tensor:
+    """The autoregressive step's row after ``prefix``, from a fresh buffer
+    that every shorter prefix of it stepped first."""
+    src, kv = model.source_keys_values(config, params, enc), model.self_attention_buffer(config)
+    return [model.decode_autoregressive_step(config, params, src, list(prefix[:n]), kv)
+            for n in range(len(prefix) + 1)][-1]
 
 
 def reference_ctc_beam_search(log_probs, opts: DecodeOptions | None = None,
@@ -259,9 +268,8 @@ def _constant(arr: np.ndarray) -> Tensor:
 
 def reference_multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int,
                                    memory: Tensor | tensor.KV | None = None, mask: np.ndarray | None = None,
-                                   past: tensor.Past | None = None, rate: float = 0.0,
-                                   rng: np.random.Generator | None = None,
-                                   scope: str = "multi_head_attention") -> Tensor:
+                                   past: tensor.Past | None = None, *, rate: float,
+                                   rng: np.random.Generator | None, scope: str) -> Tensor:
     """The chain of ``layer_norm``, ``linear``, head split, attention, head
     merge, ``linear``, ``dropout`` and ``add`` that
     ``tensor.multi_head_attention`` fuses. It attends over the cached keys
@@ -299,8 +307,8 @@ def reference_multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: i
         raise NumericError(f"{exc} in {scope}") from None
 
 
-def reference_feed_forward(x: Tensor, params: Sequence[Tensor], rate: float = 0.0,
-                           rng: np.random.Generator | None = None, scope: str = "feed_forward") -> Tensor:
+def reference_feed_forward(x: Tensor, params: Sequence[Tensor], rate: float,
+                           rng: np.random.Generator | None, scope: str) -> Tensor:
     """The ``layer_norm``, ``linear``, ``relu``, ``linear``, ``dropout`` and
     ``add`` that ``tensor.feed_forward`` fuses."""
     gain, bias, w1, b1, w2, b2 = params

@@ -28,7 +28,7 @@ from ctcnat.model import (
 )
 from ctcnat.tensor import NEG_INF, Tensor, log_sum_exp
 
-from helpers import peaked_log_probs, random_log_probs, reference_ctc_beam_search
+from helpers import peaked_log_probs, random_log_probs, reference_ctc_beam_search, stepped_row
 
 
 def exhaustive_map(lp: np.ndarray):
@@ -419,7 +419,7 @@ class TestAutoregressiveDecoding:
         params["out.b"].data[:] = [0.0, -30.0, 0.0, 2.0, 3.0]  # ids 1..5; id 2 ends
         calls = recorded_steps(monkeypatch)
         ar_beam_decode(cfg, params, [4, 5], DecodeOptions(beam_width=2), max_steps=3)
-        assert [prefix for _, prefix, *_ in calls] == [(), (5,), (4,), (5, 5), (4, 5)]
+        assert [prefix for prefix, *_ in calls] == [(), (5,), (4,), (5, 5), (4, 5)]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_full_width_beam_is_exhaustive(self, seed):
@@ -431,10 +431,8 @@ class TestAutoregressiveDecoding:
         max_steps = 3
         enc = encode(cfg, params, src)
 
-        from ctcnat.model import decode_autoregressive_step
-
         def row(prefix):
-            return decode_autoregressive_step(cfg, params, enc, list(prefix)).data
+            return stepped_row(cfg, params, enc, prefix).data
 
         candidates = []
 
@@ -460,8 +458,8 @@ class TestAutoregressiveDecoding:
 
 def recorded_steps(monkeypatch):
     """Route the decoders' steps through a recorder. Each entry holds the
-    prefix, the returned row, the number of decoder positions the step ran
-    and the number of cached prefixes after it."""
+    prefix, the returned row, the number of decoder positions the step ran,
+    the buffer it stepped in and a copy of that buffer after the step."""
     calls = []
     step = decoding.decode_autoregressive_step
     run = model._ar_decoder
@@ -471,9 +469,9 @@ def recorded_steps(monkeypatch):
         positions.append(len(ids) - start)
         return run(config, params, ids, start, *args, **kwargs)
 
-    def recording(config, params, enc, prefix_ids, cache):
-        row = step(config, params, enc, prefix_ids, cache)
-        calls.append((enc, tuple(prefix_ids), row.data, positions.pop(), len(cache.prefixes)))
+    def recording(config, params, src, prefix_ids, kv):
+        row = step(config, params, src, prefix_ids, kv)
+        calls.append((tuple(prefix_ids), row.data, positions.pop(), kv, kv.copy()))
         return row
 
     monkeypatch.setattr(model, "_ar_decoder", counting)
@@ -481,9 +479,16 @@ def recorded_steps(monkeypatch):
     return calls
 
 
-def full_recompute_step(config, params, enc, prefix_ids, cache=None):
-    """The reference step: the last row of the teacher-forced pass."""
+def full_recompute_step(config, params, enc, prefix_ids, kv):
+    """The reference step: the last row of the teacher-forced pass. The
+    decoders pass it the encoder states once ``source_keys_values`` is
+    routed to them (``use_full_recompute``)."""
     return Tensor(decode_autoregressive_full(config, params, enc, prefix_ids).data[-1])
+
+
+def use_full_recompute(monkeypatch):
+    monkeypatch.setattr(decoding, "source_keys_values", lambda config, params, enc: enc)
+    monkeypatch.setattr(decoding, "decode_autoregressive_step", full_recompute_step)
 
 
 def long_ar_model(seed, eos_bias):
@@ -492,6 +497,14 @@ def long_ar_model(seed, eos_bias):
     params = init_params(cfg, seed)
     params["out.b"].data[EOS_ID - 1] = eos_bias  # column j scores id j+1
     return cfg, params
+
+
+def beam_steps(calls):
+    """The recorded calls of one beam decode, grouped by step."""
+    steps = {}
+    for call in calls:
+        steps.setdefault(len(call[0]), []).append(call)
+    return [steps[n] for n in sorted(steps)]
 
 
 class TestIncrementalDecoding:
@@ -511,7 +524,8 @@ class TestIncrementalDecoding:
         assert n_greedy == len(greedy) == max_steps
         assert len(calls) - n_greedy == 1 + 4 * (max_steps - 1)  # every hypothesis, every step
         monkeypatch.undo()
-        for enc, prefix, row, positions, _ in calls:
+        enc = encode(cfg, params, src)
+        for prefix, row, positions, *_ in calls:
             full = decode_autoregressive_full(cfg, params, enc, prefix).data[-1]
             assert np.abs(row - full).max() <= 1e-12, prefix
             assert positions == 1, prefix  # the step extended its cached parent
@@ -523,15 +537,62 @@ class TestIncrementalDecoding:
         src = [4, 9, 5, 3, 7, 6][: 2 + seed]
         opts = DecodeOptions(beam_width=4)
         cached = (ar_greedy_decode(cfg, params, src, 12), ar_beam_decode(cfg, params, src, opts, 12))
-        monkeypatch.setattr(decoding, "decode_autoregressive_step", full_recompute_step)
+        use_full_recompute(monkeypatch)
         assert cached == (ar_greedy_decode(cfg, params, src, 12),
                           ar_beam_decode(cfg, params, src, opts, 12))
 
+    def test_greedy_steps_in_one_buffer(self, monkeypatch):
+        cfg, params = long_ar_model(7, eos_bias=-30.0)
+        calls = recorded_steps(monkeypatch)
+        ar_greedy_decode(cfg, params, [4, 5, 6], 9)
+        assert len(calls) == 9 and all(kv is calls[0][3] for *_, kv, _ in calls)
+
+    @pytest.mark.parametrize("eos_bias", [0.0, -30.0])
+    def test_siblings_extend_the_buffers_in_place_or_copy_them(self, monkeypatch, eos_bias):
+        """The first child of a hypothesis to step extends its parent's
+        buffer in place, a later sibling steps in a copy of the parent's
+        positions, and a grandchild extends that copy in place. The parent's
+        positions never change, and every row equals, bit for bit, the row
+        of a fresh buffer walking the same prefix."""
+        cfg, params = long_ar_model(8, eos_bias)
+        src = [4, 5, 6, 7, 8, 9, 4, 5]
+        calls = recorded_steps(monkeypatch)
+        ar_beam_decode(cfg, params, src, DecodeOptions(beam_width=4), 20)
+        monkeypatch.undo()
+        enc = encode(cfg, params, src)
+        for prefix, row, *_ in calls:
+            assert row.tobytes() == stepped_row(cfg, params, enc, prefix).data.tobytes(), prefix
+        steps = beam_steps(calls)
+        copies = []
+        for before, now in zip(steps, steps[1:]):
+            parents = {prefix: (kv, after) for prefix, _, _, kv, after in before}
+            extended = set()
+            for prefix, _, _, kv, after in now:
+                parent_kv, parent_after = parents[prefix[:-1]]
+                if prefix[:-1] in extended:
+                    assert all(kv is not b for _, _, _, b, _ in before)  # a new buffer
+                    copies.append(kv)
+                else:
+                    assert kv is parent_kv  # the first child steps in place
+                    extended.add(prefix[:-1])
+                n = len(prefix)  # the parent's positions: [EOS] + prefix[:-1]
+                assert after[..., :n, :].tobytes() == parent_after[..., :n, :].tobytes(), prefix
+        # a copy steps once as a sibling; every further step in it is a grandchild's
+        in_copies = [kv for _, _, _, kv, _ in calls if any(kv is c for c in copies)]
+        assert copies and len(in_copies) > len(copies)
+
     @pytest.mark.parametrize("width", [1, 4])
-    def test_cache_holds_at_most_two_generations_of_the_beam(self, monkeypatch, width):
+    def test_each_beam_step_copies_one_buffer_per_extra_sibling(self, monkeypatch, width):
+        """At each step the beam passes one distinct buffer per alive
+        hypothesis, at most the beam width, and makes a copy for each
+        hypothesis beyond the first child of each parent."""
         cfg, params = long_ar_model(7, eos_bias=-30.0)
         calls = recorded_steps(monkeypatch)
         ar_beam_decode(cfg, params, [4, 5, 6, 7, 8, 9, 4, 5, 6, 7], DecodeOptions(beam_width=width), 25)
-        sizes = [size for *_, size in calls]
-        assert len(calls) == 1 + width * 24
-        assert max(sizes) == 2 * width
+        steps = beam_steps(calls)
+        assert len(calls) == 1 + width * 24 and len(steps) == 25
+        for before, now in zip(steps, steps[1:]):
+            buffers = [kv for *_, kv, _ in now]
+            assert len({id(kv) for kv in buffers}) == len(now) <= width
+            copies = [kv for kv in buffers if all(kv is not b for *_, b, _ in before)]
+            assert len(copies) == len(now) - len({prefix[:-1] for prefix, *_ in now})

@@ -5,20 +5,21 @@ from ctcnat import model as M
 from ctcnat.data import VocabularyError
 from ctcnat.model import (
     ConfigError,
-    DecoderCache,
     EncoderStates,
     LengthError,
     ModelConfig,
     SplitStates,
     decode_autoregressive_full,
-    decode_autoregressive_step,
     decode_parallel,
     encode,
     init_params,
     parameter_shapes,
+    source_keys_values,
     split_states,
 )
 from ctcnat.tensor import Tensor, log_sum_exp
+
+from helpers import stepped_row
 
 
 def tiny_config(**kw):
@@ -209,7 +210,7 @@ class TestAutoregressive:
         cfg = tiny_config(variant="autoregressive-baseline")
         params = init_params(cfg, 7)
         enc = encode(cfg, params, [4, 5])
-        row = decode_autoregressive_step(cfg, params, enc, [4, 5, 6])
+        row = stepped_row(cfg, params, enc, [4, 5, 6])
         assert row.shape == (cfg.vocab_size,)
         assert np.exp(row.data).sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -218,65 +219,16 @@ class TestAutoregressive:
         params = init_params(cfg, 8)
         enc = encode(cfg, params, [4, 5, 6])
         prefix = [4, 5, 6, 7, 8]
-        step = decode_autoregressive_step(cfg, params, enc, prefix).data
+        step = stepped_row(cfg, params, enc, prefix).data
         full = decode_autoregressive_full(cfg, params, enc, prefix).data
         assert full.shape == (6, cfg.vocab_size)
         assert np.allclose(step, full[5], atol=1e-9)
 
-    def test_shared_cache_in_any_order_equals_full_recompute(self):
-        """Steps out of lockstep (depth-first, repeated, after eviction)
-        refill from the longest cached prefix and stay on the reference."""
-        cfg = tiny_config(variant="autoregressive-baseline")
-        params = init_params(cfg, 13)
-        enc = encode(cfg, params, [4, 5, 6])
-        cache = DecoderCache.build(cfg, params, enc)
-        for prefix in ([], [4], [4, 5], [4, 5, 6, 7], [4, 5], [9], [4, 5, 6, 7, 8], [4, 5, 6], []):
-            step = decode_autoregressive_step(cfg, params, enc, prefix, cache).data
-            full = decode_autoregressive_full(cfg, params, enc, prefix).data[-1]
-            assert np.abs(step - full).max() <= 1e-12, prefix
-            assert len(cache.prefixes) <= 2
-        assert set(cache.prefixes) == {()}
-
-    def test_siblings_extend_the_buffers_in_place_or_copy_them(self):
-        """The first child of a prefix extends its buffers in place, a sibling
-        copies them, and a grandchild extends the copy in place. Every row
-        equals the row of a fresh cache walking the same prefix, bit for
-        bit, and what a stored older prefix reads never changes."""
-        cfg = tiny_config(variant="autoregressive-baseline")
-        params = init_params(cfg, 14)
-        enc = encode(cfg, params, [4, 5, 6])
-        cache = DecoderCache.build(cfg, params, enc)
-
-        def step(prefix, cache):
-            return decode_autoregressive_step(cfg, params, enc, list(prefix), cache).data.tobytes()
-
-        def fresh(prefix):
-            walk = DecoderCache.build(cfg, params, enc)
-            return [step(prefix[:n], walk) for n in range(len(prefix) + 1)][-1]
-
-        def seen(buffers, n):
-            return buffers.kv[..., :n, :].tobytes()
-
-        rows = {prefix: step(prefix, cache) for prefix in [(), (4,)]}
-        parent = cache.prefixes[(4,)]
-        parent_view = seen(parent, 2)
-        rows[(4, 5)] = step((4, 5), cache)
-        assert cache.prefixes[(4, 5)] is parent and parent.filled == 3
-        first_view = seen(parent, 3)
-        rows[(4, 6)] = step((4, 6), cache)
-        sibling = cache.prefixes[(4, 6)]
-        assert sibling is not parent and parent.filled == 3 and sibling.filled == 3
-        rows[(4, 6, 7)] = step((4, 6, 7), cache)
-        assert cache.prefixes[(4, 6, 7)] is sibling and sibling.filled == 4
-        assert seen(parent, 2) == parent_view and seen(parent, 3) == first_view
-        for prefix, row in rows.items():
-            assert row == fresh(prefix), prefix
-
-    def test_cache_rejects_parallel_variant(self):
+    def test_source_keys_values_reject_parallel_variant(self):
         cfg = tiny_config()
         params = init_params(cfg, 0)
         with pytest.raises(ConfigError):
-            DecoderCache.build(cfg, params, encode(cfg, params, [4, 5]))
+            source_keys_values(cfg, params, encode(cfg, params, [4, 5]))
 
     def test_future_positions_do_not_leak(self):
         cfg = tiny_config(variant="autoregressive-baseline")

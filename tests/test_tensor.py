@@ -185,11 +185,11 @@ def _mha(x, memory, params, mask=None, rate=0.0):
     gain, bias, wq, bq, wk, wv, bv, wo, bo = params
     rng = np.random.default_rng(27) if rate else None  # the same mask on every call
     return T.multi_head_attention(x, (gain, bias, wq, bq, wk, MHA_KEY_BIAS, wv, bv, wo, bo), 2, memory, mask,
-                                  rate=rate, rng=rng)
+                                  rate=rate, rng=rng, scope="multi_head_attention")
 
 
 def _ff(x, params, rate=0.0):
-    return T.feed_forward(x, params, rate, np.random.default_rng(28) if rate else None)
+    return T.feed_forward(x, params, rate, np.random.default_rng(28) if rate else None, "feed_forward")
 
 
 FD_CASES = [
@@ -417,7 +417,8 @@ def _attend(op, q: float | np.ndarray, keys: np.ndarray, values: np.ndarray, mas
     output is the attention output added to zeros."""
     one, zero = Tensor([[1.0]]), Tensor([0.0])
     params = (Tensor([1.0]), zero, Tensor([[0.0]]), Tensor(np.reshape(q, 1)), one, zero, one, zero, one, zero)
-    return op(Tensor(np.zeros((rows, 1))), params, 1, (keys, values), mask)
+    return op(Tensor(np.zeros((rows, 1))), params, 1, (keys, values), mask, rate=0.0, rng=None,
+              scope="multi_head_attention")
 
 
 def _call(op: str, fused: bool, values):
@@ -539,9 +540,9 @@ class TestSublayerOps:
     def test_cached_ar_step_runs_12_ops_and_17_checks(self, monkeypatch):
         cfg = _parity_config("autoregressive-baseline", 0.0)
         params = init_params(cfg, 31)
-        enc = model.encode(cfg, params, [4, 5, 6])
-        cache = model.DecoderCache.build(cfg, params, enc)
-        model.decode_autoregressive_step(cfg, params, enc, [], cache)
+        src = model.source_keys_values(cfg, params, model.encode(cfg, params, [4, 5, 6]))
+        kv = model.self_attention_buffer(cfg)
+        model.decode_autoregressive_step(cfg, params, src, [], kv)
         checks = []
         finite = T._finite
 
@@ -551,7 +552,7 @@ class TestSublayerOps:
 
         monkeypatch.setattr(T, "_finite", counting)
         with GradTape() as tape:
-            model.decode_autoregressive_step(cfg, params, enc, [7], cache)
+            model.decode_autoregressive_step(cfg, params, src, [7], kv)
         # embed, scale, position add; per layer 3 sublayers; norm, out, log-softmax
         assert len(tape) == 3 + 3 * cfg.dec_layers + 3 == 12
         # scale, position add; per layer 2 per sublayer; norm, out, log-softmax
@@ -655,13 +656,13 @@ class TestCheckRule:
     def test_poisoned_parameters_in_a_cached_ar_step(self, monkeypatch):
         cfg = _parity_config("autoregressive-baseline", 0.0)
         clean = init_params(cfg, 41)
-        enc = model.encode(cfg, clean, [4, 5, 6])
+        src = model.source_keys_values(cfg, clean, model.encode(cfg, clean, [4, 5, 6]))
 
         def run(params):
-            cache = model.DecoderCache.build(cfg, clean, enc)
+            kv = model.self_attention_buffer(cfg)
             for prefix in ([], [5], [5, 7]):
-                model.decode_autoregressive_step(cfg, clean, enc, prefix, cache)
-            return model.decode_autoregressive_step(cfg, params, enc, [5, 7, 4], cache)
+                model.decode_autoregressive_step(cfg, clean, src, prefix, kv)
+            return model.decode_autoregressive_step(cfg, params, src, [5, 7, 4], kv)
 
         names = [n for n in _sublayer_parameters(cfg) if n.startswith("dec.")]  # the encoder ran clean
         assert len(names) == 52
@@ -677,7 +678,7 @@ class TestCheckRule:
                 poisoned = x.copy()
                 poisoned.reshape(-1)[i] = bad
                 fused, unfused = (_outcome(lambda: f(Tensor(poisoned), params, *args, **kwargs(), rate=dropout,
-                                                     rng=np.random.default_rng(44)))
+                                                     rng=np.random.default_rng(44), scope=op.__name__))
                                   for f in (op, reference))
                 assert fused == unfused, (i, bad)
                 if not math.isfinite(bad):
@@ -700,7 +701,8 @@ class TestCheckRule:
         params[6].data[1, 2] = math.nan  # wv
         params[8].data[:] = 0.0  # wo
         message = self._same_error(T.multi_head_attention, reference_multi_head_attention,
-                                   Tensor(rng.normal(size=(3, 4))), params, 2)
+                                   Tensor(rng.normal(size=(3, 4))), params, 2, rate=0.0, rng=None,
+                                   scope="multi_head_attention")
         assert message == "linear produced non-finite values in multi_head_attention"
 
     def test_infinite_queries_reach_the_scores_through_a_zero_key_column(self):
@@ -711,7 +713,8 @@ class TestCheckRule:
         params[4].data[:, 0] = 0.0  # wk
         params[5].data[0] = 0.0  # bk
         message = self._same_error(T.multi_head_attention, reference_multi_head_attention,
-                                   Tensor(rng.normal(size=(3, 4))), params, 2)
+                                   Tensor(rng.normal(size=(3, 4))), params, 2, rate=0.0, rng=None,
+                                   scope="multi_head_attention")
         assert message == "linear produced non-finite values in multi_head_attention"
 
 
