@@ -47,21 +47,19 @@ class DecodeOptions:
     """Beam settings.
 
     beam_width defaults to 4, matching the baseline's beam; there is no
-    canonical width for the parallel models, so treat it as a knob.
-    max_candidates bounds how many symbols each frame may extend a
-    hypothesis with (None = all). external_scorer_weight of 0 disables the
-    scorer hook even when a scorer is passed.
+    canonical width for the parallel models, so treat it as a knob. The CTC
+    search extends each beam with every symbol, but without a scorer it
+    offers at most beam_width fresh extensions per beam and frame, plus
+    ties, since no more can survive the cut. external_scorer_weight of 0
+    disables the scorer hook even when a scorer is passed.
     """
 
     beam_width: int = 4
-    max_candidates: int | None = None
     external_scorer_weight: float = 0.0
 
     def __post_init__(self):
         if self.beam_width < 1:
             raise OptionError(f"beam_width must be >= 1, got {self.beam_width}")
-        if self.max_candidates is not None and self.max_candidates < 1:
-            raise OptionError(f"max_candidates must be >= 1, got {self.max_candidates}")
         if self.external_scorer_weight < 0:
             raise OptionError(f"external_scorer_weight must be >= 0, got {self.external_scorer_weight}")
 
@@ -129,17 +127,23 @@ def ctc_beam_search(log_probs, opts: DecodeOptions | None = None,
     which case it uses mass + weight * scorer(prefix); Hypothesis.score is
     always the pure CTC mass.
 
-    Each frame is one step over beams x symbols. One numpy add gives the
-    mass of every extension; Python floats remain only for the per-beam
-    terms: each beam's total, its own prefix (blank and repeat) and the
-    extension, at most one, that recombines into it. A fresh extension has
-    no blank mass, so its mass is its rank without a log-sum-exp. The
-    result equals, float for float, the per-symbol loop that the tests keep
+    Each frame's symbols are ranked once per search, by descending mass,
+    ties toward the lower id. At each frame every beam offers its stay (the
+    blank, its own repeat and the extension of its live parent that
+    recombines into it), its repeat extension unless that prefix is a live
+    beam, and its fresh extensions in ranked order, live children skipped:
+    beam_width of them and every further one of the same mass, or all of
+    them when a scorer re-ranks. The pool is sorted by (-rank, prefix) and
+    cut to beam_width. This is exact: within one beam, the masses of the
+    fresh extensions, its total plus each symbol's, do not increase along
+    the ranked order, so a fresh extension the cut keeps is among the first
+    beam_width offered or ties the last of them. The result equals, float
+    for float, the per-symbol loop over every extension that the tests keep
     as the reference.
     """
     opts = opts or DecodeOptions()
     lp = _as_table(log_probs)
-    T, C = lp.shape
+    width = opts.beam_width
 
     use_scorer = scorer is not None and opts.external_scorer_weight > 0.0
     priors: dict[LabelSequence, float] = {}
@@ -153,69 +157,47 @@ def ctc_beam_search(log_probs, opts: DecodeOptions | None = None,
             priors[prefix] = opts.external_scorer_weight * value
         return priors[prefix]
 
-    every = list(range(1, C))
-    every_column = {c: c - 1 for c in every}
-    # (prefix, logp_blank, logp_nonblank), best first
-    beams: list[tuple[LabelSequence, float, float]] = [((), 0.0, NEG_INF)]
-    for t in range(T):
-        row = lp[t]
-        p = row.tolist()
-        totals = [_lse2(pb, pnb) for _, pb, pnb in beams]
-        if opts.max_candidates is not None and opts.max_candidates < C:
-            symbols = sorted(np.argsort(-row, kind="stable")[: opts.max_candidates].tolist())
-            blank = symbols[0] == 0
-            grow = symbols[1:] if blank else symbols
-            column = {c: j for j, c in enumerate(grow)}
-            mass = np.add.outer(totals, row[grow])
-        else:
-            blank, grow, column = True, every, every_column
-            mass = np.add.outer(totals, row[1:])
-        # mass[b, j]: beam b extended by grow[j]; a repeat of the beam's last
-        # symbol extends only the paths that end in blank.
-        repeat = [column.get(prefix[-1]) if prefix else None for prefix, _, _ in beams]
-        for b, (prefix, pb, _) in enumerate(beams):
-            if repeat[b] is not None:
-                mass[b, repeat[b]] = pb + p[prefix[-1]]
-
-        cols = len(grow)
-        index = {prefix: b for b, (prefix, _, _) in enumerate(beams)}
-        stays: list[tuple[LabelSequence, float, float]] = []  # beams that keep their prefix
-        merged: list[int] = []  # flat slots of extensions that are a live beam's prefix
-        for b, (prefix, pb, pnb) in enumerate(beams):
-            j = repeat[b]
-            if j is None and not blank:
-                continue
+    fresh_limit = lp.shape[1] if use_scorer else width
+    # (-rank, prefix, logp_blank, logp_nonblank), best first
+    beams: list[tuple[float, LabelSequence, float, float]] = [(0.0, (), 0.0, NEG_INF)]
+    for p, symbols in zip(lp.tolist(), np.argsort(-lp, axis=1, kind="stable").tolist()):
+        index = {prefix: b for b, (_, prefix, _, _) in enumerate(beams)}
+        parents = [index.get(prefix[:-1]) if prefix else None for _, prefix, _, _ in beams]
+        children: list[set[int]] = [set() for _ in beams]  # the last symbol of each live child
+        for (_, prefix, _, _), parent in zip(beams, parents):
+            if parent is not None:
+                children[parent].add(prefix[-1])
+        pool = []
+        for (_, prefix, pb, pnb), parent, kids in zip(beams, parents, children):
+            total = _lse2(pb, pnb)
+            last = prefix[-1] if prefix else 0
             nonblank = NEG_INF
-            if j is not None:
-                nonblank = pnb + p[prefix[-1]]
-                parent = index.get(prefix[:-1])
-                if parent is not None:
-                    merged.append(parent * cols + j)
-                    nonblank = _lse2(nonblank, float(mass[parent, j]))
-            stays.append((prefix, totals[b] + p[0] if blank else NEG_INF, nonblank))
-
-        rank = mass
-        stay_rank = [_lse2(pb, pnb) for _, pb, pnb in stays]
+            if prefix:
+                nonblank = pnb + p[last]
+                if parent is not None:  # the live parent's extension recombines into this beam
+                    _, _, parent_pb, parent_pnb = beams[parent]
+                    into = parent_pb if prefix[-2:-1] == (last,) else _lse2(parent_pb, parent_pnb)
+                    nonblank = _lse2(nonblank, into + p[last])
+                if last not in kids:
+                    # a repeat of the last symbol extends only the paths that end in blank
+                    mass = pb + p[last]
+                    pool.append((-mass, prefix + (last,), NEG_INF, mass))
+            blank = total + p[0]
+            pool.append((-_lse2(blank, nonblank), prefix, blank, nonblank))
+            taken, floor = 0, NEG_INF
+            for c in symbols:
+                mass = total + p[c]
+                if taken >= fresh_limit and mass < floor:
+                    break
+                if c != 0 and c != last and c not in kids:
+                    pool.append((-mass, prefix + (c,), NEG_INF, mass))
+                    taken, floor = taken + 1, mass
         if use_scorer:
-            rank = mass + np.array([[prior(prefix + (c,)) for c in grow] for prefix, _, _ in beams]
-                                   ).reshape(mass.shape)
-            stay_rank = [r + prior(prefix) for r, (prefix, _, _) in zip(stay_rank, stays)]
-        pool = np.concatenate((rank.ravel(), stay_rank))
-        # A merged extension is ranked once, as the beam it recombined into.
-        # At -inf it keeps its flat index and cannot raise the cut of _best.
-        pool[merged] = NEG_INF
-        keep = _best(pool, opts.beam_width)
-        ranked = []
-        for f, r in zip(keep, pool[keep].tolist()):
-            if f >= mass.size:
-                ranked.append((-r, *stays[f - mass.size]))
-            elif f not in merged:
-                b, j = divmod(f, cols)
-                ranked.append((-r, beams[b][0] + (grow[j],), NEG_INF, float(mass.flat[f])))
-        ranked.sort()  # by (-rank, prefix); prefixes are unique
-        beams = [(prefix, pb, pnb) for _, prefix, pb, pnb in ranked[: opts.beam_width]]
+            pool = [(r - prior(prefix), prefix, pb, pnb) for r, prefix, pb, pnb in pool]
+        pool.sort()  # by (-rank, prefix); prefixes are unique
+        beams = pool[:width]
 
-    return [Hypothesis(prefix, pb, pnb) for prefix, pb, pnb in beams]
+    return [Hypothesis(prefix, pb, pnb) for _, prefix, pb, pnb in beams]
 
 
 def check_max_steps(config: ModelConfig, max_steps: int) -> None:

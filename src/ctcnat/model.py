@@ -323,26 +323,30 @@ def _decoder_input(config: ModelConfig, target_ids) -> list[int]:
     """[EOS] + target ids; EOS doubles as the start-of-sequence marker."""
     _require_autoregressive(config)
     ids = [EOS_ID] + _check_ids(target_ids, config)
+    if 0 in ids:
+        raise VocabularyError("autoregressive targets must not contain the blank id")
     if len(ids) > config.max_len:
         raise LengthError(f"decoder input length {len(ids)} exceeds max_len {config.max_len}")
     return ids
 
 
-def _ar_decoder(config: ModelConfig, params: ModelParams, ids: list[int], start: int,
+def _ar_decoder(config: ModelConfig, params: ModelParams, ids: list[int],
                 memory: Sequence[Tensor | KV], past: np.ndarray | None = None,
                 rng: np.random.Generator | None = None) -> Tensor:
-    """The causal decoder over decoder-input positions start..len(ids)-1.
+    """The causal decoder over the decoder-input ``ids``.
 
     ``memory`` gives each layer the encoder states or their encoder-attention
-    keys and values. ``past`` holds each layer's self-attention keys and
-    values of the positions before ``start``; the decoder writes those of
-    the positions it runs after them. Returns the log-probability rows of
-    the positions run.
+    keys and values. With no ``past`` it runs every position under the
+    causal mask. ``past`` holds each layer's self-attention keys and values
+    of every position but the last; the decoder then runs only the last
+    position and writes its keys and values after them. Returns the
+    log-probability rows of the positions run.
     """
+    start = 0 if past is None else len(ids) - 1
     x = scale(embed(params["tgt_embed"], ids[start:]), math.sqrt(config.d_model))
     x = add(x, Tensor(sinusoid_table(config.max_len, config.d_model)[start:len(ids)]))
     x = _maybe_drop(x, config, rng)
-    mask = _causal_mask(len(ids))[start:] if len(ids) - start > 1 else None
+    mask = _causal_mask(len(ids)) if past is None and len(ids) > 1 else None
     for i in range(config.dec_layers):
         x = _block(params, f"dec.{i}", x, config, memory[i], mask, rng,
                    None if past is None else (past[i, 0], past[i, 1], start))
@@ -357,7 +361,7 @@ def decode_autoregressive_full(config: ModelConfig, params: ModelParams, enc: En
     Output columns are the vocab_size non-blank ids; column j scores id j+1.
     """
     ids = _decoder_input(config, target_ids)
-    return _ar_decoder(config, params, ids, 0, [enc.states] * config.dec_layers, rng=dropout_rng)
+    return _ar_decoder(config, params, ids, [enc.states] * config.dec_layers, rng=dropout_rng)
 
 
 def source_keys_values(config: ModelConfig, params: ModelParams, enc: EncoderStates) -> list[KV]:
@@ -385,4 +389,4 @@ def decode_autoregressive_step(config: ModelConfig, params: ModelParams, src: Se
     place, so the buffer then holds [EOS] + prefix_ids.
     """
     ids = _decoder_input(config, prefix_ids)
-    return Tensor(_ar_decoder(config, params, ids, len(ids) - 1, src, kv).data[0])
+    return Tensor(_ar_decoder(config, params, ids, src, kv).data[0])

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .ctc import ctc_loss, min_frames
-from .data import EOS_ID, Batch, SentencePair, Vocabulary, VocabularyError, batch_pairs
+from .data import EOS_ID, Batch, SentencePair, Vocabulary, batch_pairs
 from .decoding import translate
 from .evaluation import corpus_bleu
 from .model import (
@@ -158,8 +158,6 @@ def sentence_loss(config: ModelConfig, params: ModelParams, source_ids, target_i
     enc = encode(config, params, source_ids, dropout_rng=dropout_rng)
     if config.is_autoregressive:
         targets = list(target_ids)
-        if any(t < 1 for t in targets):
-            raise VocabularyError("autoregressive targets must not contain the blank id")
         rows = decode_autoregressive_full(config, params, enc, targets, dropout_rng=dropout_rng)
         cols = [t - 1 for t in targets + [EOS_ID]]  # output column j scores id j+1
         return scale(sum_all(take_per_row(rows, cols)), -1.0)

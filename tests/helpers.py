@@ -67,8 +67,8 @@ def stepped_row(config: model.ModelConfig, params: model.ModelParams, enc: model
 
 def reference_ctc_beam_search(log_probs, opts: DecodeOptions | None = None,
                               scorer: PrefixScorer | None = None) -> list[Hypothesis]:
-    """The per-symbol loop that ``decoding.ctc_beam_search`` vectorizes, kept
-    as its reference: the result must be equal, float for float.
+    """The per-symbol loop over every extension, kept as the reference of
+    ``decoding.ctc_beam_search``: the result must be equal, float for float.
 
     Left-to-right prefix beam search with recombination.
 
@@ -94,15 +94,11 @@ def reference_ctc_beam_search(log_probs, opts: DecodeOptions | None = None,
     beams: dict[LabelSequence, list[float]] = {(): [0.0, NEG_INF]}
     for t in range(T):
         row = lp[t]
-        if opts.max_candidates is not None and opts.max_candidates < C:
-            symbols = sorted(np.argsort(-row, kind="stable")[: opts.max_candidates].tolist())
-        else:
-            symbols = range(C)
         nxt: dict[LabelSequence, list[float]] = {}
         for prefix, (pb, pnb) in beams.items():
             total = _lse2(pb, pnb)
             last = prefix[-1] if prefix else None
-            for c in symbols:
+            for c in range(C):
                 p = row[c]
                 if c == 0:
                     entry = nxt.setdefault(prefix, [NEG_INF, NEG_INF])

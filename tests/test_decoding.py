@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import ctcnat
 from ctcnat import decoding, model
 from ctcnat.ctc import collapse, ctc_loss
 from ctcnat.data import EOS_ID, synthetic_vocab
@@ -146,14 +147,6 @@ class TestBeamSearch:
         b = ctc_beam_search(lp, DecodeOptions(beam_width=4))
         assert [(h.prefix, h.score) for h in a] == [(h.prefix, h.score) for h in b]
 
-    def test_max_candidates_prunes_expansion_symbols(self):
-        lp = peaked_log_probs([1, 2, 1], cols=4, peak=0.97)
-        narrow = ctc_beam_search(lp, DecodeOptions(beam_width=4, max_candidates=1))
-        assert narrow[0].prefix == (1, 2, 1)
-        full = ctc_beam_search(lp, DecodeOptions(beam_width=4))
-        # pruning discards path mass, so the kept score may only shrink
-        assert narrow[0].score <= full[0].score + 1e-12
-
     @pytest.mark.parametrize("variant", NAR_VARIANTS)
     @pytest.mark.parametrize("seed", range(3))
     def test_translate_equals_decoders_on_parallel_log_probs(self, variant, seed):
@@ -186,7 +179,7 @@ def scorer_by_content(prefix):
 
 
 class TestBeamSearchParity:
-    """The vectorized search against the per-symbol loop it replaced
+    """The search against the per-symbol loop over every extension
     (``helpers.reference_ctc_beam_search``): same prefixes, same order,
     same masses bit for bit."""
 
@@ -194,11 +187,9 @@ class TestBeamSearchParity:
     def check_all_options(lp, scorer=None, weight=0.0):
         T, C = lp.shape
         for width in sorted({1, 2, 4, 64, C ** T}):
-            for max_candidates in [None, *range(1, C + 1)]:
-                opts = DecodeOptions(beam_width=width, max_candidates=max_candidates,
-                                     external_scorer_weight=weight)
-                assert_same_hypotheses(ctc_beam_search(lp, opts, scorer),
-                                       reference_ctc_beam_search(lp, opts, scorer))
+            opts = DecodeOptions(beam_width=width, external_scorer_weight=weight)
+            assert_same_hypotheses(ctc_beam_search(lp, opts, scorer),
+                                   reference_ctc_beam_search(lp, opts, scorer))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_quantized_tables_with_exact_ties(self, seed):
@@ -223,16 +214,17 @@ class TestBeamSearchParity:
         rng = np.random.default_rng(700 + seed)
         self.check_all_options(random_log_probs(rng, int(rng.integers(1, 6)), int(rng.integers(2, 6))))
 
-    def test_max_candidates_can_drop_blank_and_last_symbol(self):
-        """With one candidate per frame and neither blank nor the beam's last
-        symbol among them, the beam's own prefix gets no entry: only its
-        extension survives."""
-        lp = np.log(np.array([[0.1, 0.6, 0.2, 0.1], [0.1, 0.2, 0.6, 0.1], [0.1, 0.6, 0.2, 0.1]]))
-        for width in (1, 4):
-            opts = DecodeOptions(beam_width=width, max_candidates=1)
-            got = ctc_beam_search(lp, opts)
-            assert [h.prefix for h in got] == [(1, 2, 1)]
-            assert_same_hypotheses(got, reference_ctc_beam_search(lp, opts))
+    def test_extensions_tied_by_rounding_at_the_cut_keep_the_smaller_prefix(self):
+        """In the second frame symbol 2 outranks symbol 1, but the beam's
+        total of -1.0 absorbs both, so (1,) and (2,) tie exactly at the cut
+        of a width-1 beam. The walk offers 2 first and must go on to 1,
+        which the (-rank, prefix) order keeps."""
+        lp = np.array([[-1.0, -9.0, -9.0, -9.0], [-5.0, -2e-17, -1e-17, -3.0]])
+        assert lp[1, 2] > lp[1, 1] and -1.0 + lp[1, 2] == -1.0 + lp[1, 1]
+        opts = DecodeOptions(beam_width=1)
+        got = ctc_beam_search(lp, opts)
+        assert [h.prefix for h in got] == [(1,)]
+        assert_same_hypotheses(got, reference_ctc_beam_search(lp, opts))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_scorer_with_positive_weight(self, seed):
@@ -465,9 +457,10 @@ def recorded_steps(monkeypatch):
     run = model._ar_decoder
     positions = []
 
-    def counting(config, params, ids, start, *args, **kwargs):
-        positions.append(len(ids) - start)
-        return run(config, params, ids, start, *args, **kwargs)
+    def counting(*args, **kwargs):
+        rows = run(*args, **kwargs)
+        positions.append(rows.shape[0])
+        return rows
 
     def recording(config, params, src, prefix_ids, kv):
         row = step(config, params, src, prefix_ids, kv)
@@ -540,6 +533,20 @@ class TestIncrementalDecoding:
         use_full_recompute(monkeypatch)
         assert cached == (ar_greedy_decode(cfg, params, src, 12),
                           ar_beam_decode(cfg, params, src, opts, 12))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_greedy_walk_through_the_package_names_equals_ar_greedy_decode(self, seed):
+        cfg, params = long_ar_model(60 + seed, eos_bias=0.0)
+        source = [4, 5, 6, 7]
+        src = ctcnat.source_keys_values(cfg, params, ctcnat.encode(cfg, params, source))
+        kv = ctcnat.self_attention_buffer(cfg)
+        out = []
+        while len(out) < 12:
+            token = int(ctcnat.decode_autoregressive_step(cfg, params, src, out, kv).data.argmax()) + 1
+            if token == EOS_ID:
+                break
+            out.append(token)
+        assert tuple(out) == ctcnat.ar_greedy_decode(cfg, params, source, 12)
 
     def test_greedy_steps_in_one_buffer(self, monkeypatch):
         cfg, params = long_ar_model(7, eos_bias=-30.0)

@@ -10,10 +10,12 @@ from ctcnat.model import (
     ModelConfig,
     SplitStates,
     decode_autoregressive_full,
+    decode_autoregressive_step,
     decode_parallel,
     encode,
     init_params,
     parameter_shapes,
+    self_attention_buffer,
     source_keys_values,
     split_states,
 )
@@ -229,6 +231,22 @@ class TestAutoregressive:
         params = init_params(cfg, 0)
         with pytest.raises(ConfigError):
             source_keys_values(cfg, params, encode(cfg, params, [4, 5]))
+
+    def test_step_rejects_the_blank_id(self):
+        cfg = tiny_config(variant="autoregressive-baseline")
+        params = init_params(cfg, 10)
+        src = source_keys_values(cfg, params, encode(cfg, params, [4, 5]))
+        kv = self_attention_buffer(cfg)
+        decode_autoregressive_step(cfg, params, src, [], kv)
+        with pytest.raises(VocabularyError, match="^autoregressive targets must not contain the blank id$"):
+            decode_autoregressive_step(cfg, params, src, [0], kv)
+
+    def test_teacher_forced_pass_rejects_the_blank_id(self):
+        cfg = tiny_config(variant="autoregressive-baseline")
+        params = init_params(cfg, 10)
+        enc = encode(cfg, params, [4, 5])
+        with pytest.raises(VocabularyError, match="^autoregressive targets must not contain the blank id$"):
+            decode_autoregressive_full(cfg, params, enc, [4, 0])
 
     def test_future_positions_do_not_leak(self):
         cfg = tiny_config(variant="autoregressive-baseline")
