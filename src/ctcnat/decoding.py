@@ -3,9 +3,8 @@
 
 The CTC beam tracks collapsed prefixes, each with separate masses for paths
 ending in blank and paths ending in the prefix's last symbol; copies of the
-same prefix recombine by log-sum-exp before pruning. An optional external
-scorer (a pure prefix -> log-score function, e.g. a language model) can be
-mixed into the ranking; none ships here.
+same prefix recombine by log-sum-exp before pruning. Hypotheses rank by
+their CTC mass alone, with no language model, as in the paper.
 
 Tie-breaking is total everywhere so identical inputs decode identically:
 frame argmax prefers the lowest id, equal-score hypotheses rank the
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -39,29 +37,22 @@ class OptionError(ValueError):
     """Invalid decoding options."""
 
 
-PrefixScorer = Callable[[LabelSequence], float]
-
-
 @dataclass(frozen=True)
 class DecodeOptions:
     """Beam settings.
 
     beam_width defaults to 4, matching the baseline's beam; there is no
     canonical width for the parallel models, so treat it as a knob. The CTC
-    search extends each beam with every symbol, but without a scorer it
-    offers at most beam_width fresh extensions per beam and frame, plus
-    ties, since no more can survive the cut. external_scorer_weight of 0
-    disables the scorer hook even when a scorer is passed.
+    search extends each beam with every symbol, but offers at most
+    beam_width fresh extensions per beam and frame, plus ties, since no
+    more can survive the cut.
     """
 
     beam_width: int = 4
-    external_scorer_weight: float = 0.0
 
     def __post_init__(self):
         if self.beam_width < 1:
             raise OptionError(f"beam_width must be >= 1, got {self.beam_width}")
-        if self.external_scorer_weight < 0:
-            raise OptionError(f"external_scorer_weight must be >= 0, got {self.external_scorer_weight}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +65,7 @@ class Hypothesis:
 
     @property
     def score(self) -> float:
+        """The prefix's CTC mass, by which the beam search ranks it."""
         return _lse2(self.logp_blank, self.logp_nonblank)
 
 
@@ -118,47 +110,29 @@ def greedy_ctc_decode(log_probs) -> LabelSequence:
     return collapse(greedy_ctc_frames(log_probs))
 
 
-def ctc_beam_search(log_probs, opts: DecodeOptions | None = None,
-                    scorer: PrefixScorer | None = None) -> list[Hypothesis]:
+def ctc_beam_search(log_probs, opts: DecodeOptions | None = None) -> list[Hypothesis]:
     """Left-to-right prefix beam search with recombination.
 
-    Returns the surviving hypotheses ranked best-first. Ranking uses the
-    pure CTC mass unless a scorer is supplied with a positive weight, in
-    which case it uses mass + weight * scorer(prefix); Hypothesis.score is
-    always the pure CTC mass.
+    Returns the surviving hypotheses ranked best-first by CTC mass
+    (Hypothesis.score), ties toward the lexicographically smaller prefix.
 
     Each frame's symbols are ranked once per search, by descending mass,
     ties toward the lower id. At each frame every beam offers its stay (the
     blank, its own repeat and the extension of its live parent that
     recombines into it), its repeat extension unless that prefix is a live
     beam, and its fresh extensions in ranked order, live children skipped:
-    beam_width of them and every further one of the same mass, or all of
-    them when a scorer re-ranks. The pool is sorted by (-rank, prefix) and
-    cut to beam_width. This is exact: within one beam, the masses of the
-    fresh extensions, its total plus each symbol's, do not increase along
-    the ranked order, so a fresh extension the cut keeps is among the first
-    beam_width offered or ties the last of them. The result equals, float
-    for float, the per-symbol loop over every extension that the tests keep
-    as the reference.
+    beam_width of them and every further one of the same mass. The pool is
+    sorted by (-mass, prefix) and cut to beam_width. This is exact: within
+    one beam, the masses of the fresh extensions, its total plus each
+    symbol's, do not increase along the ranked order, so a fresh extension
+    the cut keeps is among the first beam_width offered or ties the last of
+    them. The result equals, float for float, the per-symbol loop over every
+    extension that the tests keep as the reference.
     """
     opts = opts or DecodeOptions()
     lp = _as_table(log_probs)
     width = opts.beam_width
-
-    use_scorer = scorer is not None and opts.external_scorer_weight > 0.0
-    priors: dict[LabelSequence, float] = {}
-
-    def prior(prefix: LabelSequence) -> float:
-        """What ranking adds to the mass of ``prefix``."""
-        if prefix not in priors:
-            value = float(scorer(prefix))
-            if not value < math.inf:
-                raise OptionError(f"scorer returned {value} for prefix {prefix}")
-            priors[prefix] = opts.external_scorer_weight * value
-        return priors[prefix]
-
-    fresh_limit = lp.shape[1] if use_scorer else width
-    # (-rank, prefix, logp_blank, logp_nonblank), best first
+    # (-mass, prefix, logp_blank, logp_nonblank), best first
     beams: list[tuple[float, LabelSequence, float, float]] = [(0.0, (), 0.0, NEG_INF)]
     for p, symbols in zip(lp.tolist(), np.argsort(-lp, axis=1, kind="stable").tolist()):
         index = {prefix: b for b, (_, prefix, _, _) in enumerate(beams)}
@@ -187,14 +161,12 @@ def ctc_beam_search(log_probs, opts: DecodeOptions | None = None,
             taken, floor = 0, NEG_INF
             for c in symbols:
                 mass = total + p[c]
-                if taken >= fresh_limit and mass < floor:
+                if taken >= width and mass < floor:
                     break
                 if c != 0 and c != last and c not in kids:
                     pool.append((-mass, prefix + (c,), NEG_INF, mass))
                     taken, floor = taken + 1, mass
-        if use_scorer:
-            pool = [(r - prior(prefix), prefix, pb, pnb) for r, prefix, pb, pnb in pool]
-        pool.sort()  # by (-rank, prefix); prefixes are unique
+        pool.sort()  # by (-mass, prefix); prefixes are unique
         beams = pool[:width]
 
     return [Hypothesis(prefix, pb, pnb) for _, prefix, pb, pnb in beams]

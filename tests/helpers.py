@@ -11,7 +11,7 @@ import numpy as np
 
 from ctcnat import ctc, model, tensor, training
 from ctcnat.ctc import CtcLattice, LabelSequence, _extended, _skip_allowed
-from ctcnat.decoding import DecodeOptions, Hypothesis, PrefixScorer, _as_table, _lse2
+from ctcnat.decoding import DecodeOptions, Hypothesis, _as_table, _lse2
 from ctcnat.tensor import _TAPES, NEG_INF, BackwardRule, NumericError, ShapeError, Tensor
 
 
@@ -65,32 +65,18 @@ def stepped_row(config: model.ModelConfig, params: model.ModelParams, enc: model
             for n in range(len(prefix) + 1)][-1]
 
 
-def reference_ctc_beam_search(log_probs, opts: DecodeOptions | None = None,
-                              scorer: PrefixScorer | None = None) -> list[Hypothesis]:
+def reference_ctc_beam_search(log_probs, opts: DecodeOptions | None = None) -> list[Hypothesis]:
     """The per-symbol loop over every extension, kept as the reference of
     ``decoding.ctc_beam_search``: the result must be equal, float for float.
 
     Left-to-right prefix beam search with recombination.
 
-    Returns the surviving hypotheses ranked best-first. Ranking uses the
-    pure CTC mass unless a scorer is supplied with a positive weight, in
-    which case it uses mass + weight * scorer(prefix); Hypothesis.score is
-    always the pure CTC mass.
+    Returns the surviving hypotheses ranked best-first by CTC mass
+    (Hypothesis.score), ties toward the lexicographically smaller prefix.
     """
     opts = opts or DecodeOptions()
     lp = _as_table(log_probs)
     T, C = lp.shape
-
-    use_scorer = scorer is not None and opts.external_scorer_weight > 0.0
-    scorer_cache: dict[LabelSequence, float] = {}
-
-    def rank_score(prefix: LabelSequence, mass: float) -> float:
-        if not use_scorer:
-            return mass
-        if prefix not in scorer_cache:
-            scorer_cache[prefix] = float(scorer(prefix))
-        return mass + opts.external_scorer_weight * scorer_cache[prefix]
-
     beams: dict[LabelSequence, list[float]] = {(): [0.0, NEG_INF]}
     for t in range(T):
         row = lp[t]
@@ -111,11 +97,11 @@ def reference_ctc_beam_search(log_probs, opts: DecodeOptions | None = None,
                 else:
                     grown = nxt.setdefault(prefix + (c,), [NEG_INF, NEG_INF])
                     grown[1] = _lse2(grown[1], total + p)
-        ranked = sorted(nxt.items(), key=lambda kv: (-rank_score(kv[0], _lse2(*kv[1])), kv[0]))
+        ranked = sorted(nxt.items(), key=lambda kv: (-_lse2(*kv[1]), kv[0]))
         beams = dict(ranked[: opts.beam_width])
 
     result = [Hypothesis(prefix, pb, pnb) for prefix, (pb, pnb) in beams.items()]
-    result.sort(key=lambda h: (-rank_score(h.prefix, h.score), h.prefix))
+    result.sort(key=lambda h: (-h.score, h.prefix))
     return result
 
 
