@@ -14,6 +14,7 @@ lexicographically smaller prefix first.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,16 +42,18 @@ class OptionError(ValueError):
 class DecodeOptions:
     """Beam settings.
 
-    beam_width defaults to 4, matching the baseline's beam; there is no
-    canonical width for the parallel models, so treat it as a knob. The CTC
-    search extends each beam with every symbol, but offers at most
-    beam_width fresh extensions per beam and frame, plus ties, since no
-    more can survive the cut.
+    beam_width, an integer >= 1, defaults to 4, matching the baseline's
+    beam; there is no canonical width for the parallel models, so treat it
+    as a knob. The CTC search extends each beam with every symbol, but
+    offers at most beam_width fresh extensions per beam and frame, plus
+    ties, since no more can survive the cut.
     """
 
     beam_width: int = 4
 
     def __post_init__(self):
+        if not isinstance(self.beam_width, numbers.Integral):
+            raise OptionError(f"beam_width must be an integer, got {self.beam_width!r}")
         if self.beam_width < 1:
             raise OptionError(f"beam_width must be >= 1, got {self.beam_width}")
 

@@ -74,6 +74,16 @@ class TestBeamSearch:
         with pytest.raises(OptionError):
             DecodeOptions(beam_width=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.5, "4", None])
+    def test_non_integer_beam_width_rejected(self, bad):
+        with pytest.raises(OptionError, match="beam_width must be an integer"):
+            DecodeOptions(beam_width=bad)
+
+    def test_numpy_integer_beam_width_accepted(self):
+        lp = random_log_probs(np.random.default_rng(12), 4, 3)
+        got = ctc_beam_search(lp, DecodeOptions(beam_width=np.int64(3)))
+        assert_same_hypotheses(got, ctc_beam_search(lp, DecodeOptions(beam_width=3)))
+
     @pytest.mark.parametrize("seed", range(15))
     def test_exact_map_with_full_width(self, seed):
         """Width >= (V+1)^T makes the search exhaustive and exactly MAP."""
@@ -86,6 +96,35 @@ class TestBeamSearch:
         best = ctc_beam_search(lp, DecodeOptions(beam_width=(V + 1) ** T))[0]
         assert best.prefix == want_prefix
         assert best.score == pytest.approx(want_mass, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_full_width_keeps_every_prefix_with_its_exhaustive_mass(self, seed):
+        """With room for every prefix, the beam holds the whole collapse map:
+        each reachable prefix once, with the mass of all its paths, best
+        first. Unreachable prefixes, such as a repeat with no blank between,
+        may trail with mass -inf."""
+        rng = np.random.default_rng(500 + seed)
+        T, C = int(rng.integers(1, 5)), int(rng.integers(2, 4))
+        lp = random_log_probs(rng, T, C)
+        masses = exhaustive_map(lp)
+        hyps = ctc_beam_search(lp, DecodeOptions(beam_width=C ** T))
+        reachable = [h for h in hyps if h.score > NEG_INF]
+        assert sorted(h.prefix for h in reachable) == sorted(masses)
+        assert hyps[:len(reachable)] == reachable
+        for h in reachable:
+            assert h.score == pytest.approx(masses[h.prefix], abs=1e-9)
+        assert hyps == sorted(hyps, key=lambda h: (-h.score, h.prefix))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_hypotheses_rank_by_mass_then_prefix(self, seed):
+        """Mass alone orders the beam; exact ties go to the smaller prefix."""
+        rng = np.random.default_rng(600 + seed)
+        lp = quantized_log_probs(rng, 5, 4, [-0.5, -1.0, -2.0])
+        for width in (1, 2, 4, 16):
+            hyps = ctc_beam_search(lp, DecodeOptions(beam_width=width))
+            assert len(hyps) == width
+            keys = [(-h.score, h.prefix) for h in hyps]
+            assert keys == sorted(keys)
 
     def test_score_combines_terminal_masses(self):
         h = Hypothesis(prefix=(1,), logp_blank=math.log(0.25), logp_nonblank=math.log(0.5))
