@@ -44,31 +44,31 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every key accepted in a training config file."""
+    """Every key accepted in a training config file; shared defaults come from the library."""
 
-    variant: str = "encoder-decoder"
-    d_model: int = 64
-    ff_dim: int = 256
-    heads: int = 4
-    enc_layers: int = 2
-    dec_layers: int = 2
-    k: int = 3
-    max_len: int = 128
-    dropout: float = 0.1
+    variant: str = ModelConfig.variant
+    d_model: int = ModelConfig.d_model
+    ff_dim: int = ModelConfig.ff_dim
+    heads: int = ModelConfig.heads
+    enc_layers: int = ModelConfig.enc_layers
+    dec_layers: int = ModelConfig.dec_layers
+    k: int = ModelConfig.k
+    max_len: int = ModelConfig.max_len
+    dropout: float = ModelConfig.dropout_rate
     vocab_mode: str = "word"
     min_freq: int = 1
-    lr: float = 3e-3
-    warmup: int = 200
-    batch_size: int = 16
-    max_steps: int = 1000
-    valid_interval: int = 200
-    keep_top: int = 5
-    seed: int = 0
+    lr: float = TrainConfig.learning_rate
+    warmup: int = TrainConfig.warmup
+    batch_size: int = TrainConfig.batch_size
+    max_steps: int = TrainConfig.max_steps
+    valid_interval: int = TrainConfig.validation_interval
+    keep_top: int = TrainConfig.keep_top
+    seed: int = TrainConfig.seed
     train_src: str = ""
     train_tgt: str = ""
     valid_src: str = ""
     valid_tgt: str = ""
-    checkpoint_dir: str = "checkpoints"
+    checkpoint_dir: str = TrainConfig.checkpoint_dir
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -146,8 +146,8 @@ def cmd_train(args) -> int:
     except ConfigError as exc:
         raise UsageError(f"{_keys_named(str(exc))}{exc}") from exc
 
-    train_pairs = load_parallel(run.train_src, run.train_tgt, vocab, max_len=run.max_len)
-    valid_pairs = load_parallel(run.valid_src, run.valid_tgt, vocab, max_len=run.max_len)
+    train_pairs = load_parallel(run.train_src, run.train_tgt, vocab)
+    valid_pairs = load_parallel(run.valid_src, run.valid_tgt, vocab)
     final, log = train(model_config, train_pairs, valid_pairs, train_config, vocab)
 
     ckpt_dir = Path(run.checkpoint_dir)

@@ -141,13 +141,12 @@ class SentencePair:
     target_text: str
 
 
-def load_parallel(source_path: str | Path, target_path: str | Path, vocab: Vocabulary,
-                  max_len: int | None = None) -> list[SentencePair]:
+def load_parallel(source_path: str | Path, target_path: str | Path, vocab: Vocabulary) -> list[SentencePair]:
     """Pair up two line-aligned UTF-8 files.
 
-    Pairs that tokenize to nothing on either side are dropped, as are pairs
-    with a side longer than ``max_len`` (truncation would silently corrupt
-    lattice feasibility); both drop counts are logged.
+    Pairs that tokenize to nothing on either side are dropped, and their
+    count is logged. Lengths are the model's business: ``train`` admits
+    pairs by ``training.feasible_pairs``.
     """
     with open(source_path, encoding="utf-8") as f:
         src_lines = f.read().splitlines()
@@ -159,21 +158,15 @@ def load_parallel(source_path: str | Path, target_path: str | Path, vocab: Vocab
             f"{target_path} has {len(tgt_lines)}")
     pairs = []
     dropped_empty = 0
-    dropped_long = 0
     for src, tgt in zip(src_lines, tgt_lines):
         s_ids = vocab.encode_line(src)
         t_ids = vocab.encode_line(tgt)
         if not s_ids or not t_ids:
             dropped_empty += 1
             continue
-        if max_len is not None and (len(s_ids) > max_len or len(t_ids) > max_len):
-            dropped_long += 1
-            continue
         pairs.append(SentencePair(s_ids, t_ids, src, tgt))
     if dropped_empty:
         log.info("dropped %d empty-after-tokenization pairs", dropped_empty)
-    if dropped_long:
-        log.info("dropped %d pairs longer than max_len=%s", dropped_long, max_len)
     return pairs
 
 

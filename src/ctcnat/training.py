@@ -9,7 +9,7 @@ disk; averaging their parameters elementwise gives the final model.
 
 Checkpoint files: magic ``CTCNAT01`` (the trailing two bytes are the
 format version), then little-endian throughout: a block of length-prefixed
-UTF-8 ``key=value`` lines covering the model config plus step and
+UTF-8 ``key=value`` lines, one per ``ModelConfig`` field plus step and
 validation score, then per-parameter records of length-prefixed name, rank,
 dims as unsigned 32-bit, and values as raw 64-bit floats. Round trips are
 bit-exact.
@@ -22,9 +22,9 @@ import logging
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -174,13 +174,18 @@ def batch_loss(config: ModelConfig, params: ModelParams, batch: Batch,
     return scale(functools.reduce(add, losses), 1.0 / len(batch.sources))
 
 
+def _encodable(config: ModelConfig, pair: SentencePair) -> bool:
+    """Whether the encoder takes the pair's source: not empty, at most max_len."""
+    return 0 < len(pair.source_ids) <= config.max_len
+
+
 def feasible_pairs(config: ModelConfig, pairs: Sequence[SentencePair]) -> tuple[list[SentencePair], int]:
     """Drop pairs the model cannot take: a source that is empty or longer
     than max_len; for the AR baseline, a decoder input ([EOS] + target)
     longer than max_len; otherwise a target that cannot fit in k * T_x
     frames (label count plus repeat separators). Returns (kept, skipped_count)."""
     def fits(p: SentencePair) -> bool:
-        if not 0 < len(p.source_ids) <= config.max_len:
+        if not _encodable(config, p):
             return False
         if config.is_autoregressive:
             return len(p.target_ids) + 1 <= config.max_len
@@ -237,7 +242,8 @@ def train(model_config: ModelConfig, train_pairs: Sequence[SentencePair],
           valid_pairs: Sequence[SentencePair], train_config: TrainConfig,
           vocab: Vocabulary) -> tuple[Checkpoint, list[LogRow]]:
     """Run the full optimization loop; returns the final checkpoint and the
-    (step, train loss, validation BLEU) log."""
+    (step, train loss, validation BLEU) log. ``feasible_pairs`` admits the
+    training pairs; before step 1, its source rule alone admits validation pairs."""
     if not train_pairs or not valid_pairs:
         raise ConfigError("training and validation corpora must be non-empty")
     usable, skipped = feasible_pairs(model_config, train_pairs)
@@ -245,6 +251,9 @@ def train(model_config: ModelConfig, train_pairs: Sequence[SentencePair],
         raise ConfigError(
             f"all {len(train_pairs)} training pairs are infeasible for k={model_config.k}, "
             f"max_len={model_config.max_len}; increase the split factor k or max_len")
+    valid = [p for p in valid_pairs if _encodable(model_config, p)]
+    if not valid:
+        raise ConfigError(f"all {len(valid_pairs)} validation sources are empty or longer than max_len")
 
     rng = np.random.default_rng(train_config.seed)
     params = init_params(model_config, rng)
@@ -257,6 +266,9 @@ def train(model_config: ModelConfig, train_pairs: Sequence[SentencePair],
     if skipped:
         _log.info("skipped %d infeasible pairs (longer than max_len, or target needs more than k*T_x frames)",
                   skipped)
+    if len(valid) < len(valid_pairs):
+        _log.info("dropped %d validation pairs whose source is empty or longer than max_len",
+                  len(valid_pairs) - len(valid))
 
     log: list[LogRow] = []
     order: list[int] = []
@@ -279,7 +291,7 @@ def train(model_config: ModelConfig, train_pairs: Sequence[SentencePair],
 
         bleu = None
         if step % train_config.validation_interval == 0 or step == train_config.max_steps:
-            bleu = validation_bleu(model_config, params, vocab, valid_pairs)
+            bleu = validation_bleu(model_config, params, vocab, valid)
             last_bleu = bleu
             retention.add(Checkpoint(model_config, _copy_params(params), step, bleu))
         log.append(LogRow(step, loss.item(), bleu))
@@ -322,20 +334,15 @@ def average_checkpoints(checkpoints: Sequence[Checkpoint]) -> ModelParams:
     return out
 
 
-_CONFIG_FIELDS = ("variant", "vocab_size", "d_model", "ff_dim", "heads",
-                  "enc_layers", "dec_layers", "k", "max_len", "dropout_rate")
-_INT_FIELDS = {"vocab_size", "d_model", "ff_dim", "heads", "enc_layers", "dec_layers", "k", "max_len"}
-
-
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write ``ckpt`` to a temp file beside ``path``, then rename it over
     ``path``: a save that fails midway leaves any earlier file at ``path``
-    intact and no partial file behind."""
+    intact and no partial file behind. The header has one line per
+    ``ModelConfig`` field, in declaration order; ``str`` of a float round-trips."""
     path = Path(path)
-    lines = [f"{name}={getattr(ckpt.config, name)!r}" if name == "dropout_rate"
-             else f"{name}={getattr(ckpt.config, name)}" for name in _CONFIG_FIELDS]
+    lines = [f"{f.name}={getattr(ckpt.config, f.name)}" for f in fields(ModelConfig)]
     lines.append(f"step={ckpt.step}")
-    lines.append(f"valid_score={ckpt.valid_score!r}")
+    lines.append(f"valid_score={ckpt.valid_score}")
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "wb") as f:
@@ -389,20 +396,18 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version!r}")
 
-    fields: dict[str, str] = {}
+    values: dict[str, str] = {}
     for _ in range(reader.u32()):
         line = reader.take(reader.u32()).decode("utf-8")
         key, sep, value = line.partition("=")
         if not sep:
             raise FormatError(f"malformed config line {line!r} before offset {reader.offset}")
-        fields[key] = value
+        values[key] = value
     try:
-        kwargs = {name: (int(fields[name]) if name in _INT_FIELDS else fields[name])
-                  for name in _CONFIG_FIELDS if name != "dropout_rate"}
-        kwargs["dropout_rate"] = float(fields["dropout_rate"])
-        config = ModelConfig(**kwargs)
-        step = int(fields["step"])
-        valid_score = float(fields["valid_score"])
+        types = get_type_hints(ModelConfig)
+        config = ModelConfig(**{f.name: types[f.name](values[f.name]) for f in fields(ModelConfig)})
+        step = int(values["step"])
+        valid_score = float(values["valid_score"])
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad config block: {exc}") from exc
 

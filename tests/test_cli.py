@@ -3,9 +3,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ctcnat.cli import _FIELD_OF_KEY, RunConfig, main, parse_config, serialize_config
+from ctcnat.cli import _FIELD_OF_KEY, RunConfig, _read_lines, main, parse_config, serialize_config
+from ctcnat.data import SentencePair, build_vocab
 from ctcnat.model import ModelConfig, init_params
-from ctcnat.training import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
+from ctcnat.training import Checkpoint, TrainConfig, feasible_pairs, load_checkpoint, save_checkpoint
 
 
 def write_config(path, **overrides):
@@ -43,6 +44,14 @@ class TestConfigFile:
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# comment\n\nd_model=24\n")
         assert cfg.d_model == 24
+
+    def test_defaults_serialize_as_before(self):
+        """Each shared default comes from ModelConfig or TrainConfig; the text stays the same."""
+        assert serialize_config(RunConfig()) == (
+            "variant=encoder-decoder\nd_model=64\nff_dim=256\nheads=4\nenc_layers=2\ndec_layers=2\n"
+            "k=3\nmax_len=128\ndropout=0.1\nvocab_mode=word\nmin_freq=1\nlr=0.003\nwarmup=200\n"
+            "batch_size=16\nmax_steps=1000\nvalid_interval=200\nkeep_top=5\nseed=0\ntrain_src=\n"
+            "train_tgt=\nvalid_src=\nvalid_tgt=\ncheckpoint_dir=checkpoints\n")
 
     def test_every_model_and_training_setting_has_a_config_key(self):
         """No setting of a training run is reachable from the library alone;
@@ -115,6 +124,30 @@ class TestTrainCommand:
                      checkpoint_dir=str(tmp_path / "ckpt"))
         assert main(["train", "--config", str(cfg_path)]) == 0
         assert "skipped 1 infeasible pairs" in capsys.readouterr().err
+
+    def test_pairs_are_admitted_by_feasible_pairs_alone(self, tmp_path, capsys):
+        """The target may be longer than max_len: only the source is bounded
+        by it, and the k * T_x frame rule decides the rest."""
+        src, tgt = tmp_path / "train.src", tmp_path / "train.tgt"
+        assert main(["synth", "--task", "duplicate-each-token", "--vocab-size", "8", "--n", "200",
+                     "--min-len", "2", "--max-len", "5", "--seed", "0", "--src", str(src), "--tgt", str(tgt)]) == 0
+        vsrc, vtgt = synth_corpus(tmp_path, n=6, seed=1, prefix="valid")
+        cfg_path = tmp_path / "run.cfg"
+        write_config(cfg_path, d_model=16, ff_dim=32, heads=2, enc_layers=1, dec_layers=1,
+                     k=3, max_len=6, dropout=0.0, max_steps=1, valid_interval=1, batch_size=4,
+                     warmup=1, train_src=str(src), train_tgt=str(tgt),
+                     valid_src=str(vsrc), valid_tgt=str(vtgt), checkpoint_dir=str(tmp_path / "ckpt"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        err = capsys.readouterr().err
+        vocab = build_vocab(_read_lines(src) + _read_lines(tgt))
+        pairs = [SentencePair(vocab.encode_line(s), vocab.encode_line(t), s, t)
+                 for s, t in zip(_read_lines(src), _read_lines(tgt))]
+        model = ModelConfig(vocab_size=vocab.vocab_size, k=3, max_len=6)
+        kept, skipped = feasible_pairs(model, pairs)
+        assert (len(kept), skipped) == (142, 58)
+        assert f"skipped {skipped} infeasible pairs" in err
+        assert "dropped" not in err
 
 
 class TestTranslateCommand:

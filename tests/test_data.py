@@ -97,14 +97,14 @@ class TestLoadParallel:
         pairs = load_parallel(tmp_path / "s.txt", tmp_path / "t.txt", vocab)
         assert pairs[0].source_ids == (UNK_ID, UNK_ID)
 
-    def test_drops_and_logs_empty_and_overlong(self, tmp_path, caplog):
+    def test_drops_and_logs_empty_pairs(self, tmp_path, caplog):
         (tmp_path / "s.txt").write_text("a\n\na a a\n", encoding="utf-8")
         (tmp_path / "t.txt").write_text("a\na\na\n", encoding="utf-8")
         vocab = build_vocab(["a"], mode="word")
         with caplog.at_level(logging.INFO):
-            pairs = load_parallel(tmp_path / "s.txt", tmp_path / "t.txt", vocab, max_len=2)
-        assert len(pairs) == 1
-        assert "dropped" in caplog.text
+            pairs = load_parallel(tmp_path / "s.txt", tmp_path / "t.txt", vocab)
+        assert [p.source_text for p in pairs] == ["a", "a a a"]
+        assert "dropped 1 empty-after-tokenization pairs" in caplog.text
 
 
 class TestBatching:

@@ -1,6 +1,7 @@
 import logging
 import math
 import struct
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from ctcnat import training
 from ctcnat.ctc import count_alignments
 from ctcnat.data import SentencePair, batch_pairs, gen_synthetic, synthetic_vocab
+from ctcnat.evaluation import corpus_bleu
 from ctcnat.model import ConfigError, ModelConfig, init_params
 from ctcnat.tensor import GradTape, Tensor
 from ctcnat.training import (
@@ -20,6 +22,7 @@ from ctcnat.training import (
     average_checkpoints,
     batch_loss,
     feasible_pairs,
+    greedy_translate,
     load_checkpoint,
     lr_at,
     save_checkpoint,
@@ -214,6 +217,49 @@ class TestFeasibility:
             train(cfg, pairs, pairs, tc, vocab)
 
 
+class TestValidationAdmission:
+    def test_overlong_validation_source_is_dropped_before_step_1(self, tmp_path, caplog, monkeypatch):
+        vocab, pairs = small_corpus(n=12, seed=3)
+        cfg = small_config(vocab_size=vocab.vocab_size, max_len=6)
+        kept = pairs[8:]
+        overlong = SentencePair((4,) * 7, (4,), "", "")
+        seen_at_step_1 = []
+
+        def first_step_sees_log(*args, **kw):
+            seen_at_step_1.append(caplog.text)
+            return batch_loss(*args, **kw)
+
+        monkeypatch.setattr(training, "batch_loss", first_step_sees_log)
+        tc = TrainConfig(max_steps=2, validation_interval=2, batch_size=4,
+                         checkpoint_dir=str(tmp_path), seed=4, warmup=2)
+        with caplog.at_level(logging.INFO, logger="ctcnat"):
+            final, log = train(cfg, pairs[:8], kept[:2] + [overlong] + kept[2:], tc, vocab)
+        assert "dropped 1 validation pairs whose source is empty or longer than max_len" in seen_at_step_1[0]
+        hyps = [vocab.decode_ids(greedy_translate(cfg, final.params, p.source_ids)) for p in kept]
+        refs = [vocab.decode_ids(p.target_ids) for p in kept]
+        assert log[-1].valid_bleu == final.valid_score == corpus_bleu(hyps, refs)
+
+    def test_infeasible_validation_target_is_kept(self, tmp_path):
+        vocab, pairs = small_corpus(n=10, seed=5)
+        cfg = small_config(vocab_size=vocab.vocab_size, k=1)
+        long_target = SentencePair((4,), (4, 5, 6), "", "")  # 3 labels, 1 frame
+        tc = TrainConfig(max_steps=1, validation_interval=1, batch_size=4,
+                         checkpoint_dir=str(tmp_path), warmup=1)
+        valid = pairs[:2] + [long_target]
+        final, log = train(cfg, pairs, valid, tc, vocab)
+        hyps = [vocab.decode_ids(greedy_translate(cfg, final.params, p.source_ids)) for p in valid]
+        assert log[-1].valid_bleu == corpus_bleu(hyps, [vocab.decode_ids(p.target_ids) for p in valid])
+
+    def test_no_encodable_validation_source_raises_before_any_checkpoint(self, tmp_path):
+        vocab, pairs = small_corpus(n=8, seed=2)
+        cfg = small_config(vocab_size=vocab.vocab_size, max_len=6)
+        valid = [SentencePair((4,) * 7, (4,), "", ""), SentencePair((), (4,), "", "")]
+        tc = TrainConfig(max_steps=1, validation_interval=1, checkpoint_dir=str(tmp_path / "ckpt"), warmup=1)
+        with pytest.raises(ConfigError, match="all 2 validation sources are empty or longer than max_len"):
+            train(cfg, pairs, valid, tc, vocab)
+        assert not (tmp_path / "ckpt").exists()
+
+
 class TestTrainLoop:
     def test_determinism(self, tmp_path):
         vocab, pairs = small_corpus(n=20, seed=6)
@@ -354,6 +400,40 @@ class TestCheckpointIO:
         save_checkpoint(Checkpoint(deep, init_params(deep, 13), 1, 0.0), path)
         with pytest.raises(CheckpointError):
             load_checkpoint(path, expected_config=small_config())
+
+    def test_every_config_field_round_trips_at_a_non_default_value(self, tmp_path):
+        cfg = ModelConfig(vocab_size=7, d_model=24, ff_dim=40, heads=3, enc_layers=3, dec_layers=1,
+                          k=4, variant="encoder-decoder-posenc", max_len=17, dropout_rate=0.1 + 0.2)
+        defaults = ModelConfig(vocab_size=1)
+        assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(defaults, f.name)] == []
+        path = tmp_path / "model.bin"
+        save_checkpoint(Checkpoint(cfg, init_params(cfg, 15), 3, 1.5), path)
+        reader = training._Reader(path.read_bytes())
+        reader.take(8)
+        keys = [reader.take(reader.u32()).decode("utf-8").partition("=")[0] for _ in range(reader.u32())]
+        assert keys == [f.name for f in fields(ModelConfig)] + ["step", "valid_score"]
+        assert load_checkpoint(path).config == cfg
+
+    def test_header_in_the_earlier_line_order_loads(self, tmp_path):
+        """Files written before the header followed ModelConfig's field
+        order put ``variant`` first; keys are read by name."""
+        cfg = small_config(dropout_rate=0.25)
+        params = init_params(cfg, 16)
+        path = tmp_path / "model.bin"
+        save_checkpoint(Checkpoint(cfg, params, 4, 2.5), path)
+        reader = training._Reader(path.read_bytes())
+        reader.take(8)
+        lines = dict(reader.take(reader.u32()).decode("utf-8").partition("=")[::2] for _ in range(reader.u32()))
+        order = ("variant", "vocab_size", "d_model", "ff_dim", "heads", "enc_layers", "dec_layers",
+                 "k", "max_len", "dropout_rate", "step", "valid_score")
+        header = b"".join(struct.pack("<I", len(raw)) + raw
+                          for raw in (f"{key}={lines[key]}".encode("utf-8") for key in order))
+        old = tmp_path / "old.bin"
+        old.write_bytes(reader.blob[:8] + struct.pack("<I", len(order)) + header + reader.blob[reader.offset:])
+        loaded = load_checkpoint(old, expected_config=cfg)
+        assert (loaded.config, loaded.step, loaded.valid_score) == (cfg, 4, 2.5)
+        for name in params:
+            assert loaded.params[name].data.tobytes() == params[name].data.tobytes()
 
     def test_tampered_parameter_set(self, tmp_path):
         cfg = small_config()
