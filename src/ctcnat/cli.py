@@ -26,7 +26,7 @@ from .data import (
 )
 from .decoding import DecodeOptions, OptionError, check_max_steps, translate
 from .evaluation import EvalReport, corpus_bleu
-from .model import ConfigError, ModelConfig
+from .model import ConfigError, LengthError, ModelConfig, check_source_length
 from .training import (
     Checkpoint,
     TrainConfig,
@@ -186,18 +186,32 @@ def _check_ar_budget(flag: str, config: ModelConfig, max_steps: int | None) -> N
             raise UsageError(f"{flag}: {exc}") from None
 
 
+def _encode_input(path: str, vocab: Vocabulary,
+                  models: list[tuple[str, ModelConfig]]) -> list[tuple[str, list[int]]]:
+    """Each line of ``path`` with its ids. Every non-empty line must pass the
+    source rule of each (flag, config) in ``models``; the first that fails
+    is a usage error naming its 1-based line number, so nothing decodes."""
+    encoded = []
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        ids = vocab.encode_line(line)
+        if ids:
+            for flag, config in models:
+                try:
+                    check_source_length(config, len(ids))
+                except LengthError as exc:
+                    raise UsageError(f"--input line {lineno}: {exc} ({flag})") from None
+        encoded.append((line, ids))
+    return encoded
+
+
 def cmd_translate(args) -> int:
     beam = _beam_options(args.beam) if args.mode == "beam" else None
     ckpt = load_checkpoint(args.model)
     _check_ar_budget("--max-steps", ckpt.config, args.max_steps)
     vocab = _load_vocab_for_model(args.model, ckpt.config, args.vocab, args.vocab_mode)
     out_lines = []
-    for line in _read_lines(args.input):
-        ids = vocab.encode_line(line)
-        if not ids:
-            out_lines.append("")
-            continue
-        hyp = translate(ckpt.config, ckpt.params, ids, beam, args.max_steps)
+    for _, ids in _encode_input(args.input, vocab, [("--model", ckpt.config)]):
+        hyp = translate(ckpt.config, ckpt.params, ids, beam, args.max_steps) if ids else ()
         out_lines.append(vocab.detokenize(vocab.decode_ids(hyp)))
     with open(args.output, "w", encoding="utf-8") as f:
         for line in out_lines:
@@ -253,12 +267,9 @@ def cmd_bench(args) -> int:
         vocabs.append(_load_vocab_for_model(args.nar_model, ckpt.config, args.vocab, args.vocab_mode))
     if vocabs[0] != vocabs[-1]:
         raise UsageError("--ar-model and --nar-model have different vocabularies; pass one with --vocab")
-    vocab = vocabs[0]
-    pairs = []
-    for line in _read_lines(args.input):
-        ids = vocab.encode_line(line)
-        if ids:
-            pairs.append(SentencePair(ids, ids, line, line))
+    limits = [(flag, model[0]) for flag, model in (("--ar-model", ar), ("--nar-model", nar)) if model]
+    pairs = [SentencePair(ids, ids, line, line)
+             for line, ids in _encode_input(args.input, vocabs[0], limits) if ids]
     records, summary = bench_mod.bench_decode(
         pairs, modes=modes, ar_model=ar, nar_model=nar, reps=args.reps,
         beam=beam, ar_max_steps=args.ar_max_steps)

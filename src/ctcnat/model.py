@@ -262,14 +262,27 @@ def _check_ids(ids, config: ModelConfig) -> list[int]:
     return out
 
 
+def check_source_length(config: ModelConfig, length: int) -> None:
+    """The encoder's limit: a source is non-empty and at most max_len ids long."""
+    if length == 0:
+        raise LengthError("empty source sequence")
+    if length > config.max_len:
+        raise LengthError(f"source length {length} exceeds max_len {config.max_len}")
+
+
+def check_decoder_input_length(config: ModelConfig, length: int) -> None:
+    """The autoregressive decoder's limit: its input, [EOS] + target, is at
+    most max_len ids long."""
+    if length > config.max_len:
+        raise LengthError(f"decoder input length {length} exceeds max_len {config.max_len}")
+
+
 def encode(config: ModelConfig, params: ModelParams, source_ids,
            *, dropout_rng: np.random.Generator | None = None) -> EncoderStates:
-    """Run the shared encoder stack over a source id sequence."""
+    """Run the shared encoder stack over a source id sequence that
+    ``check_source_length`` admits."""
     ids = _check_ids(source_ids, config)
-    if not ids:
-        raise LengthError("empty source sequence")
-    if len(ids) > config.max_len:
-        raise LengthError(f"source length {len(ids)} exceeds max_len {config.max_len}")
+    check_source_length(config, len(ids))
     x = scale(embed(params["src_embed"], ids), math.sqrt(config.d_model))
     x = add(x, Tensor(sinusoid_table(config.max_len, config.d_model)[: len(ids)]))
     x = _maybe_drop(x, config, dropout_rng)
@@ -325,8 +338,7 @@ def _decoder_input(config: ModelConfig, target_ids) -> list[int]:
     ids = [EOS_ID] + _check_ids(target_ids, config)
     if 0 in ids:
         raise VocabularyError("autoregressive targets must not contain the blank id")
-    if len(ids) > config.max_len:
-        raise LengthError(f"decoder input length {len(ids)} exceeds max_len {config.max_len}")
+    check_decoder_input_length(config, len(ids))
     return ids
 
 

@@ -285,11 +285,12 @@ def multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int, memory
 
     ``params`` are (gain, bias, wq, bq, wk, bk, wv, bv, wo, bo). The normed
     (t, d) ``x`` gives the queries. With ``memory`` None, it also gives the
-    keys and values, which follow the first n positions of ``past``'s key
-    and value buffers: the op writes them there in place and attends over
-    all n + t. A tensor ``memory`` gives the keys and values instead; a KV
-    ``memory`` is head-split keys and values. ``past`` and a KV ``memory``
-    are constant to the tape, so only inference may pass them. Dropout runs
+    keys and values. With ``past``, whose key and value buffers hold n
+    positions, ``x`` is one position and ``mask`` is None: the op writes
+    its key and value at position n in place and attends over all n + 1.
+    A tensor ``memory`` gives the keys and values instead; a KV ``memory``
+    is head-split keys and values. ``past`` and a KV ``memory`` are
+    constant to the tape, so only inference may pass them. Dropout runs
     when ``rng`` is given and ``rate`` > 0.
 
     Only the scores, whose -inf the softmax would hide, and the output are
@@ -314,10 +315,12 @@ def multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int, memory
         kh = k.reshape(t_k, heads, dh).transpose(1, 0, 2)
         vh = v.reshape(t_k, heads, dh).transpose(1, 0, 2)
         if past is not None:
+            if t_k != 1 or mask is not None:
+                raise ShapeError("attention: past takes one new position and no mask")
             keys, values, n = past
-            keys[:, n:n + t_k] = kh
-            values[:, n:n + t_k] = vh
-            kh, vh = keys[:, :n + t_k], values[:, :n + t_k]
+            keys[:, n:n + 1] = kh
+            values[:, n:n + 1] = vh
+            kh, vh = keys[:, :n + 1], values[:, :n + 1]
     else:
         source, projected = None, ()
         kh, vh = memory

@@ -24,7 +24,7 @@ import os
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -34,8 +34,11 @@ from .decoding import translate
 from .evaluation import corpus_bleu
 from .model import (
     ConfigError,
+    LengthError,
     ModelConfig,
     ModelParams,
+    check_decoder_input_length,
+    check_source_length,
     decode_autoregressive_full,
     decode_parallel,
     encode,
@@ -174,21 +177,27 @@ def batch_loss(config: ModelConfig, params: ModelParams, batch: Batch,
     return scale(functools.reduce(add, losses), 1.0 / len(batch.sources))
 
 
-def _encodable(config: ModelConfig, pair: SentencePair) -> bool:
-    """Whether the encoder takes the pair's source: not empty, at most max_len."""
-    return 0 < len(pair.source_ids) <= config.max_len
+def _passes(rule: Callable[[ModelConfig, int], None], config: ModelConfig, length: int) -> bool:
+    """Whether ``rule``, one of the model's length limits, admits ``length``."""
+    try:
+        rule(config, length)
+    except LengthError:
+        return False
+    return True
 
 
 def feasible_pairs(config: ModelConfig, pairs: Sequence[SentencePair]) -> tuple[list[SentencePair], int]:
-    """Drop pairs the model cannot take: a source that is empty or longer
-    than max_len; for the AR baseline, a decoder input ([EOS] + target)
-    longer than max_len; otherwise a target that cannot fit in k * T_x
-    frames (label count plus repeat separators). Returns (kept, skipped_count)."""
+    """Drop pairs the model cannot take: a source that
+    ``check_source_length`` rejects (empty, or longer than max_len); for the
+    AR baseline, a decoder input ([EOS] + target) that
+    ``check_decoder_input_length`` rejects (longer than max_len); otherwise
+    a target that cannot fit in k * T_x frames (label count plus repeat
+    separators). Returns (kept, skipped_count)."""
     def fits(p: SentencePair) -> bool:
-        if not _encodable(config, p):
+        if not _passes(check_source_length, config, len(p.source_ids)):
             return False
         if config.is_autoregressive:
-            return len(p.target_ids) + 1 <= config.max_len
+            return _passes(check_decoder_input_length, config, len(p.target_ids) + 1)
         return config.k * len(p.source_ids) >= min_frames(p.target_ids)
 
     kept = [p for p in pairs if fits(p)]
@@ -243,7 +252,8 @@ def train(model_config: ModelConfig, train_pairs: Sequence[SentencePair],
           vocab: Vocabulary) -> tuple[Checkpoint, list[LogRow]]:
     """Run the full optimization loop; returns the final checkpoint and the
     (step, train loss, validation BLEU) log. ``feasible_pairs`` admits the
-    training pairs; before step 1, its source rule alone admits validation pairs."""
+    training pairs; before step 1, ``check_source_length`` alone admits the
+    validation pairs."""
     if not train_pairs or not valid_pairs:
         raise ConfigError("training and validation corpora must be non-empty")
     usable, skipped = feasible_pairs(model_config, train_pairs)
@@ -251,7 +261,7 @@ def train(model_config: ModelConfig, train_pairs: Sequence[SentencePair],
         raise ConfigError(
             f"all {len(train_pairs)} training pairs are infeasible for k={model_config.k}, "
             f"max_len={model_config.max_len}; increase the split factor k or max_len")
-    valid = [p for p in valid_pairs if _encodable(model_config, p)]
+    valid = [p for p in valid_pairs if _passes(check_source_length, model_config, len(p.source_ids))]
     if not valid:
         raise ConfigError(f"all {len(valid_pairs)} validation sources are empty or longer than max_len")
 

@@ -3,6 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from ctcnat import cli
 from ctcnat.cli import _FIELD_OF_KEY, RunConfig, _read_lines, main, parse_config, serialize_config
 from ctcnat.data import SentencePair, build_vocab
 from ctcnat.model import ModelConfig, init_params
@@ -250,6 +251,33 @@ class TestTranslateCommand:
         assert not out.exists()
 
 
+    def test_overlong_line_is_usage_error_before_any_decode(self, tmp_path, capsys, monkeypatch):
+        model = _model_at_max_len(tmp_path, "encoder-decoder", 4)
+        inp = tmp_path / "in.txt"
+        inp.write_text("w0 w1\n" * 300 + "w0 w1 w2 w3 w4\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        monkeypatch.setattr(cli, "translate", _must_not_run)
+        assert main(["translate", "--model", str(model), "--input", str(inp), "--output", str(out)]) == 2
+        assert "--input line 301: source length 5 exceeds max_len 4 (--model)" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _model_at_max_len(directory, variant, max_len, name="model.bin"):
+    """A checkpoint of a small ``variant`` model with ``max_len``, and vocab.txt beside it."""
+    from ctcnat.data import synthetic_vocab
+    vocab = synthetic_vocab(8)
+    cfg = ModelConfig(vocab_size=vocab.vocab_size, d_model=16, ff_dim=32, heads=2, enc_layers=1,
+                      dec_layers=1, k=2, variant=variant, max_len=max_len, dropout_rate=0.0)
+    path = directory / name
+    save_checkpoint(Checkpoint(cfg, init_params(cfg, 9), 1, 0.0), path)
+    vocab.save(directory / "vocab.txt")
+    return path
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("decoding started before the input was checked")
+
+
 class TestEvaluateCommand:
     def test_identity_prints_100(self, tmp_path, capsys):
         hyp = tmp_path / "hyp.txt"
@@ -418,6 +446,46 @@ def test_bench_ar_budget_past_max_len_is_usage_error(tmp_path, capsys):
     assert rc == 2
     assert "--ar-max-steps: max_steps must be in 0..32 (the model's max_len), got 33" in capsys.readouterr().err
     assert not out_csv.exists()
+
+
+def test_bench_overlong_line_is_usage_error_before_warm_up(tmp_path, capsys, monkeypatch):
+    model = _model_at_max_len(tmp_path, "encoder-decoder", 4)
+    inp = tmp_path / "in.txt"
+    inp.write_text("w0 w1\n" * 300 + "w0 w1 w2 w3 w4\n", encoding="utf-8")
+    out_csv = tmp_path / "times.csv"
+    monkeypatch.setattr(cli.bench_mod, "bench_decode", _must_not_run)
+    rc = main(["bench", "--input", str(inp), "--nar-model", str(model), "--out", str(out_csv)])
+    assert rc == 2
+    assert "--input line 301: source length 5 exceeds max_len 4 (--nar-model)" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("ar_max_len, nar_max_len, error", [
+    (4, 6, "--input line 3: source length 5 exceeds max_len 4 (--ar-model)"),
+    (6, 4, "--input line 3: source length 5 exceeds max_len 4 (--nar-model)"),
+    (5, 6, None),
+])
+def test_bench_checks_each_line_against_each_models_own_max_len(tmp_path, capsys, monkeypatch,
+                                                                ar_max_len, nar_max_len, error):
+    ar = _model_at_max_len(tmp_path, "autoregressive-baseline", ar_max_len, "ar.bin")
+    nar = _model_at_max_len(tmp_path, "encoder-decoder", nar_max_len, "nar.bin")
+    inp = tmp_path / "in.txt"
+    inp.write_text("w0 w1\n\nw0 w1 w2 w3 w4\n", encoding="utf-8")
+    benched = []
+
+    def record(pairs, **kwargs):
+        benched.append(pairs)
+        return [], ""
+
+    monkeypatch.setattr(cli.bench_mod, "bench_decode", record)
+    rc = main(["bench", "--input", str(inp), "--ar-model", str(ar), "--nar-model", str(nar)])
+    if error is None:
+        assert rc == 0
+        assert [len(p.source_ids) for p in benched[0]] == [2, 5]  # the empty line is skipped
+    else:
+        assert rc == 2
+        assert error in capsys.readouterr().err
+        assert benched == []
 
 
 @pytest.mark.parametrize("flags, message", [

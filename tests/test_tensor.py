@@ -596,22 +596,29 @@ def _sublayer_form(form: str, rng: np.random.Generator):
     """One form of a sublayer at d=4 with 2 heads: the fused op, the chain it
     replaces, x, the parameters, the positional arguments after them and a
     factory of the keyword arguments (fresh cache buffers on each call)."""
-    x = rng.normal(size=(3, 4))
+    x = rng.normal(size=(1 if form == "past" else 3, 4))
     if form == "ff":
         return T.feed_forward, reference_feed_forward, x, [Tensor(rng.normal(size=s)) for s in FF_PARAMS], (), dict
     params = [Tensor(rng.normal(size=s)) for s in MHA_SHAPES]
     memory = {"cross": Tensor(rng.normal(size=(5, 4))),
               "constant_kv": (rng.normal(size=(2, 5, 2)), rng.normal(size=(2, 5, 2)))}.get(form)
-    # two cached positions, then room for x's three and one more never read
-    cached = [np.concatenate((rng.normal(size=(2, 2, 2)), np.full((2, 4, 2), np.nan)), axis=1) for _ in "kv"]
-    causal = np.triu(np.full((5, 5), -1e9), k=1)
+    # two cached positions, then room for x's one and one more never read
+    cached = [np.concatenate((rng.normal(size=(2, 2, 2)), np.full((2, 2, 2), np.nan)), axis=1) for _ in "kv"]
 
     def kwargs():
         if form == "past":
-            return {"past": (*[b.copy() for b in cached], 2), "mask": causal[2:]}
-        return {"memory": memory, "mask": causal[2:, 2:] if form == "self" else None}
+            return {"past": (*[b.copy() for b in cached], 2)}
+        return {"memory": memory, "mask": np.triu(np.full((3, 3), -1e9), k=1) if form == "self" else None}
 
     return T.multi_head_attention, reference_multi_head_attention, x, params, (2,), kwargs
+
+
+@pytest.mark.parametrize("positions, mask", [(2, None), (1, np.zeros((1, 3)))])
+def test_past_takes_one_position_and_no_mask(positions, mask):
+    op, _, _, params, args, kwargs = _sublayer_form("past", np.random.default_rng(47))
+    x = Tensor(np.random.default_rng(48).normal(size=(positions, 4)))
+    with pytest.raises(ShapeError, match="^attention: past takes one new position and no mask$"):
+        op(x, params, *args, **kwargs(), mask=mask, rate=0.0, rng=None, scope="self_attn")
 
 
 class TestCheckRule:

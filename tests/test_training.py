@@ -7,11 +7,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ctcnat import training
+from ctcnat import model, training
 from ctcnat.ctc import count_alignments
 from ctcnat.data import SentencePair, batch_pairs, gen_synthetic, synthetic_vocab
 from ctcnat.evaluation import corpus_bleu
-from ctcnat.model import ConfigError, ModelConfig, init_params
+from ctcnat.model import ConfigError, LengthError, ModelConfig, init_params
 from ctcnat.tensor import GradTape, Tensor
 from ctcnat.training import (
     Adam,
@@ -206,6 +206,37 @@ class TestFeasibility:
             _, log = train(cfg, pairs, [fits], tc, vocab)
         assert len(log) == 2 and all(math.isfinite(row.train_loss) for row in log)
         assert "skipped 2 infeasible pairs" in caplog.text
+
+    @pytest.mark.parametrize("side,length,admitted,message", [
+        ("source", 0, False, "empty source sequence"),
+        ("source", 4, True, None),
+        ("source", 5, False, "source length 5 exceeds max_len 4"),
+        ("ar_target", 0, True, None),
+        ("ar_target", 3, True, None),
+        ("ar_target", 4, False, "decoder input length 5 exceeds max_len 4"),
+        ("ar_target", 5, False, "decoder input length 6 exceeds max_len 4"),
+    ])
+    def test_length_limits_at_their_boundaries(self, side, length, admitted, message):
+        """At max_len 4, the model's rule, the forward that runs it and
+        ``feasible_pairs`` draw each limit at the same length."""
+        cfg = small_config(variant="autoregressive-baseline", max_len=4)
+        params = init_params(cfg, 5)
+        ids = (4,) * length
+        if side == "source":
+            pair = SentencePair(ids, (4,), "", "")
+            checks = (lambda: model.check_source_length(cfg, length), lambda: model.encode(cfg, params, ids))
+        else:
+            pair = SentencePair((4,), ids, "", "")
+            enc = model.encode(cfg, params, (4,))
+            checks = (lambda: model.check_decoder_input_length(cfg, length + 1),
+                      lambda: model.decode_autoregressive_full(cfg, params, enc, ids))
+        for check in checks:
+            if admitted:
+                check()
+            else:
+                with pytest.raises(LengthError, match=f"^{message}$"):
+                    check()
+        assert feasible_pairs(cfg, [pair]) == (([pair], 0) if admitted else ([], 1))
 
     def test_all_infeasible_raises_with_suggestion(self, tmp_path):
         vocab = synthetic_vocab(6)
