@@ -17,8 +17,10 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .data import (
+    CorpusError,
     SentencePair,
     Vocabulary,
+    VocabularyError,
     build_vocab,
     gen_synthetic,
     load_parallel,
@@ -290,8 +292,17 @@ def cmd_average(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    pairs = gen_synthetic(args.task, args.vocab_size, args.n,
-                          (args.min_len, args.max_len), args.seed)
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
+    try:
+        vocab = synthetic_vocab(args.vocab_size)
+    except VocabularyError as exc:
+        raise UsageError(f"--vocab-size: {exc}") from None
+    try:
+        pairs = gen_synthetic(args.task, args.vocab_size, args.n,
+                              (args.min_len, args.max_len), args.seed, vocab)
+    except CorpusError as exc:
+        raise UsageError(f"--min-len {args.min_len}, --max-len {args.max_len}: {exc}") from None
     with open(args.src, "w", encoding="utf-8") as f:
         for p in pairs:
             f.write(p.source_text + "\n")
@@ -299,7 +310,7 @@ def cmd_synth(args) -> int:
         for p in pairs:
             f.write(p.target_text + "\n")
     if args.vocab_out:
-        synthetic_vocab(args.vocab_size).save(args.vocab_out)
+        vocab.save(args.vocab_out)
     return 0
 
 

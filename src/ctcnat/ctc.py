@@ -151,12 +151,6 @@ def _lattice(lp: np.ndarray, labels: LabelSequence) -> CtcLattice:
                       log_likelihood=ll)
 
 
-def ctc_lattice(log_probs, labels: Sequence[int]) -> CtcLattice:
-    """Fill both DP tables; an infeasible target gives log_likelihood -inf."""
-    lp = _as_log_probs(log_probs)
-    return _lattice(lp, _check_labels(labels, lp.shape[1]))
-
-
 def ctc_loss(log_probs, labels: Sequence[int]) -> tuple[float, np.ndarray]:
     """Negative log-likelihood of ``labels`` plus its gradient w.r.t. the
     log-probability table.

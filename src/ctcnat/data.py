@@ -13,7 +13,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,6 +34,15 @@ class VocabularyError(ValueError):
 
 class CorpusError(ValueError):
     """Parallel corpus files disagree or are unusable."""
+
+
+def _splitter(mode: str) -> Callable[[str], list[str]]:
+    """The tokenization rule of ``mode``: whitespace-separated words, or characters."""
+    if mode == "word":
+        return str.split
+    if mode == "char":
+        return list
+    raise VocabularyError(f"unknown tokenization mode {mode!r}")
 
 
 @dataclass
@@ -59,11 +68,7 @@ class Vocabulary:
         return len(self.id_to_token) - 1
 
     def tokenize(self, line: str) -> list[str]:
-        if self.mode == "word":
-            return line.split()
-        if self.mode == "char":
-            return list(line)
-        raise VocabularyError(f"unknown tokenization mode {self.mode!r}")
+        return _splitter(self.mode)(line)
 
     def encode_tokens(self, tokens: Iterable[str]) -> tuple[int, ...]:
         get = self.token_to_id.get
@@ -116,13 +121,12 @@ def build_vocab(lines: Iterable[str], mode: str = "word", min_freq: int = 1) -> 
     """
     if min_freq < 1:
         raise VocabularyError(f"min_freq must be >= 1, got {min_freq}")
-    if mode not in ("word", "char"):
-        raise VocabularyError(f"unknown tokenization mode {mode!r}")
+    split = _splitter(mode)
     counts: Counter[str] = Counter()
     n_lines = 0
     for line in lines:
         n_lines += 1
-        counts.update(line.split() if mode == "word" else list(line))
+        counts.update(split(line))
     if n_lines == 0:
         raise CorpusError("empty corpus: no lines to build a vocabulary from")
     kept = sorted((tok for tok, c in counts.items()

@@ -1,11 +1,12 @@
-"""BLEU scoring, Pearson correlation, and per-sentence quality analysis.
+"""BLEU scoring, Pearson correlation, and the per-sentence report.
 
 corpus_bleu is 4-gram BLEU with pooled clipped counts, geometric mean and
 the exp(1 - r/c) brevity penalty. sentence_bleu add-one smooths the n >= 2
 precisions only (unigram stays unsmoothed, so zero word overlap still
 scores 0). Both operate on token sequences; callers tokenize, conventionally
 by whitespace on detokenized text so scores are comparable across
-vocabulary modes.
+vocabulary modes. EvalReport adds each sentence's BLEU and its Pearson
+correlation with source length. The module scores text and decodes nothing.
 """
 
 from __future__ import annotations
@@ -17,11 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .ctc import collapse
-from .data import BLANK_ID, SentencePair, Vocabulary
-from .decoding import DecodeOptions, ctc_beam_search, greedy_ctc_frames, translate
-from .model import ModelConfig, ModelParams, parallel_log_probs
 
 BLEU_ORDER = 4
 
@@ -134,7 +130,6 @@ class SentenceRecord:
     sentence_id: int
     src_len: int
     out_len: int
-    null_count: int | None
     sent_bleu: float
 
 
@@ -142,41 +137,33 @@ class SentenceRecord:
 class EvalReport:
     """Per-sentence quality records plus corpus-level aggregates.
 
-    Correlations are None when undefined (constant or unknown column), as
-    for the null counts of an autoregressive model, which are all zero.
+    The correlation is None when undefined: fewer than two sentences, or a
+    constant column.
     """
 
     records: list[SentenceRecord]
     corpus_bleu: float
     r_bleu_src_len: float | None
-    r_bleu_null_count: float | None
 
     @classmethod
     def build(cls, hypotheses: Sequence[Tokens], references: Sequence[Tokens],
-              src_lens: Sequence[int], null_counts: Sequence[int] | None = None) -> "EvalReport":
+              src_lens: Sequence[int]) -> "EvalReport":
         """Score aligned hypothesis and reference token lists; the
-        per-sentence sequences must be equally long. Without null counts
-        (a report from text files) they read None."""
+        per-sentence sequences must be equally long."""
         score = corpus_bleu(hypotheses, references)
-        nulls = [None] * len(hypotheses) if null_counts is None else null_counts
-        rows = zip(hypotheses, references, src_lens, nulls, strict=True)
-        records = [SentenceRecord(i, src_len, len(hyp), n, sentence_bleu(hyp, ref))
-                   for i, (hyp, ref, src_len, n) in enumerate(rows)]
-        bleus = [rec.sent_bleu for rec in records]
-        return cls(records, score, _guarded_pearson(src_lens, bleus),
-                   None if null_counts is None else _guarded_pearson(null_counts, bleus))
+        rows = zip(hypotheses, references, src_lens, strict=True)
+        records = [SentenceRecord(i, src_len, len(hyp), sentence_bleu(hyp, ref))
+                   for i, (hyp, ref, src_len) in enumerate(rows)]
+        return cls(records, score, _guarded_pearson(src_lens, [rec.sent_bleu for rec in records]))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        buf.write("sentence_id,src_len,out_len,null_count,sent_bleu\n")
+        buf.write("sentence_id,src_len,out_len,sent_bleu\n")
         for rec in self.records:
-            nulls = "na" if rec.null_count is None else rec.null_count
-            buf.write(f"{rec.sentence_id},{rec.src_len},{rec.out_len},{nulls},{rec.sent_bleu:.4f}\n")
+            buf.write(f"{rec.sentence_id},{rec.src_len},{rec.out_len},{rec.sent_bleu:.4f}\n")
         buf.write(f"corpus_bleu,{self.corpus_bleu:.4f}\n")
-        r1 = "na" if self.r_bleu_src_len is None else f"{self.r_bleu_src_len:.6f}"
-        r2 = "na" if self.r_bleu_null_count is None else f"{self.r_bleu_null_count:.6f}"
-        buf.write(f"pearson_bleu_vs_src_len,{r1}\n")
-        buf.write(f"pearson_bleu_vs_null_count,{r2}\n")
+        r = "na" if self.r_bleu_src_len is None else f"{self.r_bleu_src_len:.6f}"
+        buf.write(f"pearson_bleu_vs_src_len,{r}\n")
         return buf.getvalue()
 
 
@@ -185,25 +172,3 @@ def _guarded_pearson(xs, ys) -> float | None:
         return pearson(xs, ys)
     except (InputError, UndefinedCorrelationError):
         return None
-
-
-def analyze(config: ModelConfig, params: ModelParams, vocab: Vocabulary,
-            pairs: Sequence[SentencePair], beam: DecodeOptions | None = None,
-            max_steps: int | None = None) -> EvalReport:
-    """Decode a corpus, greedily or with ``beam``, and correlate sentence
-    BLEU with source length and, for the parallel models, with the
-    null-symbol count of the greedy frame labeling (the only place nulls
-    exist)."""
-    hyps, nulls = [], []
-    for pair in pairs:
-        if config.is_autoregressive:
-            hyp_ids = translate(config, params, pair.source_ids, beam, max_steps)
-            nulls.append(0)
-        else:
-            log_probs = parallel_log_probs(config, params, pair.source_ids)
-            frames = greedy_ctc_frames(log_probs)
-            nulls.append(frames.count(BLANK_ID))
-            hyp_ids = collapse(frames) if beam is None else ctc_beam_search(log_probs, beam)[0].prefix
-        hyps.append(vocab.decode_ids(hyp_ids))
-    return EvalReport.build(hyps, [vocab.decode_ids(p.target_ids) for p in pairs],
-                            [len(p.source_ids) for p in pairs], nulls)

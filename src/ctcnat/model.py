@@ -153,22 +153,17 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["enc.ln_out.bias"] = (d,)
     if config.is_autoregressive:
         shapes["tgt_embed"] = (v + 1, d)
+    else:
+        shapes["split.w"] = (d, config.k * d)
+        shapes["split.b"] = (config.k * d,)
+    if config.variant != "deep-encoder":
         for i in range(config.dec_layers):
             shapes.update(_block_shapes(f"dec.{i}", d, ff, cross=True))
         shapes["dec.ln_out.gain"] = (d,)
         shapes["dec.ln_out.bias"] = (d,)
-        shapes["out.w"] = (d, v)
-        shapes["out.b"] = (v,)
-    else:
-        shapes["split.w"] = (d, config.k * d)
-        shapes["split.b"] = (config.k * d,)
-        if config.variant != "deep-encoder":
-            for i in range(config.dec_layers):
-                shapes.update(_block_shapes(f"dec.{i}", d, ff, cross=True))
-            shapes["dec.ln_out.gain"] = (d,)
-            shapes["dec.ln_out.bias"] = (d,)
-        shapes["out.w"] = (d, v + 1)
-        shapes["out.b"] = (v + 1,)
+    out = v if config.is_autoregressive else v + 1  # the parallel labeler adds the blank column
+    shapes["out.w"] = (d, out)
+    shapes["out.b"] = (out,)
     return shapes
 
 

@@ -12,12 +12,12 @@ fused op is one tape record that computes, bit for bit, what its unfused
 composition computes; the tests keep those compositions as the reference.
 Gradients are produced by replaying a GradTape in reverse recording order.
 
-Log-domain code represents probability zero as -inf. That sentinel is legal
-for ``log_sum_exp``, which is a plain float utility, not a taped op. Taped
-forward ops on finite inputs must produce finite outputs; a NaN or Inf there
-raises NumericError. Finiteness is checked by one sum, which is finite
-whenever every element is; only a non-finite sum is confirmed element by
-element, because finite elements can still overflow it.
+Log-domain code represents probability zero as ``NEG_INF``. The CTC lattice
+and the beam searches use that sentinel outside the tape. Taped forward ops
+on finite inputs must produce finite outputs; a NaN or Inf there raises
+NumericError. Finiteness is checked by one sum, which is finite whenever
+every element is; only a non-finite sum is confirmed element by element,
+because finite elements can still overflow it.
 
 The sublayer ops check only where a NaN or Inf can hide: the attention
 scores (softmax turns -inf into 0), the feed-forward pre-activation (relu
@@ -33,7 +33,7 @@ the op raise.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -487,19 +487,3 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         accumulate_grad(a, g * mask)
 
     return _emit(a.data * mask, (a,), rule)
-
-
-def log_sum_exp(xs: Iterable[float] | np.ndarray) -> float:
-    """log(sum(exp(xs))) with max shift; empty input yields -inf.
-
-    -inf entries are absorbing-zero sentinels and drop out exactly.
-    """
-    arr = xs if isinstance(xs, np.ndarray) else np.asarray(list(xs), dtype=np.float64)
-    if arr.size == 0:
-        return NEG_INF
-    m = float(arr.max())
-    if m == NEG_INF:
-        return NEG_INF
-    if math.isinf(m):
-        raise NumericError("log_sum_exp: +inf input")
-    return m + math.log(float(np.exp(arr - m).sum()))

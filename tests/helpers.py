@@ -1,11 +1,13 @@
 """Shared test utilities: finite differences, random probability tables, an
 autoregressive step walk, the reference prefix beam search, the reference
-tape ops and the reference CTC lattice."""
+tape ops, the reference CTC lattice and the names a source file uses."""
 
 from __future__ import annotations
 
+import ast
 import math
-from typing import Sequence
+from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -348,3 +350,11 @@ def use_reference_tape_ops(monkeypatch) -> None:
             for module in (tensor, model, training, ctc):
                 if getattr(module, name, None) is fast:
                     monkeypatch.setattr(module, name, reference)
+
+
+def names_in(paths: Iterable[Path]) -> set[str]:
+    """Every name that the code in ``paths`` uses: each variable, attribute
+    and imported name. A definition alone is not a use."""
+    return {node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.name
+            for path in paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}

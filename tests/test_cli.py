@@ -6,6 +6,7 @@ import pytest
 from ctcnat import cli
 from ctcnat.cli import _FIELD_OF_KEY, RunConfig, _read_lines, main, parse_config, serialize_config
 from ctcnat.data import SentencePair, build_vocab
+from ctcnat.evaluation import pearson, sentence_bleu
 from ctcnat.model import ModelConfig, init_params
 from ctcnat.training import Checkpoint, TrainConfig, feasible_pairs, load_checkpoint, save_checkpoint
 
@@ -292,9 +293,24 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--hyp", str(hyp), "--ref", str(hyp),
                      "--src", str(hyp), "--report", str(report)]) == 0
         lines = report.read_text().splitlines()
-        assert lines[0].startswith("sentence_id,")
-        assert lines[1:] == ["0,4,4,na,100.0000", "corpus_bleu,100.0000",
-                             "pearson_bleu_vs_src_len,na", "pearson_bleu_vs_null_count,na"]
+        assert lines == ["sentence_id,src_len,out_len,sent_bleu", "0,4,4,100.0000", "corpus_bleu,100.0000",
+                         "pearson_bleu_vs_src_len,na"]
+
+    def test_report_correlates_sentence_bleu_with_source_length(self, tmp_path):
+        texts = {"hyp": ["a b c d", "a b x", "y z", "a b c"],
+                 "ref": ["a b c d", "a b c", "a b", "a c b"],
+                 "src": ["s", "s s s", "s s", "s s s s s"]}
+        for name, lines in texts.items():
+            (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        report = tmp_path / "report.csv"
+        assert main(["evaluate", "--hyp", str(tmp_path / "hyp"), "--ref", str(tmp_path / "ref"),
+                     "--src", str(tmp_path / "src"), "--report", str(report)]) == 0
+        bleus = [sentence_bleu(h.split(), r.split()) for h, r in zip(texts["hyp"], texts["ref"])]
+        assert len(set(bleus)) == 4
+        want = pearson([1, 3, 2, 5], bleus)
+        lines = report.read_text().splitlines()
+        assert [line.split(",")[1] for line in lines[1:5]] == ["1", "3", "2", "5"]
+        assert lines[-1] == f"pearson_bleu_vs_src_len,{want:.6f}"
 
     def test_short_src_is_usage_error_and_writes_nothing(self, tmp_path, capsys):
         hyp = tmp_path / "hyp.txt"
@@ -351,6 +367,22 @@ class TestSynthCommand:
         b_src, b_tgt = synth_corpus(tmp_path, seed=5, prefix="b")
         assert a_src.read_bytes() == b_src.read_bytes()
         assert a_tgt.read_bytes() == b_tgt.read_bytes()
+
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--min-len", "0"], "--min-len 0, --max-len 8: bad length range (0, 8)", id="min-len-0"),
+        pytest.param(["--min-len", "5", "--max-len", "2"], "--min-len 5, --max-len 2: bad length range (5, 2)",
+                     id="max-len-below-min-len"),
+        pytest.param(["--vocab-size", "1"], "--vocab-size: synthetic vocab needs >= 2 tokens, got 1",
+                     id="vocab-size-1"),
+        pytest.param(["--n", "-2"], "--n must be >= 1, got -2", id="n-negative"),
+        pytest.param(["--n", "0"], "--n must be >= 1, got 0", id="n-0"),
+    ])
+    def test_bad_flag_is_usage_error_and_writes_nothing(self, tmp_path, capsys, flags, message):
+        paths = ["--src", str(tmp_path / "s.txt"), "--tgt", str(tmp_path / "t.txt"),
+                 "--vocab-out", str(tmp_path / "vocab.txt")]
+        assert main(["synth", "--task", "copy", "--n", "3", *flags, *paths]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_task_doubles(self, tmp_path):
         src = tmp_path / "s.txt"

@@ -49,6 +49,21 @@ class TestBuildVocab:
         v2 = build_vocab(["a b c"], mode="word")
         assert v1.id_to_token == v2.id_to_token  # equal freq sorts by token
 
+    def test_unknown_mode_rejected_before_any_line_is_read(self):
+        def lines():
+            raise AssertionError("a line was read")
+            yield "a"
+
+        with pytest.raises(VocabularyError, match="unknown tokenization mode 'bpe'"):
+            build_vocab(lines(), mode="bpe")
+        with pytest.raises(VocabularyError, match="unknown tokenization mode 'bpe'"):
+            Vocabulary.from_tokens(["a"], mode="bpe").tokenize("a")
+
+    @pytest.mark.parametrize("mode", ["word", "char"])
+    def test_every_token_of_a_corpus_line_is_in_its_vocabulary(self, mode):
+        line = " a  bc\td "
+        assert UNK_ID not in build_vocab([line], mode=mode).encode_line(line)
+
 
 class TestVocabularyRoundTrips:
     def test_word_tokenize_detokenize(self):

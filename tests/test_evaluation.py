@@ -3,20 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from ctcnat.data import gen_synthetic, synthetic_vocab
-from ctcnat.decoding import DecodeOptions, ar_beam_decode
 from ctcnat.evaluation import (
+    EvalReport,
     InputError,
     UndefinedCorrelationError,
-    analyze,
     corpus_bleu,
     exact_match_rate,
     modified_precisions,
     pearson,
     sentence_bleu,
 )
-from ctcnat.model import ModelConfig, init_params
-from ctcnat.training import feasible_pairs
 
 
 class TestCorpusBleu:
@@ -117,60 +113,28 @@ def test_exact_match_rate():
     assert exact_match_rate([(1, 2), (3,)], [(1, 2), (4,)]) == 0.5
 
 
-class TestAnalyze:
-    @staticmethod
-    def autoregressive_setup():
-        vocab = synthetic_vocab(6)
-        pairs = gen_synthetic("copy", 6, 6, (2, 4), seed=2, vocab=vocab)
-        cfg = ModelConfig(vocab_size=vocab.vocab_size, d_model=8, ff_dim=16, heads=2,
-                          enc_layers=1, dec_layers=1, variant="autoregressive-baseline",
-                          max_len=32, dropout_rate=0.0)
-        return vocab, pairs, cfg
-
-    def test_autoregressive_report_has_no_null_statistics(self):
-        vocab, pairs, cfg = self.autoregressive_setup()
-        report = analyze(cfg, init_params(cfg, 0), vocab, pairs)
-        assert len(report.records) == len(pairs)
-        assert all(rec.null_count == 0 for rec in report.records)
-        assert report.r_bleu_null_count is None
-
-    def test_autoregressive_beam_mode_decodes_with_beam(self):
-        vocab, pairs, cfg = self.autoregressive_setup()
-        params = init_params(cfg, 1)  # greedy stops at once here, beam-4 does not
-        opts = DecodeOptions(beam_width=4)
-        beam = analyze(cfg, params, vocab, pairs, beam=opts)
-        greedy = analyze(cfg, params, vocab, pairs)
-        want = [ar_beam_decode(cfg, params, p.source_ids, opts, min(2 * len(p.source_ids) + 8, 31))
-                for p in pairs]
-        assert [rec.out_len for rec in beam.records] == [len(w) for w in want]
-        assert [rec.sent_bleu for rec in beam.records] == [
-            sentence_bleu(vocab.decode_ids(w), vocab.decode_ids(p.target_ids)) for w, p in zip(want, pairs)]
-        assert [rec.out_len for rec in beam.records] != [rec.out_len for rec in greedy.records]
-
-    def test_parallel_report_counts_nulls_and_is_bounded(self):
-        vocab = synthetic_vocab(6)
-        pairs = gen_synthetic("copy", 6, 8, (2, 4), seed=3, vocab=vocab)
-        cfg = ModelConfig(vocab_size=vocab.vocab_size, d_model=8, ff_dim=16, heads=2,
-                          enc_layers=1, dec_layers=1, k=2, max_len=32, dropout_rate=0.0)
-        params = init_params(cfg, 1)
-        report = analyze(cfg, params, vocab, pairs)
-        assert len(report.records) == len(pairs)
-        for rec in report.records:
-            assert 0 <= rec.null_count <= cfg.k * rec.src_len
-        if report.r_bleu_src_len is not None:
-            assert -1.0 <= report.r_bleu_src_len <= 1.0
-        if report.r_bleu_null_count is not None:
-            assert -1.0 <= report.r_bleu_null_count <= 1.0
-
+class TestEvalReport:
     def test_csv_layout(self):
-        vocab = synthetic_vocab(6)
-        pairs = gen_synthetic("copy", 6, 4, (2, 3), seed=4, vocab=vocab)
-        cfg = ModelConfig(vocab_size=vocab.vocab_size, d_model=8, ff_dim=16, heads=2,
-                          enc_layers=1, dec_layers=1, k=2, max_len=32, dropout_rate=0.0)
-        report = analyze(cfg, init_params(cfg, 2), vocab, pairs)
-        lines = report.to_csv().splitlines()
-        assert lines[0] == "sentence_id,src_len,out_len,null_count,sent_bleu"
-        assert len(lines) == 1 + len(pairs) + 3
-        assert lines[-3].startswith("corpus_bleu,")
-        assert lines[-2].startswith("pearson_bleu_vs_src_len,")
-        assert lines[-1].startswith("pearson_bleu_vs_null_count,")
+        hyps = [["a", "b"], ["a"], ["c", "d", "e"]]
+        refs = [["a", "b"], ["b", "a"], ["c", "d"]]
+        src_lens = [2, 1, 4]
+        lines = EvalReport.build(hyps, refs, src_lens).to_csv().splitlines()
+        bleus = [sentence_bleu(h, r) for h, r in zip(hyps, refs)]
+        assert lines == ["sentence_id,src_len,out_len,sent_bleu",
+                         *(f"{i},{n},{len(h)},{b:.4f}" for i, (n, h, b) in enumerate(zip(src_lens, hyps, bleus))),
+                         f"corpus_bleu,{corpus_bleu(hyps, refs):.4f}",
+                         f"pearson_bleu_vs_src_len,{pearson(src_lens, bleus):.6f}"]
+
+    @pytest.mark.parametrize("hyps, refs, src_lens", [
+        pytest.param([["a"]], [["a"]], [1], id="one-sentence"),
+        pytest.param([["a"], ["x"]], [["a"], ["b"]], [3, 3], id="constant-src-len"),
+        pytest.param([["a"], ["b"]], [["a"], ["b"]], [1, 2], id="constant-bleu"),
+    ])
+    def test_undefined_correlation_reads_na(self, hyps, refs, src_lens):
+        report = EvalReport.build(hyps, refs, src_lens)
+        assert report.r_bleu_src_len is None
+        assert report.to_csv().splitlines()[-1] == "pearson_bleu_vs_src_len,na"
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            EvalReport.build([["a"], ["b"]], [["a"], ["b"]], [1])

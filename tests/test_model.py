@@ -19,7 +19,7 @@ from ctcnat.model import (
     source_keys_values,
     split_states,
 )
-from ctcnat.tensor import Tensor, log_sum_exp
+from ctcnat.tensor import Tensor
 
 from helpers import stepped_row
 
@@ -163,7 +163,7 @@ class TestDecodeParallel:
         lp = decode_parallel(cfg, params, split_states(params, enc, cfg.k), enc)
         assert lp.shape == (6, cfg.vocab_size + 1)
         for row in lp.data:
-            assert log_sum_exp(row) == pytest.approx(0.0, abs=1e-9)
+            assert np.logaddexp.reduce(row) == pytest.approx(0.0, abs=1e-9)
 
     def test_all_variants_same_output_shape(self):
         outs = []
