@@ -51,11 +51,15 @@ class Vocabulary:
 
     ``token_to_id`` covers only real tokens, so text that happens to spell a
     reserved marker like ``<pad>`` tokenizes to unk instead of a reserved id.
+    An unknown ``mode`` is rejected when the vocabulary is made.
     """
 
     id_to_token: list[str]
     token_to_id: dict[str, int] = field(repr=False)
     mode: str = "word"
+
+    def __post_init__(self):
+        _splitter(self.mode)
 
     @property
     def size(self) -> int:

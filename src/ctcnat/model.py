@@ -41,6 +41,7 @@ from .tensor import (
     dropout,
     embed,
     feed_forward,
+    keys_values,
     layer_norm,
     linear,
     log_softmax,
@@ -130,7 +131,7 @@ def _sublayers(prefix: str, cross: bool) -> tuple[tuple[str, tuple[str, ...]], .
         return f"{prefix}.{scope}", (f"{prefix}.{norm}.gain", f"{prefix}.{norm}.bias",
                                      *(f"{prefix}.{scope}.{w}" for w in weights))
 
-    attn = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+    attn = ("wq", "bq", "wk", "wv", "bv", "wo", "bo")
     cross_attn = (sublayer("ln2", "src_attn", attn),) if cross else ()
     return (sublayer("ln1", "self_attn", attn), *cross_attn,
             sublayer("ln3" if cross else "ln2", "ff", ("w1", "b1", "w2", "b2")))
@@ -205,16 +206,9 @@ def _causal_mask(n: int) -> np.ndarray:
     return mask
 
 
-def _proj(params: ModelParams, prefix: str, x: Tensor, name: str = "") -> Tensor:
-    """x @ {prefix}.w{name} + {prefix}.b{name}."""
-    return linear(x, params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"])
-
-
-def _kv(params: ModelParams, prefix: str, x: Tensor, heads: int) -> KV:
-    """Head-split keys and values of the positions in x."""
-    t, d = x.shape
-    return tuple(_proj(params, prefix, x, name).data.reshape(t, heads, d // heads).transpose(1, 0, 2)
-                 for name in "kv")
+def _proj(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
+    """x @ {prefix}.w + {prefix}.b."""
+    return linear(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
 
 
 def _ln(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
@@ -375,7 +369,8 @@ def source_keys_values(config: ModelConfig, params: ModelParams, enc: EncoderSta
     """Each decoder layer's encoder-attention keys and values of ``enc``,
     which every autoregressive step over that source reads."""
     _require_autoregressive(config)
-    return [_kv(params, f"dec.{i}.src_attn", enc.states, config.heads) for i in range(config.dec_layers)]
+    src_attn = (_sublayers(f"dec.{i}", True)[1] for i in range(config.dec_layers))  # (scope, names) per layer
+    return [keys_values(enc.states, [params[n] for n in names], config.heads) for _, names in src_attn]
 
 
 def self_attention_buffer(config: ModelConfig) -> np.ndarray:

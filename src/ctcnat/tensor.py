@@ -278,12 +278,36 @@ KV = tuple[np.ndarray, np.ndarray]  # head-split keys and values, each (heads, p
 Past = tuple[np.ndarray, np.ndarray, int]  # key and value buffers (heads, capacity, d / heads), positions filled
 
 
+def _project_keys_values(source: np.ndarray, wk: Tensor, wv: Tensor, bv: Tensor,
+                         heads: int) -> tuple[tuple[tuple[str, np.ndarray], ...], np.ndarray, np.ndarray]:
+    """The keys ``source @ wk`` and values ``source @ wv + bv`` of the (t, d)
+    ``source``, each named by the op of the unfused chain that checks it,
+    and both split into heads. Keys have no bias: it would add the same
+    q · b to every score of a row, which the softmax cancels."""
+    t, d = source.shape
+    k = source @ wk.data
+    v = _affine(source, wv.data, bv.data)
+    kh, vh = (a.reshape(t, heads, d // heads).transpose(1, 0, 2) for a in (k, v))
+    return (("matmul", k), ("linear", v)), kh, vh
+
+
+def keys_values(memory: Tensor, params: Sequence[Tensor], heads: int) -> KV:
+    """The head-split keys and values that ``multi_head_attention`` with
+    these ``params`` projects from a tensor ``memory``, to pass to it as a
+    KV ``memory``; constant to the tape. Both projections are checked."""
+    wk, wv, bv = params[4:7]  # after gain, bias, wq and bq
+    projected, kh, vh = _project_keys_values(memory.data, wk, wv, bv, heads)
+    for op, arr in projected:
+        _finite(arr, op)
+    return kh, vh
+
+
 def multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int, memory: Tensor | KV | None = None,
                          mask: np.ndarray | None = None, past: Past | None = None, *, rate: float,
                          rng: np.random.Generator | None, scope: str) -> Tensor:
     """One pre-norm attention sublayer, ``x + dropout(attend(layer_norm(x)))``.
 
-    ``params`` are (gain, bias, wq, bq, wk, bk, wv, bv, wo, bo). The normed
+    ``params`` are (gain, bias, wq, bq, wk, wv, bv, wo, bo). The normed
     (t, d) ``x`` gives the queries. With ``memory`` None, it also gives the
     keys and values. With ``past``, whose key and value buffers hold n
     positions, ``x`` is one position and ``mask`` is None: the op writes
@@ -299,7 +323,7 @@ def multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int, memory
     chain (layer norm, projections, attention, projection, dropout, add)
     would raise, naming ``scope``.
     """
-    gain, bias, wq, bq, wk, bk, wv, bv, wo, bo = params
+    gain, bias, wq, bq, wk, wv, bv, wo, bo = params
     t_q, d = x.data.shape
     dh = d // heads
     c = 1.0 / math.sqrt(dh)
@@ -309,11 +333,7 @@ def multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int, memory
     if memory is None or isinstance(memory, Tensor):
         source = normed if memory is None else memory.data
         t_k = source.shape[0]
-        k = _affine(source, wk.data, bk.data)
-        v = _affine(source, wv.data, bv.data)
-        projected = (("linear", k), ("linear", v))
-        kh = k.reshape(t_k, heads, dh).transpose(1, 0, 2)
-        vh = v.reshape(t_k, heads, dh).transpose(1, 0, 2)
+        projected, kh, vh = _project_keys_values(source, wk, wv, bv, heads)
         if past is not None:
             if t_k != 1 or mask is not None:
                 raise ShapeError("attention: past takes one new position and no mask")
@@ -351,7 +371,8 @@ def multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int, memory
         if source is not None and past is None:
             gv = _affine_grad(source, wv, bv, (p.swapaxes(-1, -2) @ gctx).transpose(1, 0, 2).reshape(t_k, d))
             gk = np.ascontiguousarray((qh.swapaxes(-1, -2) @ gs).transpose(2, 0, 1)).reshape(t_k, d)
-            gk = _affine_grad(source, wk, bk, gk)
+            accumulate_grad(wk, source.swapaxes(-1, -2) @ gk)
+            gk = gk @ wk.data.swapaxes(-1, -2)
             if memory is None:  # the sum runs in the unfused chain's order: v's part, k's, q's
                 gv += gk
                 gv += gn

@@ -230,6 +230,8 @@ class _Retention:
         self.entries: list[tuple[float, int, Path]] = []
 
     def add(self, ckpt: "Checkpoint") -> Path | None:
+        """Write ``ckpt`` if its score ranks among the keep_top best; return
+        the path. Only the path is kept, so ``ckpt``'s parameters may change."""
         worst = None
         if len(self.entries) >= self.keep_top:
             worst = min(self.entries, key=lambda e: (e[0], e[1]))
@@ -242,9 +244,6 @@ class _Retention:
             self.entries.remove(worst)
             worst[2].unlink(missing_ok=True)
         return path
-
-    def paths(self) -> list[Path]:
-        return [e[2] for e in self.entries]
 
 
 def train(model_config: ModelConfig, train_pairs: Sequence[SentencePair],
@@ -303,15 +302,11 @@ def train(model_config: ModelConfig, train_pairs: Sequence[SentencePair],
         if step % train_config.validation_interval == 0 or step == train_config.max_steps:
             bleu = validation_bleu(model_config, params, vocab, valid)
             last_bleu = bleu
-            retention.add(Checkpoint(model_config, _copy_params(params), step, bleu))
+            retention.add(Checkpoint(model_config, params, step, bleu))
         log.append(LogRow(step, loss.item(), bleu))
 
     final = Checkpoint(model_config, params, train_config.max_steps, last_bleu)
     return final, log
-
-
-def _copy_params(params: ModelParams) -> ModelParams:
-    return {name: Tensor(p.data.copy(), requires_grad=True) for name, p in params.items()}
 
 
 def write_log_csv(log: Sequence[LogRow], path: str | Path) -> None:

@@ -250,29 +250,39 @@ def _constant(arr: np.ndarray) -> Tensor:
     return t
 
 
+def _split_heads(h: Tensor, heads: int) -> Tensor:
+    return reference_transpose(tensor.reshape(h, (h.shape[0], heads, h.shape[1] // heads)), (1, 0, 2))
+
+
+def _reference_keys_values(source: Tensor, wk: Tensor, wv: Tensor, bv: Tensor, heads: int) -> tuple[Tensor, Tensor]:
+    """Keys ``source @ wk``, with no bias, and values ``source @ wv + bv``, split into heads."""
+    return _split_heads(reference_matmul(source, wk), heads), _split_heads(tensor.linear(source, wv, bv), heads)
+
+
+def reference_keys_values(memory: Tensor, params: Sequence[Tensor], heads: int) -> tensor.KV:
+    """The projections that ``tensor.keys_values`` fuses, as the attention chain runs them."""
+    return tuple(h.data for h in _reference_keys_values(memory, *params[4:7], heads))
+
+
 def reference_multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int,
                                    memory: Tensor | tensor.KV | None = None, mask: np.ndarray | None = None,
                                    past: tensor.Past | None = None, *, rate: float,
                                    rng: np.random.Generator | None, scope: str) -> Tensor:
-    """The chain of ``layer_norm``, ``linear``, head split, attention, head
+    """The chain of ``layer_norm``, projections (a ``matmul`` for the keys,
+    ``linear`` for the queries and values), head split, attention, head
     merge, ``linear``, ``dropout`` and ``add`` that
     ``tensor.multi_head_attention`` fuses. It attends over the cached keys
     and values joined by ``np.concatenate`` and writes the new positions
     into ``past``'s buffers, as the fused op does. An error of any op inside
     the attention names ``attention``, as the fused op's score and output
     checks do."""
-    gain, bias, wq, bq, wk, bk, wv, bv, wo, bo = params
+    gain, bias, wq, bq, wk, wv, bv, wo, bo = params
     t_q, d = x.shape
-
-    def split(h: Tensor) -> Tensor:
-        return reference_transpose(tensor.reshape(h, (h.shape[0], heads, d // heads)), (1, 0, 2))
-
     try:
         normed = tensor.layer_norm(x, gain, bias)
-        qh = split(tensor.linear(normed, wq, bq))
+        qh = _split_heads(tensor.linear(normed, wq, bq), heads)
         if memory is None or isinstance(memory, Tensor):
-            source = normed if memory is None else memory
-            kv = split(tensor.linear(source, wk, bk)), split(tensor.linear(source, wv, bv))
+            kv = _reference_keys_values(normed if memory is None else memory, wk, wv, bv, heads)
             if past is not None:
                 *buffers, n = past
                 for buf, new in zip(buffers, kv):
@@ -336,6 +346,7 @@ REFERENCES = {
         "reshape": reference_reshape,
         "linear": reference_linear,
         "multi_head_attention": reference_multi_head_attention,
+        "keys_values": reference_keys_values,
         "feed_forward": reference_feed_forward,
     },
     ctc: {"_lattice": reference_lattice},

@@ -8,7 +8,8 @@ from ctcnat.cli import _FIELD_OF_KEY, RunConfig, _read_lines, main, parse_config
 from ctcnat.data import SentencePair, build_vocab
 from ctcnat.evaluation import pearson, sentence_bleu
 from ctcnat.model import ModelConfig, init_params
-from ctcnat.training import Checkpoint, TrainConfig, feasible_pairs, load_checkpoint, save_checkpoint
+from ctcnat.tensor import Tensor
+from ctcnat.training import Checkpoint, CheckpointError, TrainConfig, feasible_pairs, load_checkpoint, save_checkpoint
 
 
 def write_config(path, **overrides):
@@ -189,6 +190,26 @@ class TestTranslateCommand:
         inp.write_text("a\n", encoding="utf-8")
         assert main(["translate", "--model", str(tmp_path / "missing.bin"),
                      "--input", str(inp), "--output", str(tmp_path / "out.txt")]) == 1
+
+    def test_checkpoint_with_key_biases_exits_1_naming_them(self, tmp_path, capsys):
+        """A checkpoint from before attention keys lost their bias holds a
+        ``bk`` vector per attention sublayer, which no config implies."""
+        cfg = ModelConfig(vocab_size=11, d_model=16, ff_dim=32, heads=2, max_len=32)
+        params = init_params(cfg, 9)
+        biases = sorted(f"{n[:-3]}.bk" for n in params if n.endswith(".wk"))
+        assert len(biases) == 6
+        params.update((n, Tensor(np.zeros(16))) for n in biases)
+        model = tmp_path / "old.bin"
+        save_checkpoint(Checkpoint(cfg, params, 1, 0.0), model)
+        message = f"parameter names do not match config (missing [], extra {biases})"
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(model)
+        assert str(exc.value) == message
+        inp = tmp_path / "in.txt"
+        inp.write_text("w0\n", encoding="utf-8")
+        assert main(["translate", "--model", str(model), "--input", str(inp),
+                     "--output", str(tmp_path / "out.txt")]) == 1
+        assert capsys.readouterr().err == f"error: CheckpointError: {message}\n"
 
     def test_zero_beam_is_usage_error_before_loading(self, tmp_path, capsys):
         inp = tmp_path / "in.txt"

@@ -87,6 +87,16 @@ class TestVocabularyRoundTrips:
         with pytest.raises(VocabularyError):
             vocab.decode_ids([99])
 
+    def test_load_rejects_an_unknown_mode(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        build_vocab(["a b"]).save(path)
+        with pytest.raises(VocabularyError, match="^unknown tokenization mode 'wrd'$"):
+            Vocabulary.load(path, mode="wrd")
+
+    def test_an_unknown_mode_is_rejected_before_detokenize(self):
+        with pytest.raises(VocabularyError, match="^unknown tokenization mode 'bpe'$"):
+            Vocabulary.from_tokens(["a", "b"], mode="bpe").detokenize(["a", "b"])
+
 
 class TestLoadParallel:
     def test_pairs_in_order(self, tmp_path):

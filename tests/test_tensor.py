@@ -21,6 +21,7 @@ from helpers import (
     reference_attention,
     reference_emit,
     reference_feed_forward,
+    reference_keys_values,
     reference_lattice,
     reference_layer_norm,
     reference_linear,
@@ -152,18 +153,13 @@ CONST_V = Tensor(_CONST.normal(size=(4, 5, 3)))
 # gain, bias, wq, bq, wk, wv, bv, wo, bo at d=4
 MHA_PARAMS = [(4,), (4,), (4, 4), (4,), (4, 4), (4, 4), (4,), (4, 4), (4,)]
 FF_PARAMS = [(4,), (4,), (4, 6), (6,), (6, 4), (4,)]  # gain, bias, w1, b1, w2, b2
-# The key bias adds the same q · bk to every score of a row, so its gradient is
-# zero and finite differences of it are noise; it is held constant.
-MHA_KEY_BIAS = Tensor(_CONST.normal(size=4))
 MHA_CONST_KV = (_CONST.normal(size=(2, 5, 2)), _CONST.normal(size=(2, 5, 2)))
 UNUSED_KV = [Tensor(np.zeros(s)) for s in [(4, 4), (4, 4), (4,)]]  # wk, wv, bv beside constant keys and values
 
 
 def _mha(x, memory, params, mask=None, rate=0.0):
-    gain, bias, wq, bq, wk, wv, bv, wo, bo = params
     rng = np.random.default_rng(27) if rate else None  # the same mask on every call
-    return T.multi_head_attention(x, (gain, bias, wq, bq, wk, MHA_KEY_BIAS, wv, bv, wo, bo), 2, memory, mask,
-                                  rate=rate, rng=rng, scope="multi_head_attention")
+    return T.multi_head_attention(x, params, 2, memory, mask, rate=rate, rng=rng, scope="multi_head_attention")
 
 
 def _ff(x, params, rate=0.0):
@@ -392,7 +388,7 @@ def _attend(op, q: float | np.ndarray, keys: np.ndarray, values: np.ndarray, mas
     ``values`` come as a KV memory, and the output projection is 1, so the
     output is the attention output added to zeros."""
     one, zero = Tensor([[1.0]]), Tensor([0.0])
-    params = (Tensor([1.0]), zero, Tensor([[0.0]]), Tensor(np.reshape(q, 1)), one, zero, one, zero, one, zero)
+    params = (Tensor([1.0]), zero, Tensor([[0.0]]), Tensor(np.reshape(q, 1)), one, one, zero, one, zero)
     return op(Tensor(np.zeros((rows, 1))), params, 1, (keys, values), mask, rate=0.0, rng=None,
               scope="multi_head_attention")
 
@@ -534,6 +530,19 @@ class TestSublayerOps:
         # scale, position add; per layer 2 per sublayer; norm, out, log-softmax
         assert len(checks) == 2 + 6 * cfg.dec_layers + 3 == 17
 
+    def test_source_keys_values_check_the_key_projection_as_the_chain_does(self, monkeypatch):
+        # Keys are a matmul with no bias, so the chain's first error names matmul.
+        cfg = _parity_config("autoregressive-baseline", 0.0)
+        params = init_params(cfg, 31)
+        enc = model.encode(cfg, params, [4, 5, 6])
+        params["dec.1.src_attn.wk"].data[2, 3] = math.nan
+        with pytest.raises(NumericError, match="^matmul produced non-finite values$"):
+            model.source_keys_values(cfg, params, enc)
+        use_reference_tape_ops(monkeypatch)
+        assert model.keys_values is reference_keys_values
+        with pytest.raises(NumericError, match="^matmul produced non-finite values$"):
+            model.source_keys_values(cfg, params, enc)
+
     @pytest.mark.parametrize("dropout,records", [(0.0, 20), (0.1, 22)])
     def test_encoder_decoder_sentence_records(self, dropout, records):
         cfg = _parity_config("encoder-decoder", dropout)
@@ -565,9 +574,6 @@ def _use_reference_sublayers(monkeypatch) -> None:
     monkeypatch.setattr(model, "feed_forward", reference_feed_forward)
 
 
-MHA_SHAPES = [(4,), (4,)] + [(4, 4), (4,)] * 4  # gain, bias, (w, b) of q, k, v and the output
-
-
 def _sublayer_form(form: str, rng: np.random.Generator):
     """One form of a sublayer at d=4 with 2 heads: the fused op, the chain it
     replaces, x, the parameters, the positional arguments after them and a
@@ -575,7 +581,7 @@ def _sublayer_form(form: str, rng: np.random.Generator):
     x = rng.normal(size=(1 if form == "past" else 3, 4))
     if form == "ff":
         return T.feed_forward, reference_feed_forward, x, [Tensor(rng.normal(size=s)) for s in FF_PARAMS], (), dict
-    params = [Tensor(rng.normal(size=s)) for s in MHA_SHAPES]
+    params = [Tensor(rng.normal(size=s)) for s in MHA_PARAMS]
     memory = {"cross": Tensor(rng.normal(size=(5, 4))),
               "constant_kv": (rng.normal(size=(2, 5, 2)), rng.normal(size=(2, 5, 2)))}.get(form)
     # two cached positions, then room for x's one and one more never read
@@ -648,7 +654,7 @@ class TestCheckRule:
             return model.decode_autoregressive_step(cfg, params, src, [5, 7, 4], kv)
 
         names = [n for n in _sublayer_parameters(cfg) if n.startswith("dec.")]  # the encoder ran clean
-        assert len(names) == 52
+        assert len(names) == 48
         raised = self._cases(monkeypatch, cfg, names, run)
         assert 0 < len(raised) < len(names) * len(BAD_VALUES)
 
@@ -680,9 +686,9 @@ class TestCheckRule:
         # v is NaN and wo is 0: only 0 * NaN = NaN, which a BLAS that skips
         # zero terms would not compute, carries it to the checked output.
         rng = np.random.default_rng(45)
-        params = [Tensor(rng.normal(size=s)) for s in MHA_SHAPES]
-        params[6].data[1, 2] = math.nan  # wv
-        params[8].data[:] = 0.0  # wo
+        params = [Tensor(rng.normal(size=s)) for s in MHA_PARAMS]
+        params[5].data[1, 2] = math.nan  # wv
+        params[7].data[:] = 0.0  # wo
         message = self._same_error(T.multi_head_attention, reference_multi_head_attention,
                                    Tensor(rng.normal(size=(3, 4))), params, 2, rate=0.0, rng=None,
                                    scope="multi_head_attention")
@@ -691,10 +697,9 @@ class TestCheckRule:
     def test_infinite_queries_reach_the_scores_through_a_zero_key_column(self):
         # q's column 0 is inf and k's is 0: the scores hold inf * 0 = NaN.
         rng = np.random.default_rng(46)
-        params = [Tensor(rng.normal(size=s)) for s in MHA_SHAPES]
+        params = [Tensor(rng.normal(size=s)) for s in MHA_PARAMS]
         params[3].data[0] = math.inf  # bq
         params[4].data[:, 0] = 0.0  # wk
-        params[5].data[0] = 0.0  # bk
         message = self._same_error(T.multi_head_attention, reference_multi_head_attention,
                                    Tensor(rng.normal(size=(3, 4))), params, 2, rate=0.0, rng=None,
                                    scope="multi_head_attention")
@@ -711,7 +716,8 @@ def _parity_config(variant: str, dropout: float) -> ModelConfig:
                        variant=variant, max_len=24, dropout_rate=dropout)
 
 
-def _gradient_digests(variant: str, dropout: float) -> list[str | None]:
+def _batch_gradients(variant: str, dropout: float) -> tuple[Tensor, model.ModelParams]:
+    """One ``batch_loss`` backward on the parity config: the loss and the parameters with their gradients."""
     cfg = _parity_config(variant, dropout)
     params = init_params(cfg, 21)
     pairs = gen_synthetic("duplicate-each-token", 6, 6, (1, 6), seed=22, vocab=synthetic_vocab(6))
@@ -720,8 +726,22 @@ def _gradient_digests(variant: str, dropout: float) -> list[str | None]:
     with GradTape() as tape:
         loss = batch_loss(cfg, params, batch_pairs(pairs), dropout_rng=rng)
     tape.backward(loss)
+    return loss, params
+
+
+def _gradient_digests(variant: str, dropout: float) -> list[str | None]:
+    loss, params = _batch_gradients(variant, dropout)
     return [_sha1(loss.data)] + [None if params[n].grad is None else _sha1(params[n].grad)
                                  for n in sorted(params)]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_parameter_gets_a_gradient(variant):
+    """No dead weights: a parameter whose gradient is 0 on every batch, such
+    as a key bias that the softmax cancels, costs work and learns nothing."""
+    _, params = _batch_gradients(variant, 0.0)
+    dead = [n for n, p in params.items() if p.grad is None or np.abs(p.grad).max() <= 1e-8]
+    assert dead == []
 
 
 def _decodes() -> list[tuple[int, ...]]:

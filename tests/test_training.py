@@ -334,9 +334,11 @@ class TestTrainLoop:
             save_checkpoint(Checkpoint(cfg, init_params(cfg, 3), step=3, valid_score=3.0), first)
         monkeypatch.undo()
         assert sorted(p.name for p in tmp_path.iterdir()) == [first.name]
-        assert retention.paths() == [first]
         loaded = load_checkpoint(first)
         assert (loaded.step, loaded.valid_score) == (1, 1.0)
+        # the retention still holds the first file: a better score replaces it
+        fourth = retention.add(Checkpoint(cfg, init_params(cfg, 4), step=4, valid_score=4.0))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [fourth.name]
 
     def test_log_csv_layout(self, tmp_path):
         vocab, pairs = small_corpus(n=12, seed=8)
