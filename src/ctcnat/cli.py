@@ -1,9 +1,9 @@
 """Command-line surface: train, translate, evaluate, bench, average, synth.
 
 Training is configured by a flat key=value text file (one key per line,
-``#`` comments allowed); every key is listed in DEFAULTS and unknown keys
-are rejected by name. Exit codes: 0 success, 1 runtime failure, 2 usage or
-configuration error.
+``#`` comments allowed); every key is a field of RunConfig, and unknown or
+repeated keys are rejected by name. Exit codes: 0 success, 1 runtime
+failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .data import (
+    SYNTHETIC_TASKS,
     CorpusError,
     SentencePair,
     Vocabulary,
@@ -87,7 +88,7 @@ def _keys_named(message: str) -> str:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse key=value lines; unknown keys and bad values are usage errors."""
+    """Parse key=value lines; unknown or repeated keys and bad values are usage errors."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -100,6 +101,8 @@ def parse_config(text: str) -> RunConfig:
             raise UsageError(f"line {lineno}: expected key=value, got {raw!r}")
         if key not in _FIELD_TYPES:
             raise UsageError(f"unknown config key {key!r}")
+        if key in values:
+            raise UsageError(f"line {lineno}: repeated config key {key!r}")
         kind = _FIELD_TYPES[key]
         try:
             if kind == "int":
@@ -360,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_average)
 
     p = sub.add_parser("synth", help="generate a synthetic parallel corpus")
-    p.add_argument("--task", choices=("copy", "reverse", "duplicate-each-token"), required=True)
+    p.add_argument("--task", choices=SYNTHETIC_TASKS, required=True)
     p.add_argument("--vocab-size", type=int, default=20)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--min-len", type=int, default=3)

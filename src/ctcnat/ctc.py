@@ -157,8 +157,10 @@ def ctc_loss(log_probs, labels: Sequence[int]) -> tuple[float, np.ndarray]:
 
     Infeasible targets (too few frames for the labels and their repeat
     separators, or no path of nonzero probability) yield (+inf, zero
-    gradient) rather than an exception, since training batches may
-    legitimately contain them.
+    gradient) rather than an exception: +inf is the exact negative log of
+    probability zero, as ``ctc_oracle_loss`` reports it. Training admits
+    only feasible pairs (``training.feasible_pairs``), and its loss op
+    raises ``NumericError`` on a non-finite loss.
     """
     lp = _as_log_probs(log_probs)
     lattice = _lattice(lp, _check_labels(labels, lp.shape[1]))

@@ -370,7 +370,7 @@ def source_keys_values(config: ModelConfig, params: ModelParams, enc: EncoderSta
     which every autoregressive step over that source reads."""
     _require_autoregressive(config)
     src_attn = (_sublayers(f"dec.{i}", True)[1] for i in range(config.dec_layers))  # (scope, names) per layer
-    return [keys_values(enc.states, [params[n] for n in names], config.heads) for _, names in src_attn]
+    return [keys_values(enc.states, [params[n] for n in names], config.heads, scope) for scope, names in src_attn]
 
 
 def self_attention_buffer(config: ModelConfig) -> np.ndarray:

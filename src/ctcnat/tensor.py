@@ -2,8 +2,9 @@
 
 Storage is flat row-major numpy with explicit shapes. The op set is exactly
 what the sequence models downstream need: suffix-broadcast add, scale,
-log-softmax, layer norm, embedding gather, reshape, per-row take, scalar
-reduction, dropout, and three fused ops: ``linear`` (x @ w + b) and the two
+log-softmax, layer norm, embedding gather, reshape, dropout, ``custom_op``
+for values and gradients computed outside the tape (the training loss),
+and three fused ops: ``linear`` (x @ w + b) and the two
 pre-norm residual transformer sublayers, ``x + dropout(f(layer_norm(x)))``:
 ``multi_head_attention`` (f: projections, heads, scaled-dot-product
 attention and output projection, optionally over cached keys and values
@@ -125,8 +126,8 @@ def custom_op(values, inputs: Sequence[Tensor], rule: BackwardRule) -> Tensor:
     """Wrap externally computed forward values as a taped operation.
 
     ``rule`` receives the output gradient and must call ``accumulate_grad``
-    on the inputs itself. Values are not checked and may be +inf, e.g. an
-    infeasible lattice loss.
+    on the inputs itself. Values are not checked; the caller checks them,
+    as ``training.batch_loss`` does.
     """
     return _emit(np.ascontiguousarray(values, dtype=np.float64), inputs, rule)
 
@@ -291,14 +292,18 @@ def _project_keys_values(source: np.ndarray, wk: Tensor, wv: Tensor, bv: Tensor,
     return (("matmul", k), ("linear", v)), kh, vh
 
 
-def keys_values(memory: Tensor, params: Sequence[Tensor], heads: int) -> KV:
+def keys_values(memory: Tensor, params: Sequence[Tensor], heads: int, scope: str) -> KV:
     """The head-split keys and values that ``multi_head_attention`` with
     these ``params`` projects from a tensor ``memory``, to pass to it as a
-    KV ``memory``; constant to the tape. Both projections are checked."""
+    KV ``memory``; constant to the tape. Both projections are checked, and
+    an error names ``scope`` as the sublayer's own does."""
     wk, wv, bv = params[4:7]  # after gain, bias, wq and bq
     projected, kh, vh = _project_keys_values(memory.data, wk, wv, bv, heads)
-    for op, arr in projected:
-        _finite(arr, op)
+    try:
+        for op, arr in projected:
+            _finite(arr, op)
+    except NumericError as exc:
+        raise NumericError(f"{exc} in {scope}") from None
     return kh, vh
 
 
@@ -470,32 +475,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
         accumulate_grad(a, g.reshape(a.shape))
 
     return _emit(a.data.reshape(shape), (a,), rule)
-
-
-def take_per_row(a: Tensor, cols: Sequence[int]) -> Tensor:
-    """out[i] = a[i, cols[i]] for a 2-D tensor."""
-    idx = np.asarray(cols, dtype=np.int64)
-    if a.data.ndim != 2 or idx.shape != (a.shape[0],):
-        raise ShapeError(f"take_per_row: need 2-D input and one column per row, got {a.shape} and {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
-        raise ShapeError(f"take_per_row: column ids outside 0..{a.shape[1] - 1}")
-    rows = np.arange(a.shape[0])
-
-    def rule(g: np.ndarray) -> None:
-        if not a.requires_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, (rows, idx), g)
-
-    return _emit(np.ascontiguousarray(a.data[rows, idx]), (a,), rule)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    def rule(g: np.ndarray) -> None:
-        accumulate_grad(a, np.broadcast_to(g, a.shape))
-
-    return _emit(np.asarray(a.data.sum()), (a,), rule)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -3,9 +3,11 @@
 Parallel-labeling variants train on the lattice loss over the split-state
 frame labeling; the autoregressive baseline trains on teacher-forced
 per-token cross-entropy. Batch loss is the mean over sentences of the raw
-per-sentence negative log-likelihood. Validation score is greedy-decode
-corpus BLEU, and the keep_top best-scoring checkpoints are retained on
-disk; averaging their parameters elementwise gives the final model.
+per-sentence negative log-likelihood, one taped op over the sentences'
+log-probability tables. Validation score is greedy-decode corpus BLEU over
+the words of the detokenized text, and the keep_top best-scoring
+checkpoints are retained on disk; averaging their parameters elementwise
+gives the final model.
 
 Checkpoint files: magic ``CTCNAT01`` (the trailing two bytes are the
 format version), then little-endian throughout: a block of length-prefixed
@@ -17,7 +19,6 @@ bit-exact.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import os
@@ -46,7 +47,7 @@ from .model import (
     parameter_shapes,
     split_states,
 )
-from .tensor import GradTape, Tensor, accumulate_grad, add, custom_op, scale, sum_all, take_per_row
+from .tensor import GradTape, NumericError, Tensor, accumulate_grad, custom_op
 
 _log = logging.getLogger(__name__)
 
@@ -145,36 +146,46 @@ class Adam:
             p.grad = None
 
 
-def ctc_loss_op(log_probs: Tensor, labels: Sequence[int]) -> Tensor:
-    """Lattice loss as a taped scalar; backward injects the DP gradient."""
-    value, grad = ctc_loss(log_probs.data, labels)
-
-    def rule(g: np.ndarray) -> None:
-        accumulate_grad(log_probs, float(np.ravel(g)[0]) * grad)
-
-    return custom_op(np.float64(value), (log_probs,), rule)
-
-
-def sentence_loss(config: ModelConfig, params: ModelParams, source_ids, target_ids,
-                  *, dropout_rng: np.random.Generator | None = None) -> Tensor:
-    """Raw negative log-likelihood of one sentence pair."""
+def _sentence_nll(config: ModelConfig, params: ModelParams, source_ids, target_ids,
+                  dropout_rng: np.random.Generator | None) -> tuple[Tensor, float, np.ndarray]:
+    """One sentence's log-probability table, its raw negative log-likelihood
+    and the NLL's gradient with respect to the table."""
     enc = encode(config, params, source_ids, dropout_rng=dropout_rng)
     if config.is_autoregressive:
-        targets = list(target_ids)
-        rows = decode_autoregressive_full(config, params, enc, targets, dropout_rng=dropout_rng)
-        cols = [t - 1 for t in targets + [EOS_ID]]  # output column j scores id j+1
-        return scale(sum_all(take_per_row(rows, cols)), -1.0)
-    split = split_states(params, enc, config.k)
-    log_probs = decode_parallel(config, params, split, enc, dropout_rng=dropout_rng)
-    return ctc_loss_op(log_probs, target_ids)
+        rows = decode_autoregressive_full(config, params, enc, target_ids, dropout_rng=dropout_rng)
+        cells = (np.arange(rows.shape[0]), [t - 1 for t in [*target_ids, EOS_ID]])  # column j scores id j+1
+        grad = np.zeros_like(rows.data)
+        grad[cells] = -1.0
+        return rows, -rows.data[cells].sum(), grad
+    log_probs = decode_parallel(config, params, split_states(params, enc, config.k), enc, dropout_rng=dropout_rng)
+    return (log_probs, *ctc_loss(log_probs.data, target_ids))
 
 
 def batch_loss(config: ModelConfig, params: ModelParams, batch: Batch,
                *, dropout_rng: np.random.Generator | None = None) -> Tensor:
-    """Mean per-sentence loss, the sentence losses added in batch order."""
-    losses = (sentence_loss(config, params, source_ids, target_ids, dropout_rng=dropout_rng)
-              for source_ids, target_ids in zip(batch.sources, batch.targets))
-    return scale(functools.reduce(add, losses), 1.0 / len(batch.sources))
+    """Mean per-sentence loss, one tape record after the sentences' forward
+    records: the raw NLLs added in batch order, times 1/B. Its backward adds
+    (g / B) times each sentence's gradient to that sentence's table. Raises
+    NumericError when the mean is not finite."""
+    tables, values, grads = zip(*(_sentence_nll(config, params, source_ids, target_ids, dropout_rng)
+                                  for source_ids, target_ids in zip(batch.sources, batch.targets)))
+    share = 1.0 / len(values)
+    mean = sum(values[1:], values[0]) * share
+    if not math.isfinite(mean):
+        raise NumericError("loss produced non-finite values")
+
+    def rule(g: np.ndarray) -> None:
+        c = g.item() * share
+        for table, grad in zip(tables, grads):
+            accumulate_grad(table, c * grad)
+
+    return custom_op(np.float64(mean), tables, rule)
+
+
+def sentence_loss(config: ModelConfig, params: ModelParams, source_ids, target_ids,
+                  *, dropout_rng: np.random.Generator | None = None) -> Tensor:
+    """Raw negative log-likelihood of one sentence pair: ``batch_loss`` of a batch of one."""
+    return batch_loss(config, params, Batch((source_ids,), (target_ids,)), dropout_rng=dropout_rng)
 
 
 def _passes(rule: Callable[[ModelConfig, int], None], config: ModelConfig, length: int) -> bool:
@@ -211,8 +222,12 @@ def greedy_translate(config: ModelConfig, params: ModelParams, source_ids) -> tu
 
 def validation_bleu(config: ModelConfig, params: ModelParams, vocab: Vocabulary,
                     pairs: Sequence[SentencePair]) -> float:
-    hyps = [vocab.decode_ids(greedy_translate(config, params, p.source_ids)) for p in pairs]
-    refs = [vocab.decode_ids(p.target_ids) for p in pairs]
+    """Greedy-decode corpus BLEU over the words of the detokenized text, as ``ctcnat evaluate`` scores."""
+    def words(ids) -> list[str]:
+        return vocab.detokenize(vocab.decode_ids(ids)).split()
+
+    hyps = [words(greedy_translate(config, params, p.source_ids)) for p in pairs]
+    refs = [words(p.target_ids) for p in pairs]
     return corpus_bleu(hyps, refs)
 
 

@@ -112,7 +112,7 @@ def reference_ctc_beam_search(log_probs, opts: DecodeOptions | None = None) -> l
 # for bit. Verbatim apart from their names, except the fused ops, which are
 # given as the compositions they replace. ``matmul``, ``mul``, ``relu``,
 # ``softmax`` and ``transpose`` live only here, as parts of those
-# compositions.
+# compositions, and ``sum`` as the loss of the tests' gradient probes.
 
 def reference_accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     """Add a gradient contribution to ``t`` (no-op unless it requires grad)."""
@@ -164,6 +164,14 @@ def reference_matmul(a: Tensor, b: Tensor) -> Tensor:
         reference_accumulate_grad(b, a.data.swapaxes(-1, -2) @ g)
 
     return reference_emit(reference_finite(a.data @ b.data, "matmul"), (a, b), rule)
+
+
+def reference_sum(a: Tensor) -> Tensor:
+    """The sum of every element: the scalar loss of a gradient probe."""
+    def rule(g: np.ndarray) -> None:
+        reference_accumulate_grad(a, np.broadcast_to(g, a.shape))
+
+    return reference_emit(np.asarray(a.data.sum()), (a,), rule)
 
 
 def reference_relu(a: Tensor) -> Tensor:
@@ -259,9 +267,12 @@ def _reference_keys_values(source: Tensor, wk: Tensor, wv: Tensor, bv: Tensor, h
     return _split_heads(reference_matmul(source, wk), heads), _split_heads(tensor.linear(source, wv, bv), heads)
 
 
-def reference_keys_values(memory: Tensor, params: Sequence[Tensor], heads: int) -> tensor.KV:
+def reference_keys_values(memory: Tensor, params: Sequence[Tensor], heads: int, scope: str) -> tensor.KV:
     """The projections that ``tensor.keys_values`` fuses, as the attention chain runs them."""
-    return tuple(h.data for h in _reference_keys_values(memory, *params[4:7], heads))
+    try:
+        return tuple(h.data for h in _reference_keys_values(memory, *params[4:7], heads))
+    except NumericError as exc:
+        raise NumericError(f"{exc} in {scope}") from None
 
 
 def reference_multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int,

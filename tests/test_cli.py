@@ -34,10 +34,12 @@ class TestConfigFile:
         assert parse_config(serialize_config(cfg)) == cfg
         assert serialize_config(parse_config(serialize_config(cfg))) == serialize_config(cfg)
 
-    def test_unknown_key_is_named(self):
+    @pytest.mark.parametrize("text, message", [("foo=1\n", "foo"),
+                                               ("lr=0.1\nlr=0.2\n", r"^line 2: repeated config key 'lr'$")])
+    def test_unknown_key_is_named(self, text, message):
         from ctcnat.cli import UsageError
-        with pytest.raises(UsageError, match="foo"):
-            parse_config("foo=1\n")
+        with pytest.raises(UsageError, match=message):
+            parse_config(text)
 
     def test_bad_value(self):
         from ctcnat.cli import UsageError
@@ -68,11 +70,13 @@ class TestTrainCommand:
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 2
 
-    def test_unknown_key_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [("foo=1\n", "foo"),
+                                               ("lr=0.1\nd_model=32\nlr=0.2\n", "line 3: repeated config key 'lr'")])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "run.cfg"
-        path.write_text("foo=1\n", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         assert main(["train", "--config", str(path)]) == 2
-        assert "foo" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_nan_learning_rate_exits_2_naming_the_setting(self, tmp_path, capsys):
         src, tgt = synth_corpus(tmp_path)

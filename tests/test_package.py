@@ -17,6 +17,7 @@ TEST_ONLY = {
     "ctc.count_alignments": "criterion 4 checks it against enumerated alignments",
     "ctc.ctc_oracle_loss": "criterion 1 checks ctc_loss against it",
     "evaluation.exact_match_rate": "criterion 7 scores the toy tasks with it",
+    "training.sentence_loss": "criterion 11 checks batch_loss against it",
 }
 
 

@@ -9,10 +9,10 @@ import pytest
 
 from ctcnat import model, training
 from ctcnat.ctc import count_alignments
-from ctcnat.data import SentencePair, batch_pairs, gen_synthetic, synthetic_vocab
+from ctcnat.data import SentencePair, Vocabulary, batch_pairs, gen_synthetic, synthetic_vocab
 from ctcnat.evaluation import corpus_bleu
 from ctcnat.model import ConfigError, LengthError, ModelConfig, init_params
-from ctcnat.tensor import GradTape, Tensor
+from ctcnat.tensor import GradTape, NumericError, Tensor
 from ctcnat.training import (
     Adam,
     Checkpoint,
@@ -30,6 +30,8 @@ from ctcnat.training import (
     train,
     write_log_csv,
 )
+
+from helpers import central_diff, rel_err
 
 
 def small_config(**kw):
@@ -171,6 +173,86 @@ class TestLosses:
         params = init_params(cfg, 4)
         with pytest.raises(VocabularyError):
             sentence_loss(cfg, params, (4, 5), (4, 0))
+
+
+def _forward_records(cfg: ModelConfig, params, pair: SentencePair) -> int:
+    """The tape records of one sentence's model forward, up to its log-probability table."""
+    with GradTape() as tape:
+        enc = model.encode(cfg, params, pair.source_ids)
+        if cfg.is_autoregressive:
+            model.decode_autoregressive_full(cfg, params, enc, pair.target_ids)
+        else:
+            model.decode_parallel(cfg, params, model.split_states(params, enc, cfg.k), enc)
+    return len(tape)
+
+
+class TestLossOp:
+    """The batch loss is one taped op over the sentences' log-probability
+    tables, for both model families; ``sentence_loss`` is that op over one."""
+
+    @pytest.mark.parametrize("variant", ["encoder-decoder", "autoregressive-baseline"])
+    def test_gradient_matches_finite_differences(self, variant):
+        vocab, pairs = small_corpus(n=3, seed=6, len_range=(1, 3))
+        cfg = small_config(vocab_size=vocab.vocab_size, variant=variant)
+        params = init_params(cfg, 5)
+        batch = batch_pairs(pairs)
+        with GradTape() as tape:
+            loss = batch_loss(cfg, params, batch)
+        tape.backward(loss)
+
+        def f():
+            return batch_loss(cfg, params, batch).item()
+
+        w1 = params["dec.0.ff.w1"]
+        assert rel_err(params["out.b"].grad, central_diff(f, params["out.b"].data)) < 1e-6
+        assert rel_err(w1.grad[3], central_diff(f, w1.data[3])) < 1e-6
+
+    @pytest.mark.parametrize("variant", ["encoder-decoder", "autoregressive-baseline"])
+    def test_batch_loss_adds_one_record_to_the_sentence_forwards(self, variant):
+        vocab, pairs = small_corpus(n=4, seed=7)
+        cfg = small_config(vocab_size=vocab.vocab_size, variant=variant)
+        params = init_params(cfg, 6)
+        forwards = [_forward_records(cfg, params, p) for p in pairs]
+        with GradTape() as tape:
+            loss = batch_loss(cfg, params, batch_pairs(pairs))
+        assert len(tape) == sum(forwards) + 1
+        assert tape._records[-1][0] is loss
+        with GradTape() as tape:
+            sentence_loss(cfg, params, pairs[0].source_ids, pairs[0].target_ids)
+        assert len(tape) == forwards[0] + 1
+
+    def test_autoregressive_loss_that_overflows_raises(self):
+        # Column 8 scores id 9, which no target holds: every other column's
+        # log-probability is about -1e308, and four rows of it overflow.
+        cfg = small_config(variant="autoregressive-baseline")
+        params = init_params(cfg, 4)
+        params["out.b"].data[8] = 1e308
+        pair = SentencePair((4, 5), (4, 5, 6), "", "")
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="^loss produced non-finite values$"):
+                sentence_loss(cfg, params, pair.source_ids, pair.target_ids)
+            with pytest.raises(NumericError, match="^loss produced non-finite values$"):
+                batch_loss(cfg, params, batch_pairs([pair, SentencePair((4,), (5,), "", "")]))
+
+    def test_sentence_loss_on_an_infeasible_pair_raises(self):
+        cfg = small_config(k=1)
+        params = init_params(cfg, 4)
+        assert feasible_pairs(cfg, [SentencePair((4,), (4, 5), "", "")]) == ([], 1)
+        with pytest.raises(NumericError, match="^loss produced non-finite values$"):
+            sentence_loss(cfg, params, (4,), (4, 5))
+
+
+def test_validation_bleu_scores_the_words_of_the_detokenized_text(monkeypatch):
+    """In char mode too, as ``ctcnat evaluate`` scores a translation file."""
+    vocab = Vocabulary.from_tokens(list("abcde "), mode="char")
+    hyp = vocab.encode_line("ab cd ab de")
+    monkeypatch.setattr(training, "greedy_translate", lambda config, params, source_ids: hyp)
+
+    def score(reference: str) -> float:
+        return training.validation_bleu(None, None, vocab, [SentencePair((4,), vocab.encode_line(reference), "", "")])
+
+    assert score("ab cd ab ce") == 0.0  # 3 of 4 words, no 4-gram; the characters score 80.7
+    assert score("ab cd ab de ab") == corpus_bleu([["ab", "cd", "ab", "de"]], [["ab", "cd", "ab", "de", "ab"]])
 
 
 class TestFeasibility:
