@@ -144,6 +144,8 @@ def bench_decode(pairs: Sequence[SentencePair], modes: Sequence[str] = MODES,
         raise ConfigError(f"reps must be >= {MIN_REPS}, got {reps}")
     if not pairs:
         raise ConfigError("empty benchmark corpus")
+    if not modes:
+        raise ConfigError(f"no mode to time; pick from {MODES}")
     for mode in modes:
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}; pick from {MODES}")

@@ -25,6 +25,8 @@ from .data import (
     build_vocab,
     gen_synthetic,
     load_parallel,
+    read_lines,
+    split_lines,
     synthetic_vocab,
 )
 from .decoding import DecodeOptions, OptionError, check_max_steps, translate
@@ -90,7 +92,7 @@ def _keys_named(message: str) -> str:
 def parse_config(text: str) -> RunConfig:
     """Parse key=value lines; unknown or repeated keys and bad values are usage errors."""
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -121,11 +123,6 @@ def serialize_config(config: RunConfig) -> str:
     return "".join(f"{f.name}={getattr(config, f.name)}\n" for f in fields(RunConfig))
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    with open(path, encoding="utf-8") as f:
-        return f.read().splitlines()
-
-
 def cmd_train(args) -> int:
     config_path = Path(args.config)
     if not config_path.is_file():
@@ -137,7 +134,7 @@ def cmd_train(args) -> int:
         if not Path(getattr(run, key)).is_file():
             raise UsageError(f"config key {key!r}: file not found: {getattr(run, key)}")
 
-    lines = _read_lines(run.train_src) + _read_lines(run.train_tgt)
+    lines = read_lines(run.train_src) + read_lines(run.train_tgt)
     vocab = build_vocab(lines, mode=run.vocab_mode, min_freq=run.min_freq)
     try:
         model_config = ModelConfig(
@@ -197,7 +194,7 @@ def _encode_input(path: str, vocab: Vocabulary,
     source rule of each (flag, config) in ``models``; the first that fails
     is a usage error naming its 1-based line number, so nothing decodes."""
     encoded = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         ids = vocab.encode_line(line)
         if ids:
             for flag, config in models:
@@ -225,8 +222,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    hyps = [line.split() for line in _read_lines(args.hyp)]
-    refs = [line.split() for line in _read_lines(args.ref)]
+    hyps = [line.split() for line in read_lines(args.hyp)]
+    refs = [line.split() for line in read_lines(args.ref)]
     if len(hyps) != len(refs):
         raise UsageError(f"--hyp has {len(hyps)} lines but --ref has {len(refs)}")
     if not args.report:
@@ -234,7 +231,7 @@ def cmd_evaluate(args) -> int:
         return 0
     if not args.src:
         raise UsageError("--report needs --src for source lengths")
-    src_lens = [len(line.split()) for line in _read_lines(args.src)]
+    src_lens = [len(line.split()) for line in read_lines(args.src)]
     if len(src_lens) != len(hyps):
         raise UsageError(f"--src has {len(src_lens)} lines but --hyp has {len(hyps)}")
     report = EvalReport.build(hyps, refs, src_lens)
@@ -249,8 +246,10 @@ def cmd_bench(args) -> int:
     if args.reps < bench_mod.MIN_REPS:
         raise UsageError(f"--reps must be >= {bench_mod.MIN_REPS}, got {args.reps}")
     beam = _beam_options(args.beam)
-    if args.modes:
+    if args.modes is not None:
         modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
+        if not modes:
+            raise UsageError(f"--modes names no mode; pick from {','.join(bench_mod.MODES)}")
     else:
         modes = tuple(m for m in bench_mod.MODES
                       if (m.startswith("AR") and args.ar_model) or (m.startswith("NAR") and args.nar_model))

@@ -45,6 +45,21 @@ def _splitter(mode: str) -> Callable[[str], list[str]]:
     raise VocabularyError(f"unknown tokenization mode {mode!r}")
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, split on "\\n" only: ``str.splitlines`` would also
+    break at form feeds, "\\x85", "\\u2028" and more, which can sit inside a
+    line. A final newline ends the last line; it does not start an empty one."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The ``split_lines`` of a UTF-8 text file (read with universal newlines)."""
+    return split_lines(Path(path).read_text(encoding="utf-8"))
+
+
 @dataclass
 class Vocabulary:
     """Bidirectional token/id map with the four reserved ids up front.
@@ -101,9 +116,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path, mode: str = "word") -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
-            tokens = [line.rstrip("\n") for line in f]
-        return cls.from_tokens(tokens, mode=mode)
+        return cls.from_tokens(read_lines(path), mode=mode)
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[str], mode: str = "word") -> "Vocabulary":
@@ -156,10 +169,7 @@ def load_parallel(source_path: str | Path, target_path: str | Path, vocab: Vocab
     count is logged. Lengths are the model's business: ``train`` admits
     pairs by ``training.feasible_pairs``.
     """
-    with open(source_path, encoding="utf-8") as f:
-        src_lines = f.read().splitlines()
-    with open(target_path, encoding="utf-8") as f:
-        tgt_lines = f.read().splitlines()
+    src_lines, tgt_lines = read_lines(source_path), read_lines(target_path)
     if len(src_lines) != len(tgt_lines):
         raise CorpusError(
             f"line count mismatch: {source_path} has {len(src_lines)} lines, "

@@ -14,8 +14,8 @@ the source.
 
 Blocks are pre-norm (norm before each sublayer, final norm after the
 stack), which is the stabler choice at desk scale. Each sublayer, with its
-norm, dropout and residual add, is one tape op (``multi_head_attention``,
-``feed_forward``), so a block is three calls. Forward passes are pure given
+norm, dropout and residual add, is one tape op, and so is each end of a
+stack (``embed`` in, ``log_softmax`` out). Forward passes are pure given
 immutable params; dropout only runs when a generator is supplied. The
 baseline's incremental decoder gives each hypothesis its own self-attention
 key and value buffer, preallocated to max_len; each step runs one position
@@ -47,7 +47,6 @@ from .tensor import (
     log_softmax,
     multi_head_attention,
     reshape,
-    scale,
 )
 
 VARIANTS = ("deep-encoder", "encoder-decoder", "encoder-decoder-posenc", "autoregressive-baseline")
@@ -206,19 +205,8 @@ def _causal_mask(n: int) -> np.ndarray:
     return mask
 
 
-def _proj(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
-    """x @ {prefix}.w + {prefix}.b."""
-    return linear(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
-
-
 def _ln(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
     return layer_norm(x, params[f"{prefix}.gain"], params[f"{prefix}.bias"])
-
-
-def _maybe_drop(x: Tensor, config: ModelConfig, rng: np.random.Generator | None) -> Tensor:
-    if rng is None or config.dropout_rate <= 0.0:
-        return x
-    return dropout(x, config.dropout_rate, rng)
 
 
 def _block(params: ModelParams, prefix: str, x: Tensor, config: ModelConfig,
@@ -272,9 +260,8 @@ def encode(config: ModelConfig, params: ModelParams, source_ids,
     ``check_source_length`` admits."""
     ids = _check_ids(source_ids, config)
     check_source_length(config, len(ids))
-    x = scale(embed(params["src_embed"], ids), math.sqrt(config.d_model))
-    x = add(x, Tensor(sinusoid_table(config.max_len, config.d_model)[: len(ids)]))
-    x = _maybe_drop(x, config, dropout_rng)
+    positions = sinusoid_table(config.max_len, config.d_model)[: len(ids)]
+    x = embed(params["src_embed"], ids, positions, config.dropout_rate, dropout_rng, "src_embed")
     for i in range(config.enc_layers):
         x = _block(params, f"enc.{i}", x, config, rng=dropout_rng)
     return EncoderStates(states=_ln(params, "enc.ln_out", x))
@@ -286,7 +273,7 @@ def split_states(params: ModelParams, enc: EncoderStates, k: int) -> SplitStates
     w = params["split.w"]
     if w.shape != (d, k * d):
         raise ShapeError(f"split projection has shape {w.shape}, need {(d, k * d)}")
-    return SplitStates(states=reshape(_proj(params, "split", enc.states), (k * t_x, d)))
+    return SplitStates(states=reshape(linear(enc.states, w, params["split.b"]), (k * t_x, d)))
 
 
 def decode_parallel(config: ModelConfig, params: ModelParams, split: SplitStates,
@@ -299,15 +286,15 @@ def decode_parallel(config: ModelConfig, params: ModelParams, split: SplitStates
     if config.is_autoregressive:
         raise ConfigError("decode_parallel requires a parallel-labeling variant")
     x = split.states
-    if config.variant == "deep-encoder":
-        return log_softmax(_proj(params, "out", x))
-    if config.variant == "encoder-decoder-posenc":
-        table = sinusoid_table(config.k * config.max_len, config.d_model)
-        x = add(x, Tensor(table[: x.shape[0]]))
-    x = _maybe_drop(x, config, dropout_rng)
-    for i in range(config.dec_layers):
-        x = _block(params, f"dec.{i}", x, config, enc.states, rng=dropout_rng)
-    return log_softmax(_proj(params, "out", _ln(params, "dec.ln_out", x)))
+    if config.variant != "deep-encoder":
+        if config.variant == "encoder-decoder-posenc":
+            x = add(x, Tensor(sinusoid_table(config.k * config.max_len, config.d_model)[: x.shape[0]]))
+        if dropout_rng is not None:
+            x = dropout(x, config.dropout_rate, dropout_rng)
+        for i in range(config.dec_layers):
+            x = _block(params, f"dec.{i}", x, config, enc.states, rng=dropout_rng)
+        x = _ln(params, "dec.ln_out", x)
+    return log_softmax(x, params["out.w"], params["out.b"], "out")
 
 
 def parallel_log_probs(config: ModelConfig, params: ModelParams, source_ids) -> Tensor:
@@ -344,14 +331,13 @@ def _ar_decoder(config: ModelConfig, params: ModelParams, ids: list[int],
     log-probability rows of the positions run.
     """
     start = 0 if past is None else len(ids) - 1
-    x = scale(embed(params["tgt_embed"], ids[start:]), math.sqrt(config.d_model))
-    x = add(x, Tensor(sinusoid_table(config.max_len, config.d_model)[start:len(ids)]))
-    x = _maybe_drop(x, config, rng)
+    positions = sinusoid_table(config.max_len, config.d_model)[start:len(ids)]
+    x = embed(params["tgt_embed"], ids[start:], positions, config.dropout_rate, rng, "tgt_embed")
     mask = _causal_mask(len(ids)) if past is None and len(ids) > 1 else None
     for i in range(config.dec_layers):
         x = _block(params, f"dec.{i}", x, config, memory[i], mask, rng,
                    None if past is None else (past[i, 0], past[i, 1], start))
-    return log_softmax(_proj(params, "out", _ln(params, "dec.ln_out", x)))
+    return log_softmax(_ln(params, "dec.ln_out", x), params["out.w"], params["out.b"], "out")
 
 
 def decode_autoregressive_full(config: ModelConfig, params: ModelParams, enc: EncoderStates,

@@ -1,16 +1,17 @@
 """float64 tensors with an explicit reverse-mode gradient tape.
 
 Storage is flat row-major numpy with explicit shapes. The op set is exactly
-what the sequence models downstream need: suffix-broadcast add, scale,
-log-softmax, layer norm, embedding gather, reshape, dropout, ``custom_op``
-for values and gradients computed outside the tape (the training loss),
-and three fused ops: ``linear`` (x @ w + b) and the two
-pre-norm residual transformer sublayers, ``x + dropout(f(layer_norm(x)))``:
+what the sequence models downstream need: suffix-broadcast add, layer norm,
+reshape, dropout, ``custom_op`` for values and gradients computed outside
+the tape (the training loss), and five fused ops, each one tape record that
+computes, bit for bit, what its unfused chain computes (the tests keep the
+chains as the reference): a stack's input ``embed``, ``dropout(table[ids] ·
+√d + positions)``; ``linear``, ``x @ w + b``; the output layer
+``log_softmax``, the log-probabilities of ``x @ w + b``; and the pre-norm
+residual sublayers ``x + dropout(f(layer_norm(x)))``,
 ``multi_head_attention`` (f: projections, heads, scaled-dot-product
 attention and output projection, optionally over cached keys and values
-extended in place) and ``feed_forward`` (f: linear, relu, linear). Each
-fused op is one tape record that computes, bit for bit, what its unfused
-composition computes; the tests keep those compositions as the reference.
+extended in place) and ``feed_forward`` (f: linear, relu, linear).
 Gradients are produced by replaying a GradTape in reverse recording order.
 
 Log-domain code represents probability zero as ``NEG_INF``. The CTC lattice
@@ -20,15 +21,14 @@ NumericError. Finiteness is checked by one sum, which is finite whenever
 every element is; only a non-finite sum is confirmed element by element,
 because finite elements can still overflow it.
 
-The sublayer ops check only where a NaN or Inf can hide: the attention
-scores (softmax turns -inf into 0), the feed-forward pre-activation (relu
-does the same) and their output. Under IEEE arithmetic any other
-intermediate's NaN or Inf reaches the output, since even 0 * inf is NaN.
-When a check fails, the op re-checks its intermediates in the order the
-unfused chain checked them and raises that chain's first error, with the
-layer scope it was given appended (``layer_norm produced non-finite values
-in enc.0.self_attn``). So exactly the inputs that made the chain raise make
-the op raise.
+The fused ops check only where a NaN or Inf can hide: the attention scores
+(softmax turns -inf into 0), the feed-forward pre-activation (relu does the
+same) and their output. Under IEEE arithmetic any other intermediate's NaN
+or Inf reaches the output, since even 0 * inf is NaN. When a check fails,
+an op with a scope re-checks its intermediates in the order the unfused
+chain checked them and raises that chain's first error, with the scope
+appended (``layer_norm produced non-finite values in enc.0.self_attn``). So
+exactly the inputs that made the chain raise make the op raise.
 """
 
 from __future__ import annotations
@@ -166,13 +166,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _emit(_finite(a.data + b.data, "add"), (a, b), rule)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    def rule(g: np.ndarray) -> None:
-        accumulate_grad(a, g * c)
-
-    return _emit(_finite(a.data * c, "scale"), (a,), rule)
-
-
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The forward of ``linear``: ``x @ w``, then ``b`` added in place."""
     out = x @ w
@@ -188,11 +181,15 @@ def _affine_grad(x: np.ndarray, w: Tensor, b: Tensor, g: np.ndarray) -> np.ndarr
     return gx
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for a 2-D ``x``, a (d_in, d_out) ``w`` and a (d_out,) ``b``."""
+def _check_affine(op: str, x: Tensor, w: Tensor, b: Tensor) -> None:
     sx, sw = x.data.shape, w.data.shape
     if len(sx) != 2 or len(sw) != 2 or sx[1] != sw[0] or b.data.shape != sw[1:]:
-        raise ShapeError(f"linear: shapes {sx}, {sw} and {b.shape} do not conform")
+        raise ShapeError(f"{op}: shapes {sx}, {sw} and {b.shape} do not conform")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for a 2-D ``x``, a (d_in, d_out) ``w`` and a (d_out,) ``b``."""
+    _check_affine("linear", x, w, b)
 
     def rule(g: np.ndarray) -> None:
         accumulate_grad(x, _affine_grad(x.data, w, b, g))
@@ -425,16 +422,22 @@ def feed_forward(x: Tensor, params: Sequence[Tensor], rate: float, rng: np.rando
     return _emit(out, (x, *params), rule)
 
 
-def log_softmax(a: Tensor) -> Tensor:
-    """Log-probabilities over the last axis."""
-    m = a.data.max(axis=-1, keepdims=True)
-    shifted = a.data - m
+def log_softmax(x: Tensor, w: Tensor, b: Tensor, scope: str) -> Tensor:
+    """The output layer: log-probabilities over the last axis of ``x @ w + b``, shaped as for
+    ``linear``. A failed check raises the first error of the chain (linear, log-softmax), naming ``scope``."""
+    _check_affine("log_softmax", x, w, b)
+    z = _affine(x.data, w.data, b.data)
+    shifted = z - z.max(axis=-1, keepdims=True)
     out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    try:
+        _finite(out, "log_softmax")
+    except NumericError:
+        raise _unfused_error(scope, ("linear", z), ("log_softmax", out)) from None
 
     def rule(g: np.ndarray) -> None:
-        accumulate_grad(a, g - np.exp(out) * g.sum(axis=-1, keepdims=True))
+        accumulate_grad(x, _affine_grad(x.data, w, b, g - np.exp(out) * g.sum(axis=-1, keepdims=True)))
 
-    return _emit(_finite(out, "log_softmax"), (a,), rule)
+    return _emit(out, (x, w, b), rule)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -451,20 +454,31 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _emit(_finite(out, "layer_norm"), (x, gain, bias), rule)
 
 
-def embed(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Gather rows of an embedding table; backward scatter-adds."""
+def embed(table: Tensor, ids: Sequence[int], positions: np.ndarray, rate: float,
+          rng: np.random.Generator | None, scope: str) -> Tensor:
+    """A stack's input, ``dropout(table[ids] · √d + positions)`` with d the table's width; dropout
+    runs when ``rng`` is given and ``rate`` > 0. A failed check raises the first error of the
+    chain (scale, position add), naming ``scope``. Backward scatter-adds into the table."""
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"embed: ids must be 1-D, got shape {idx.shape}")
+    if idx.ndim != 1 or positions.shape != (idx.size, table.data.shape[1]):
+        raise ShapeError(f"embed: ids {idx.shape} and positions {positions.shape} do not fit {table.shape}")
+    c = math.sqrt(table.data.shape[1])
+    scaled = table.data[idx] * c
+    out = scaled + positions
+    try:
+        _finite(out, "add")
+    except NumericError:
+        raise _unfused_error(scope, ("scale", scaled), ("add", out)) from None
+    drop = None if rng is None or rate <= 0.0 else _dropout_mask(out.shape, rate, rng)
+    if drop is not None:
+        out *= drop
 
-    def rule(g: np.ndarray) -> None:
-        if not table.requires_grad:
-            return
+    def rule(g: np.ndarray) -> None:  # recorded only when the table requires grad
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, g)
+        np.add.at(table.grad, idx, (g if drop is None else g * drop) * c)
 
-    return _emit(np.ascontiguousarray(table.data[idx]), (table,), rule)
+    return _emit(out, (table,), rule)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -422,6 +422,8 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
         key, sep, value = line.partition("=")
         if not sep:
             raise FormatError(f"malformed config line {line!r} before offset {reader.offset}")
+        if key in values:
+            raise FormatError(f"repeated config key {key!r} before offset {reader.offset}")
         values[key] = value
     try:
         types = get_type_hints(ModelConfig)
@@ -434,6 +436,8 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
     params: ModelParams = {}
     for _ in range(reader.u32()):
         name = reader.take(reader.u32()).decode("utf-8")
+        if name in params:
+            raise FormatError(f"repeated parameter {name!r} before offset {reader.offset}")
         rank = reader.u32()
         shape = tuple(reader.u32() for _ in range(rank))
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1

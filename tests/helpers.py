@@ -110,8 +110,9 @@ def reference_ctc_beam_search(log_probs, opts: DecodeOptions | None = None) -> l
 # The tape ops that ``ctcnat.tensor`` makes cheaper, kept as their reference:
 # with these patched in, every loss, gradient and decode must be equal, bit
 # for bit. Verbatim apart from their names, except the fused ops, which are
-# given as the compositions they replace. ``matmul``, ``mul``, ``relu``,
-# ``softmax`` and ``transpose`` live only here, as parts of those
+# given as the compositions they replace. ``gather``, ``scale``,
+# ``log_probs`` (the one-argument log-softmax), ``matmul``, ``mul``,
+# ``relu``, ``softmax`` and ``transpose`` live only here, as parts of those
 # compositions, and ``sum`` as the loss of the tests' gradient probes.
 
 def reference_accumulate_grad(t: Tensor, g: np.ndarray) -> None:
@@ -137,6 +138,41 @@ def reference_finite(arr: np.ndarray, op: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NumericError(f"{op} produced non-finite values")
     return arr
+
+
+def reference_gather(table: Tensor, ids: Sequence[int]) -> Tensor:
+    """Gather rows of an embedding table; backward scatter-adds."""
+    idx = np.asarray(ids, dtype=np.int64)
+    if idx.ndim != 1:
+        raise ShapeError(f"embed: ids must be 1-D, got shape {idx.shape}")
+
+    def rule(g: np.ndarray) -> None:
+        if not table.requires_grad:
+            return
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        np.add.at(table.grad, idx, g)
+
+    return reference_emit(np.ascontiguousarray(table.data[idx]), (table,), rule)
+
+
+def reference_scale(a: Tensor, c: float) -> Tensor:
+    def rule(g: np.ndarray) -> None:
+        reference_accumulate_grad(a, g * c)
+
+    return reference_emit(reference_finite(a.data * c, "scale"), (a,), rule)
+
+
+def reference_log_probs(a: Tensor) -> Tensor:
+    """Log-probabilities over the last axis: the one-argument log-softmax."""
+    m = a.data.max(axis=-1, keepdims=True)
+    shifted = a.data - m
+    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+    def rule(g: np.ndarray) -> None:
+        reference_accumulate_grad(a, g - np.exp(out) * g.sum(axis=-1, keepdims=True))
+
+    return reference_emit(reference_finite(out, "log_softmax"), (a,), rule)
 
 
 def reference_mul(a: Tensor, b: Tensor) -> Tensor:
@@ -242,10 +278,28 @@ def reference_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return tensor.add(reference_matmul(x, w), b)
 
 
+def reference_embed(table: Tensor, ids: Sequence[int], positions: np.ndarray, rate: float,
+                    rng: np.random.Generator | None, scope: str) -> Tensor:
+    """The gather, ``scale`` by √d, position ``add`` and ``dropout`` that ``tensor.embed`` fuses."""
+    try:
+        x = tensor.add(reference_scale(reference_gather(table, ids), math.sqrt(table.shape[1])), Tensor(positions))
+    except NumericError as exc:
+        raise NumericError(f"{exc} in {scope}") from None
+    return x if rng is None else tensor.dropout(x, rate, rng)
+
+
+def reference_log_softmax(x: Tensor, w: Tensor, b: Tensor, scope: str) -> Tensor:
+    """The ``linear`` and one-argument log-softmax that ``tensor.log_softmax`` fuses."""
+    try:
+        return reference_log_probs(tensor.linear(x, w, b))
+    except NumericError as exc:
+        raise NumericError(f"{exc} in {scope}") from None
+
+
 def reference_attention(q: Tensor, k: Tensor, v: Tensor, c: float, mask: np.ndarray | None = None) -> Tensor:
     """The five-op chain of scaled-dot-product attention over a leading head
     axis that ``tensor.multi_head_attention`` fuses."""
-    scores = tensor.scale(reference_matmul(q, reference_transpose(k, (0, 2, 1))), c)
+    scores = reference_scale(reference_matmul(q, reference_transpose(k, (0, 2, 1))), c)
     if mask is not None:
         scores = tensor.add(scores, Tensor(mask))
     return reference_matmul(reference_softmax(scores, axis=-1), v)
@@ -356,6 +410,8 @@ REFERENCES = {
         "layer_norm": reference_layer_norm,
         "reshape": reference_reshape,
         "linear": reference_linear,
+        "embed": reference_embed,
+        "log_softmax": reference_log_softmax,
         "multi_head_attention": reference_multi_head_attention,
         "keys_values": reference_keys_values,
         "feed_forward": reference_feed_forward,

@@ -62,6 +62,11 @@ class TestBenchDecode:
         with pytest.raises(ConfigError):
             bench_decode(corpus([2]), modes=("NAR-flash",), nar_model=nar)
 
+    def test_no_mode(self):
+        _, nar = models()
+        with pytest.raises(ConfigError, match="^no mode to time"):
+            bench_decode(corpus([2]), modes=(), nar_model=nar)
+
     def test_missing_model(self):
         with pytest.raises(ConfigError):
             bench_decode(corpus([2]), modes=("AR-greedy",), nar_model=models()[1])

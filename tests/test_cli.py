@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ctcnat import cli
-from ctcnat.cli import _FIELD_OF_KEY, RunConfig, _read_lines, main, parse_config, serialize_config
-from ctcnat.data import SentencePair, build_vocab
+from ctcnat.cli import _FIELD_OF_KEY, RunConfig, main, parse_config, serialize_config
+from ctcnat.data import SentencePair, build_vocab, read_lines
 from ctcnat.evaluation import pearson, sentence_bleu
 from ctcnat.model import ModelConfig, init_params
 from ctcnat.tensor import Tensor
@@ -147,9 +147,9 @@ class TestTrainCommand:
         capsys.readouterr()
         assert main(["train", "--config", str(cfg_path)]) == 0
         err = capsys.readouterr().err
-        vocab = build_vocab(_read_lines(src) + _read_lines(tgt))
+        vocab = build_vocab(read_lines(src) + read_lines(tgt))
         pairs = [SentencePair(vocab.encode_line(s), vocab.encode_line(t), s, t)
-                 for s, t in zip(_read_lines(src), _read_lines(tgt))]
+                 for s, t in zip(read_lines(src), read_lines(tgt))]
         model = ModelConfig(vocab_size=vocab.vocab_size, k=3, max_len=6)
         kept, skipped = feasible_pairs(model, pairs)
         assert (len(kept), skipped) == (142, 58)
@@ -179,6 +179,15 @@ class TestTranslateCommand:
         assert main(["translate", "--model", str(model), "--input", str(inp),
                      "--output", str(out)]) == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 3
+
+    def test_a_form_feed_does_not_split_an_input_line(self, trained_dir):
+        model = sorted((trained_dir / "ckpt").glob("ckpt-*.bin"))[0]
+        inp = trained_dir / "in.txt"
+        inp.write_text("w0 w1\fw2 w3\nw4 w5\n", encoding="utf-8")
+        out = trained_dir / "out.txt"
+        assert main(["translate", "--model", str(model), "--input", str(inp),
+                     "--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").count("\n") == 2
 
     def test_empty_input(self, trained_dir):
         model = sorted((trained_dir / "ckpt").glob("ckpt-*.bin"))[0]
@@ -549,6 +558,7 @@ def test_bench_checks_each_line_against_each_models_own_max_len(tmp_path, capsys
     (["--reps", "2"], "--reps must be >= 3, got 2"),
     (["--beam", "0"], "beam_width must be >= 1"),
     (["--modes", "NAR-fast"], "unknown mode 'NAR-fast'"),
+    (["--modes", ","], "--modes names no mode"),
     (["--modes", "AR-greedy"], "mode AR-greedy needs --ar-model"),
 ])
 def test_bench_bad_flag_is_usage_error_before_loading(tmp_path, capsys, flags, message):

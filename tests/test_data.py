@@ -16,6 +16,7 @@ from ctcnat.data import (
     build_vocab,
     gen_synthetic,
     load_parallel,
+    split_lines,
     synthetic_vocab,
 )
 
@@ -130,6 +131,23 @@ class TestLoadParallel:
             pairs = load_parallel(tmp_path / "s.txt", tmp_path / "t.txt", vocab)
         assert [p.source_text for p in pairs] == ["a", "a a a"]
         assert "dropped 1 empty-after-tokenization pairs" in caplog.text
+
+
+    def test_a_form_feed_does_not_split_a_line(self, tmp_path):
+        (tmp_path / "s.txt").write_text("w0\fw1\nw2\n", encoding="utf-8")
+        (tmp_path / "t.txt").write_text("w0\nw1\fw2\n", encoding="utf-8")
+        vocab = build_vocab(["w0 w1 w2"], mode="word")
+        pairs = load_parallel(tmp_path / "s.txt", tmp_path / "t.txt", vocab)
+        assert [(p.source_text, p.target_text) for p in pairs] == [("w0\fw1", "w0"), ("w2", "w1\fw2")]
+        assert pairs[0].source_ids == vocab.encode_line("w0 w1")
+
+
+@pytest.mark.parametrize("text,lines", [
+    ("", []), ("a", ["a"]), ("a\n", ["a"]), ("a\n\n", ["a", ""]), ("\n", [""]),
+    ("a\x0bb\x1c\x85\u2028c\nd\n", ["a\x0bb\x1c\x85\u2028c", "d"]),
+])
+def test_split_lines_breaks_at_newlines_only(text, lines):
+    assert split_lines(text) == lines
 
 
 class TestBatching:

@@ -6,11 +6,19 @@ import pkgutil
 from pathlib import Path
 
 import ctcnat
+from ctcnat import model, tensor
 
-from helpers import names_in
+from helpers import REFERENCES, names_in
 
 SRC = Path(ctcnat.__file__).parent
 BENCHMARK = SRC.parents[1] / "benchmark"
+
+# Tensor ops that the model calls with no entry in helpers.REFERENCES, each
+# its own reference: the reference chains are built on them.
+OWN_REFERENCE = {
+    "add": "one numpy add and its check, with no fused work to undo",
+    "dropout": "one mask draw and multiply, with no check to reorder",
+}
 
 # Public names that only tests call, each kept for the acceptance criterion it referees.
 TEST_ONLY = {
@@ -39,3 +47,12 @@ def test_every_public_function_and_class_has_a_caller_outside_the_tests():
     assert not uncalled, f"public names with no caller outside the tests: {uncalled}"
     called = [name for name in TEST_ONLY if name not in unnamed]
     assert not called, f"names that gained a caller and should leave TEST_ONLY: {called}"
+
+
+def test_every_tensor_op_the_model_calls_has_a_reference():
+    """``TestReferenceParity`` referees an op only if ``helpers.REFERENCES``
+    patches its chain into the model, so no fused op lands without one."""
+    bound = {name for name, obj in vars(model).items()
+             if inspect.isfunction(obj) and obj.__module__ == tensor.__name__}
+    unrefereed = bound - set(REFERENCES[tensor])
+    assert unrefereed == set(OWN_REFERENCE), f"no reference: {sorted(unrefereed)}; listed: {sorted(OWN_REFERENCE)}"

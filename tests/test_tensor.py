@@ -19,16 +19,20 @@ from helpers import (
     central_diff,
     names_in,
     reference_attention,
+    reference_embed,
     reference_emit,
     reference_feed_forward,
     reference_keys_values,
     reference_lattice,
     reference_layer_norm,
     reference_linear,
+    reference_log_probs,
+    reference_log_softmax,
     reference_matmul,
     reference_mul,
     reference_multi_head_attention,
     reference_relu,
+    reference_scale,
     reference_softmax,
     reference_sum,
     reference_transpose,
@@ -165,20 +169,31 @@ def _ff(x, params, rate=0.0):
     return T.feed_forward(x, params, rate, np.random.default_rng(28) if rate else None, "feed_forward")
 
 
+EMBED_POSITIONS = _CONST.normal(size=(3, 4))
+
+
+def _embed(table, rate=0.0):
+    return T.embed(table, [1, 3, 1], EMBED_POSITIONS, rate, np.random.default_rng(29) if rate else None, "src_embed")
+
+
 FD_CASES = [
     ("add", lambda a, b: T.add(a, b), [(3, 4), (3, 4)]),
     ("add_bias", lambda a, b: T.add(a, b), [(2, 3, 4), (4,)]),
     ("mul", lambda a, b: reference_mul(a, b), [(2, 5), (2, 5)]),
-    ("scale", lambda a: T.scale(a, -1.7), [(4, 3)]),
+    ("scale", lambda a: reference_scale(a, -1.7), [(4, 3)]),
     ("matmul", lambda a, b: reference_matmul(a, b), [(2, 3), (3, 4)]),
     ("matmul_batched", lambda a, b: reference_matmul(a, b), [(2, 3, 4), (2, 4, 5)]),
     ("relu", lambda a: reference_relu(a), [(3, 6)]),
     ("softmax", lambda a: reference_softmax(a, axis=-1), [(3, 5)]),
-    ("log_softmax", lambda a: T.log_softmax(a), [(3, 5)]),
+    ("log_softmax", lambda a: reference_log_probs(a), [(3, 5)]),
     ("reshape", lambda a: T.reshape(a, (6, 2)), [(3, 4)]),
     ("transpose", lambda a: reference_transpose(a, (1, 0, 2)), [(2, 3, 4)]),
     ("linear", lambda x, w, b: T.linear(x, w, b), [(3, 4), (4, 5), (5,)]),
     ("linear_one_row", lambda x, w, b: T.linear(x, w, b), [(1, 4), (4, 2), (2,)]),
+    ("embed", lambda table: _embed(table), [(5, 4)]),
+    ("embed_dropout", lambda table: _embed(table, rate=0.3), [(5, 4)]),
+    ("log_softmax_of_linear", lambda x, w, b: T.log_softmax(x, w, b, "out"), [(3, 4), (4, 5), (5,)]),
+    ("log_softmax_of_linear_one_row", lambda x, w, b: T.log_softmax(x, w, b, "out"), [(1, 4), (4, 2), (2,)]),
     ("attention", lambda q, k, v: reference_attention(q, k, v, 0.7), [(4, 3, 2), (4, 5, 2), (4, 5, 3)]),
     ("attention_one_query", lambda q, k, v: reference_attention(q, k, v, 0.7), [(4, 1, 2), (4, 5, 2), (4, 5, 3)]),
     ("attention_causal", lambda q, k, v: reference_attention(q, k, v, 0.7, CAUSAL_4),
@@ -224,11 +239,11 @@ def test_embed_gradient_scatter_adds():
     ids = [1, 3, 1]
     w = rng.normal(size=(3, 3))
     with GradTape() as tape:
-        loss = reference_sum(reference_mul(T.embed(table, ids), Tensor(w)))
+        loss = reference_sum(reference_mul(T.embed(table, ids, np.zeros((3, 3)), 0.0, None, "src_embed"), Tensor(w)))
     tape.backward(loss)
 
     def f():
-        return float((table.data[ids] * w).sum())
+        return float((table.data[ids] * math.sqrt(3) * w).sum())
 
     assert rel_err(table.grad, central_diff(f, table.data)) < 1e-6
 
@@ -254,13 +269,13 @@ class TestInvariants:
     def test_grad_matches_data_length(self):
         a = Tensor(np.ones((2, 3)), requires_grad=True)
         with GradTape() as tape:
-            loss = reference_sum(T.scale(a, 2.0))
+            loss = reference_sum(T.add(a, a))
         tape.backward(loss)
         assert a.grad.shape == a.data.shape
 
     def test_nonfinite_forward_raises(self):
         with np.errstate(over="ignore"), pytest.raises(NumericError):
-            T.scale(Tensor([1e308]), 1e10)
+            T.add(Tensor([1e308]), Tensor([1e308]))
 
     def test_backward_reaches_every_parameter(self):
         rng = np.random.default_rng(16)
@@ -276,7 +291,7 @@ class TestInvariants:
 
     def test_no_recording_outside_tape(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
-        out = T.scale(a, 3.0)
+        out = T.add(a, a)
         assert out.requires_grad
         tape = GradTape()
         assert len(tape) == 0
@@ -284,7 +299,7 @@ class TestInvariants:
     def test_backward_needs_scalar(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         with GradTape() as tape:
-            out = T.scale(a, 1.0)
+            out = T.add(a, a)
         with pytest.raises(ShapeError):
             tape.backward(out)
 
@@ -487,7 +502,7 @@ class TestSublayerOps:
                 NumericError, match=r"^add produced non-finite values in dec\.1\.ff$"):
             model.parallel_log_probs(cfg, params, [4, 5, 6])
 
-    def test_cached_ar_step_runs_12_ops_and_17_checks(self, monkeypatch):
+    def test_cached_ar_step_runs_9_ops_and_15_checks(self, monkeypatch):
         cfg = _parity_config("autoregressive-baseline", 0.0)
         params = init_params(cfg, 31)
         src = model.source_keys_values(cfg, params, model.encode(cfg, params, [4, 5, 6]))
@@ -503,10 +518,10 @@ class TestSublayerOps:
         monkeypatch.setattr(T, "_finite", counting)
         with GradTape() as tape:
             model.decode_autoregressive_step(cfg, params, src, [7], kv)
-        # embed, scale, position add; per layer 3 sublayers; norm, out, log-softmax
-        assert len(tape) == 3 + 3 * cfg.dec_layers + 3 == 12
-        # scale, position add; per layer 2 per sublayer; norm, out, log-softmax
-        assert len(checks) == 2 + 6 * cfg.dec_layers + 3 == 17
+        # embed; per layer 3 sublayers; norm, output layer
+        assert len(tape) == 1 + 3 * cfg.dec_layers + 2 == 9
+        # embed; per layer 2 per sublayer; norm, output layer
+        assert len(checks) == 1 + 6 * cfg.dec_layers + 2 == 15
 
     def test_source_keys_values_check_the_key_projection_as_the_chain_does(self, monkeypatch):
         # Keys are a matmul with no bias, so the chain's first error names
@@ -523,12 +538,13 @@ class TestSublayerOps:
         with pytest.raises(NumericError, match=message):
             model.source_keys_values(cfg, params, enc)
 
-    # encoder 8 (embed, scale, position add, 2 layers of 2 sublayers, norm);
-    # NAR: split 2, decoder 2 layers of 3 sublayers, norm, out, log-softmax;
-    # AR: embed, scale, position add, the same decoder; then 1 loss op
-    @pytest.mark.parametrize("variant,dropout,records", [("encoder-decoder", 0.0, 20),
-                                                         ("encoder-decoder", 0.1, 22),
-                                                         ("autoregressive-baseline", 0.0, 21)])
+    # encoder 6 (embed, 2 layers of 2 sublayers, norm); NAR: split 2, decoder
+    # input dropout when it runs, 2 layers of 3 sublayers, norm, output layer;
+    # AR: embed, the same decoder; then 1 loss op
+    @pytest.mark.parametrize("variant,dropout,records", [("encoder-decoder", 0.0, 17),
+                                                         ("encoder-decoder", 0.1, 18),
+                                                         ("autoregressive-baseline", 0.0, 16),
+                                                         ("autoregressive-baseline", 0.1, 16)])
     def test_encoder_decoder_sentence_records(self, variant, dropout, records):
         cfg = _parity_config(variant, dropout)
         params = init_params(cfg, 21)
@@ -536,6 +552,54 @@ class TestSublayerOps:
         with GradTape() as tape:
             sentence_loss(cfg, params, [4, 5, 6], [4, 4, 5], dropout_rng=rng)
         assert len(tape) == records
+
+
+class TestEndOps:
+    """A stack's input ``embed`` and its output layer ``log_softmax`` are one
+    record each, and raise the first error of the chain they replace,
+    naming their scope."""
+
+    @pytest.mark.parametrize("variant,edits,message", [
+        ("encoder-decoder", [("src_embed", (5, 3), math.nan)], "scale produced non-finite values in src_embed"),
+        ("autoregressive-baseline", [("tgt_embed", (5, 3), math.inf)], "scale produced non-finite values in tgt_embed"),
+        ("encoder-decoder", [("out.w", (2, 4), math.nan)], "linear produced non-finite values in out"),
+        ("deep-encoder", [("out.b", (0,), -math.inf)], "linear produced non-finite values in out"),
+        # finite logits 2e308 apart: the max shift overflows
+        ("autoregressive-baseline", [("out.b", (0,), 1e308), ("out.b", (1,), -1e308)],
+         "log_softmax produced non-finite values in out"),
+    ])
+    def test_model_error_names_the_scope(self, monkeypatch, variant, edits, message):
+        cfg = _parity_config(variant, 0.0)
+        params = init_params(cfg, 21)
+        for name, index, value in edits:
+            params[name].data[index] = value
+
+        def run():
+            if cfg.is_autoregressive:  # the decoder input [EOS, 5, 7] reads tgt_embed row 5
+                return model.decode_autoregressive_full(cfg, params, model.encode(cfg, params, [4, 5, 6]), [5, 7])
+            return model.parallel_log_probs(cfg, params, [4, 5, 6])
+
+        assert _outcome(run) == message
+        _use_reference_chains(monkeypatch)
+        assert _outcome(run) == message
+
+    def test_position_add_that_overflows_raises_add(self):
+        args = (Tensor([[1e308]]), [0], np.array([[1e308]]), 0.0, None, "src_embed")
+        for op in (T.embed, reference_embed):
+            with np.errstate(over="ignore"), pytest.raises(
+                    NumericError, match=r"^add produced non-finite values in src_embed$"):
+                op(*args)
+
+    def test_one_record_each_and_shape_errors(self):
+        table = Tensor(np.ones((5, 4)), requires_grad=True)
+        with GradTape() as tape:
+            x = T.embed(table, [1, 2], np.zeros((2, 4)), 0.5, np.random.default_rng(0), "src_embed")
+            T.log_softmax(x, Tensor(np.ones((4, 3)), requires_grad=True), Tensor(np.zeros(3)), "out")
+        assert len(tape) == 2
+        with pytest.raises(ShapeError, match="^embed"):
+            T.embed(table, [1, 2], np.zeros((3, 4)), 0.0, None, "src_embed")
+        with pytest.raises(ShapeError, match="^log_softmax"):
+            T.log_softmax(x, Tensor(np.ones((3, 3))), Tensor(np.zeros(3)), "out")
 
 
 BAD_VALUES = [math.nan, math.inf, -math.inf, 1e300]  # 1e300 is finite but overflows products
@@ -554,9 +618,13 @@ def _sublayer_parameters(cfg: ModelConfig) -> list[str]:
     return [n for n in model.parameter_shapes(cfg) if re.search(r"\.(self_attn|src_attn|ff|ln[123])\.", n)]
 
 
-def _use_reference_sublayers(monkeypatch) -> None:
+def _use_reference_chains(monkeypatch) -> None:
+    """The chains that the model's fused ops replace, over the fast ``linear``,
+    whose errors name ``linear`` as the fused ops' do."""
     monkeypatch.setattr(model, "multi_head_attention", reference_multi_head_attention)
     monkeypatch.setattr(model, "feed_forward", reference_feed_forward)
+    monkeypatch.setattr(model, "embed", reference_embed)
+    monkeypatch.setattr(model, "log_softmax", reference_log_softmax)
 
 
 def _sublayer_form(form: str, rng: np.random.Generator):
@@ -589,7 +657,7 @@ def test_past_takes_one_position_and_no_mask(positions, mask):
 
 
 class TestCheckRule:
-    """The sublayer ops check only the scores, the pre-activation and their
+    """The fused ops check only the scores, the pre-activation and their
     output. Against the unfused chain they replace, every poisoned input
     raises the same error or yields the same bytes."""
 
@@ -606,7 +674,7 @@ class TestCheckRule:
                 flat[i] = bad
                 fused = _outcome(lambda: run(params))
                 with monkeypatch.context() as m:
-                    _use_reference_sublayers(m)
+                    _use_reference_chains(m)
                     unfused = _outcome(lambda: run(params))
                 assert fused == unfused, (name, bad)
                 if isinstance(fused, str):
@@ -623,9 +691,10 @@ class TestCheckRule:
             enc = model.encode(cfg, params, [4, 5, 6, 7], dropout_rng=rng)
             return model.decode_parallel(cfg, params, model.split_states(params, enc, cfg.k), enc, dropout_rng=rng)
 
-        names = _sublayer_parameters(cfg)
+        names = _sublayer_parameters(cfg) + ["src_embed", "out.w", "out.b"]
         raised = self._cases(monkeypatch, cfg, names, run)
         assert 0 < len(raised) < len(names) * len(BAD_VALUES)
+        assert {"src_embed", "out.w", "out.b"} <= {name for name, bad in raised if math.isnan(bad)}
 
     def test_poisoned_parameters_in_a_cached_ar_step(self, monkeypatch):
         cfg = _parity_config("autoregressive-baseline", 0.0)
@@ -634,14 +703,17 @@ class TestCheckRule:
 
         def run(params):
             kv = model.self_attention_buffer(cfg)
-            for prefix in ([], [5], [5, 7]):
+            for prefix in ([], [4], [4, 7]):
                 model.decode_autoregressive_step(cfg, clean, src, prefix, kv)
-            return model.decode_autoregressive_step(cfg, params, src, [5, 7, 4], kv)
+            # the step embeds id 5, the tgt_embed row that _cases poisons
+            return model.decode_autoregressive_step(cfg, params, src, [4, 7, 5], kv)
 
         names = [n for n in _sublayer_parameters(cfg) if n.startswith("dec.")]  # the encoder ran clean
         assert len(names) == 48
+        names += ["tgt_embed", "out.w", "out.b"]
         raised = self._cases(monkeypatch, cfg, names, run)
         assert 0 < len(raised) < len(names) * len(BAD_VALUES)
+        assert {"tgt_embed", "out.w", "out.b"} <= {name for name, bad in raised if math.isnan(bad)}
 
     @pytest.mark.parametrize("form", ["self", "cross", "constant_kv", "past", "ff"])
     @pytest.mark.parametrize("dropout", [0.0, 0.1])
@@ -754,6 +826,7 @@ class TestReferenceParity:
         assert T.layer_norm is reference_layer_norm and T._emit is reference_emit
         assert model.linear is reference_linear and model.multi_head_attention is reference_multi_head_attention
         assert model.feed_forward is reference_feed_forward and ctc._lattice is reference_lattice
+        assert model.embed is reference_embed and model.log_softmax is reference_log_softmax
         assert _gradient_digests(variant, dropout) == fast
 
     def test_greedy_and_beam_decodes_and_ar_step_rows(self, monkeypatch):

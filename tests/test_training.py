@@ -550,6 +550,43 @@ class TestCheckpointIO:
         for name in params:
             assert loaded.params[name].data.tobytes() == params[name].data.tobytes()
 
+    @staticmethod
+    def _sections(path) -> tuple[bytes, list[bytes], int, bytes]:
+        """The magic, the header lines, the parameter count and the parameter records of a checkpoint."""
+        reader = training._Reader(path.read_bytes())
+        magic = reader.take(8)
+        lines = [reader.take(reader.u32()) for _ in range(reader.u32())]
+        return magic, lines, reader.u32(), reader.blob[reader.offset:]
+
+    @staticmethod
+    def _assemble(magic: bytes, lines: list[bytes], count: int, records: bytes) -> bytes:
+        return (magic + struct.pack("<I", len(lines)) + b"".join(struct.pack("<I", len(raw)) + raw for raw in lines)
+                + struct.pack("<I", count) + records)
+
+    def test_repeated_header_key(self, tmp_path):
+        cfg = small_config()
+        path = tmp_path / "model.bin"
+        save_checkpoint(Checkpoint(cfg, init_params(cfg, 17), 1, 0.0), path)
+        magic, lines, count, records = self._sections(path)
+        assert b"step=1" in lines
+        path.write_bytes(self._assemble(magic, lines + [b"step=99"], count, records))
+        with pytest.raises(FormatError, match="^repeated config key 'step'"):
+            load_checkpoint(path)
+
+    def test_repeated_parameter_record(self, tmp_path):
+        cfg = small_config()
+        params = init_params(cfg, 18)
+        path = tmp_path / "model.bin"
+        save_checkpoint(Checkpoint(cfg, params, 1, 0.0), path)
+        magic, lines, count, records = self._sections(path)
+        bias = params["out.b"].data
+        name = b"out.b"
+        extra = (struct.pack("<I", len(name)) + name + struct.pack("<II", 1, bias.size)
+                 + (bias + 7.0).astype("<f8").tobytes())
+        path.write_bytes(self._assemble(magic, lines, count + 1, records + extra))
+        with pytest.raises(FormatError, match="^repeated parameter 'out.b'"):
+            load_checkpoint(path)
+
     def test_tampered_parameter_set(self, tmp_path):
         cfg = small_config()
         params = init_params(cfg, 14)
