@@ -132,7 +132,6 @@ class TestLoadParallel:
         assert [p.source_text for p in pairs] == ["a", "a a a"]
         assert "dropped 1 empty-after-tokenization pairs" in caplog.text
 
-
     def test_a_form_feed_does_not_split_a_line(self, tmp_path):
         (tmp_path / "s.txt").write_text("w0\fw1\nw2\n", encoding="utf-8")
         (tmp_path / "t.txt").write_text("w0\nw1\fw2\n", encoding="utf-8")
