@@ -135,7 +135,10 @@ def cmd_train(args) -> int:
             raise UsageError(f"config key {key!r}: file not found: {getattr(run, key)}")
 
     lines = read_lines(run.train_src) + read_lines(run.train_tgt)
-    vocab = build_vocab(lines, mode=run.vocab_mode, min_freq=run.min_freq)
+    try:
+        vocab = build_vocab(lines, mode=run.vocab_mode, min_freq=run.min_freq)
+    except VocabularyError as exc:  # build_vocab checks min_freq, then the mode
+        raise UsageError(f"config key {'min_freq' if run.min_freq < 1 else 'vocab_mode'!r}: {exc}") from exc
     try:
         model_config = ModelConfig(
             vocab_size=vocab.vocab_size, d_model=run.d_model, ff_dim=run.ff_dim,

@@ -87,16 +87,15 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
-        if self.vocab_size < 1:
-            raise ConfigError(f"vocab_size must be >= 1, got {self.vocab_size}")
+        for name in ("vocab_size", "d_model", "ff_dim", "heads", "enc_layers", "k", "max_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.dec_layers < 0:
+            raise ConfigError(f"dec_layers must be >= 0, got {self.dec_layers}")
         if self.d_model % self.heads != 0:
             raise ConfigError(f"d_model={self.d_model} not divisible by heads={self.heads}")
-        if self.k < 1:
-            raise ConfigError(f"split factor k must be >= 1, got {self.k}")
         if self.variant == "deep-encoder" and self.dec_layers != 0:
             raise ConfigError("deep-encoder variant requires dec_layers=0")
-        if self.enc_layers < 1 or self.dec_layers < 0 or self.max_len < 1:
-            raise ConfigError("enc_layers >= 1, dec_layers >= 0 and max_len >= 1 required")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
@@ -206,7 +205,7 @@ def _causal_mask(n: int) -> np.ndarray:
 
 
 def _ln(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
-    return layer_norm(x, params[f"{prefix}.gain"], params[f"{prefix}.bias"])
+    return layer_norm(x, params[f"{prefix}.gain"], params[f"{prefix}.bias"], prefix)
 
 
 def _block(params: ModelParams, prefix: str, x: Tensor, config: ModelConfig,
@@ -273,7 +272,7 @@ def split_states(params: ModelParams, enc: EncoderStates, k: int) -> SplitStates
     w = params["split.w"]
     if w.shape != (d, k * d):
         raise ShapeError(f"split projection has shape {w.shape}, need {(d, k * d)}")
-    return SplitStates(states=reshape(linear(enc.states, w, params["split.b"]), (k * t_x, d)))
+    return SplitStates(states=reshape(linear(enc.states, w, params["split.b"], "split"), (k * t_x, d)))
 
 
 def decode_parallel(config: ModelConfig, params: ModelParams, split: SplitStates,
@@ -288,7 +287,7 @@ def decode_parallel(config: ModelConfig, params: ModelParams, split: SplitStates
     x = split.states
     if config.variant != "deep-encoder":
         if config.variant == "encoder-decoder-posenc":
-            x = add(x, Tensor(sinusoid_table(config.k * config.max_len, config.d_model)[: x.shape[0]]))
+            x = add(x, Tensor(sinusoid_table(config.k * config.max_len, config.d_model)[: x.shape[0]]), "split")
         if dropout_rng is not None:
             x = dropout(x, config.dropout_rate, dropout_rng)
         for i in range(config.dec_layers):

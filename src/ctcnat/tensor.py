@@ -17,24 +17,25 @@ Gradients are produced by replaying a GradTape in reverse recording order.
 Log-domain code represents probability zero as ``NEG_INF``. The CTC lattice
 and the beam searches use that sentinel outside the tape. Taped forward ops
 on finite inputs must produce finite outputs; a NaN or Inf there raises
-NumericError. Finiteness is checked by one sum, which is finite whenever
-every element is; only a non-finite sum is confirmed element by element,
-because finite elements can still overflow it.
+NumericError, by one rule. ``_finite`` tests an array by one sum, which is
+finite whenever every element is; only a non-finite sum is confirmed
+element by element, because finite elements can still overflow it. When a
+test fails, ``_raise_non_finite`` re-checks the op's intermediates in the
+order its unfused chain checked them and raises that chain's first error,
+with the caller's scope appended (``layer_norm produced non-finite values
+in enc.0.self_attn``). So exactly the inputs that made the chain raise make
+the op raise.
 
 The fused ops check only where a NaN or Inf can hide: the attention scores
 (softmax turns -inf into 0), the feed-forward pre-activation (relu does the
 same) and their output. Under IEEE arithmetic any other intermediate's NaN
-or Inf reaches the output, since even 0 * inf is NaN. When a check fails,
-an op with a scope re-checks its intermediates in the order the unfused
-chain checked them and raises that chain's first error, with the scope
-appended (``layer_norm produced non-finite values in enc.0.self_attn``). So
-exactly the inputs that made the chain raise make the op raise.
+or Inf reaches the output, since even 0 * inf is NaN.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -146,14 +147,21 @@ def _emit(arr: np.ndarray, inputs: Sequence[Tensor], rule: BackwardRule) -> Tens
     return out
 
 
-def _finite(arr: np.ndarray, op: str) -> np.ndarray:
+def _finite(arr: np.ndarray) -> bool:
+    """Whether every element of ``arr`` is finite."""
     # np.add.reduce is what arr.sum() calls, without its Python wrapper.
-    if not math.isfinite(np.add.reduce(arr, None)) and not np.isfinite(arr).all():
-        raise NumericError(f"{op} produced non-finite values")
-    return arr
+    return math.isfinite(np.add.reduce(arr, None)) or bool(np.isfinite(arr).all())
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def _raise_non_finite(scope: str | None, *checked: tuple[str, np.ndarray]) -> NoReturn:
+    """Raise the error the unfused chain raises: ``checked`` lists its checks
+    in order, the last one failed, and the first that fails names the op.
+    The message ends with `` in <scope>`` when a scope is given."""
+    op = next(op for op, arr in checked if not np.isfinite(arr).all())
+    raise NumericError(f"{op} produced non-finite values" + (f" in {scope}" if scope else ""))
+
+
+def add(a: Tensor, b: Tensor, scope: str | None = None) -> Tensor:
     """Elementwise add; ``b`` may be a suffix shape of ``a`` (bias, mask)."""
     lead = a.data.ndim - b.data.ndim
     if lead < 0 or a.data.shape[lead:] != b.data.shape:
@@ -163,7 +171,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         accumulate_grad(a, g)
         accumulate_grad(b, g.sum(axis=tuple(range(lead))) if lead else g)
 
-    return _emit(_finite(a.data + b.data, "add"), (a, b), rule)
+    out = a.data + b.data
+    if not _finite(out):
+        _raise_non_finite(scope, ("add", out))
+    return _emit(out, (a, b), rule)
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -187,14 +198,17 @@ def _check_affine(op: str, x: Tensor, w: Tensor, b: Tensor) -> None:
         raise ShapeError(f"{op}: shapes {sx}, {sw} and {b.shape} do not conform")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor, scope: str | None = None) -> Tensor:
     """``x @ w + b`` for a 2-D ``x``, a (d_in, d_out) ``w`` and a (d_out,) ``b``."""
     _check_affine("linear", x, w, b)
 
     def rule(g: np.ndarray) -> None:
         accumulate_grad(x, _affine_grad(x.data, w, b, g))
 
-    return _emit(_finite(_affine(x.data, w.data, b.data), "linear"), (x, w, b), rule)
+    out = _affine(x.data, w.data, b.data)
+    if not _finite(out):
+        _raise_non_finite(scope, ("linear", out))
+    return _emit(out, (x, w, b), rule)
 
 
 def _scores(q: np.ndarray, k: np.ndarray, c: float, mask: np.ndarray | None) -> np.ndarray:
@@ -265,13 +279,6 @@ def _residual(x: np.ndarray, sub: np.ndarray, rate: float,
     return x + sub * drop, drop
 
 
-def _unfused_error(scope: str, *checked: tuple[str, np.ndarray]) -> NumericError:
-    """The error the unfused chain raises: ``checked`` lists its checks in
-    order, the last one failed, and the first that fails names the op."""
-    op = next(op for op, arr in checked if not np.isfinite(arr).all())
-    return NumericError(f"{op} produced non-finite values in {scope}")
-
-
 KV = tuple[np.ndarray, np.ndarray]  # head-split keys and values, each (heads, positions, d / heads)
 Past = tuple[np.ndarray, np.ndarray, int]  # key and value buffers (heads, capacity, d / heads), positions filled
 
@@ -296,11 +303,9 @@ def keys_values(memory: Tensor, params: Sequence[Tensor], heads: int, scope: str
     an error names ``scope`` as the sublayer's own does."""
     wk, wv, bv = params[4:7]  # after gain, bias, wq and bq
     projected, kh, vh = _project_keys_values(memory.data, wk, wv, bv, heads)
-    try:
-        for op, arr in projected:
-            _finite(arr, op)
-    except NumericError as exc:
-        raise NumericError(f"{exc} in {scope}") from None
+    for op, arr in projected:
+        if not _finite(arr):
+            _raise_non_finite(scope, (op, arr))
     return kh, vh
 
 
@@ -347,19 +352,15 @@ def multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int, memory
         source, projected = None, ()
         kh, vh = memory
     p = _scores(qh, kh, c, mask)
-    try:
-        _finite(p, "attention")
-    except NumericError:
-        raise _unfused_error(scope, ("layer_norm", normed), ("linear", q), *projected, ("attention", p)) from None
+    if not _finite(p):
+        _raise_non_finite(scope, ("layer_norm", normed), ("linear", q), *projected, ("attention", p))
     ctx = _normalize_rows(p) @ vh
     merged = ctx.transpose(1, 0, 2).reshape(t_q, d)
     sub = _affine(merged, wo.data, bo.data)
     out, drop = _residual(x.data, sub, rate, rng)
-    try:
-        _finite(out, "add")
-    except NumericError:
-        raise _unfused_error(scope, ("layer_norm", normed), ("linear", q), *projected, ("attention", ctx),
-                             ("linear", sub), ("add", out)) from None
+    if not _finite(out):
+        _raise_non_finite(scope, ("layer_norm", normed), ("linear", q), *projected, ("attention", ctx),
+                          ("linear", sub), ("add", out))
 
     def rule(g: np.ndarray) -> None:
         # x receives the residual before the norm's gradient. The head
@@ -401,17 +402,13 @@ def feed_forward(x: Tensor, params: Sequence[Tensor], rate: float, rng: np.rando
     gain, bias, w1, b1, w2, b2 = params
     normed, xhat, inv = _normalize(x.data, gain.data, bias.data)
     r = _affine(normed, w1.data, b1.data)
-    try:
-        _finite(r, "linear")
-    except NumericError:
-        raise _unfused_error(scope, ("layer_norm", normed), ("linear", r)) from None
+    if not _finite(r):
+        _raise_non_finite(scope, ("layer_norm", normed), ("linear", r))
     np.maximum(r, 0.0, out=r)
     sub = _affine(r, w2.data, b2.data)
     out, drop = _residual(x.data, sub, rate, rng)
-    try:
-        _finite(out, "add")
-    except NumericError:
-        raise _unfused_error(scope, ("layer_norm", normed), ("linear", sub), ("add", out)) from None
+    if not _finite(out):
+        _raise_non_finite(scope, ("layer_norm", normed), ("linear", sub), ("add", out))
 
     def rule(g: np.ndarray) -> None:
         accumulate_grad(x, g)
@@ -429,10 +426,8 @@ def log_softmax(x: Tensor, w: Tensor, b: Tensor, scope: str) -> Tensor:
     z = _affine(x.data, w.data, b.data)
     shifted = z - z.max(axis=-1, keepdims=True)
     out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    try:
-        _finite(out, "log_softmax")
-    except NumericError:
-        raise _unfused_error(scope, ("linear", z), ("log_softmax", out)) from None
+    if not _finite(out):
+        _raise_non_finite(scope, ("linear", z), ("log_softmax", out))
 
     def rule(g: np.ndarray) -> None:
         accumulate_grad(x, _affine_grad(x.data, w, b, g - np.exp(out) * g.sum(axis=-1, keepdims=True)))
@@ -440,7 +435,7 @@ def log_softmax(x: Tensor, w: Tensor, b: Tensor, scope: str) -> Tensor:
     return _emit(out, (x, w, b), rule)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, scope: str | None = None) -> Tensor:
     """Per-vector normalization over the last axis, with ``LAYER_NORM_EPS``
     added to the variance, then affine."""
     d = x.shape[-1]
@@ -451,7 +446,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     def rule(g: np.ndarray) -> None:
         accumulate_grad(x, _normalize_grad(g, gain, bias, xhat, inv))
 
-    return _emit(_finite(out, "layer_norm"), (x, gain, bias), rule)
+    if not _finite(out):
+        _raise_non_finite(scope, ("layer_norm", out))
+    return _emit(out, (x, gain, bias), rule)
 
 
 def embed(table: Tensor, ids: Sequence[int], positions: np.ndarray, rate: float,
@@ -465,10 +462,8 @@ def embed(table: Tensor, ids: Sequence[int], positions: np.ndarray, rate: float,
     c = math.sqrt(table.data.shape[1])
     scaled = table.data[idx] * c
     out = scaled + positions
-    try:
-        _finite(out, "add")
-    except NumericError:
-        raise _unfused_error(scope, ("scale", scaled), ("add", out)) from None
+    if not _finite(out):
+        _raise_non_finite(scope, ("scale", scaled), ("add", out))
     drop = None if rng is None or rate <= 0.0 else _dropout_mask(out.shape, rate, rng)
     if drop is not None:
         out *= drop

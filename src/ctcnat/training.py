@@ -85,13 +85,11 @@ class TrainConfig:
     keep_top: int = 5
 
     def __post_init__(self):
-        if self.warmup < 1:
-            raise ConfigError(f"warmup must be >= 1, got {self.warmup}")
-        if self.keep_top < 1:
-            raise ConfigError(f"keep_top must be >= 1, got {self.keep_top}")
-        for name in ("batch_size", "max_steps", "validation_interval"):
+        for name in ("warmup", "keep_top", "batch_size", "max_steps", "validation_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
@@ -416,6 +414,7 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version!r}")
 
+    header_keys = {f.name for f in fields(ModelConfig)} | {"step", "valid_score"}
     values: dict[str, str] = {}
     for _ in range(reader.u32()):
         line = reader.take(reader.u32()).decode("utf-8")
@@ -424,6 +423,8 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
             raise FormatError(f"malformed config line {line!r} before offset {reader.offset}")
         if key in values:
             raise FormatError(f"repeated config key {key!r} before offset {reader.offset}")
+        if key not in header_keys:
+            raise FormatError(f"unknown config key {key!r} before offset {reader.offset}")
         values[key] = value
     try:
         types = get_type_hints(ModelConfig)

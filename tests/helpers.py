@@ -134,9 +134,14 @@ def reference_emit(arr: np.ndarray, inputs: Sequence[Tensor], rule: BackwardRule
     return out
 
 
-def reference_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
-        raise NumericError(f"{op} produced non-finite values")
+def reference_finite(arr: np.ndarray) -> bool:
+    return bool(np.isfinite(arr).all())
+
+
+def _checked(arr: np.ndarray, op: str, scope: str | None = None) -> np.ndarray:
+    """``arr`` if it is finite; else the op's error, naming ``scope`` when given."""
+    if not reference_finite(arr):
+        raise NumericError(f"{op} produced non-finite values" + (f" in {scope}" if scope else ""))
     return arr
 
 
@@ -156,14 +161,14 @@ def reference_gather(table: Tensor, ids: Sequence[int]) -> Tensor:
     return reference_emit(np.ascontiguousarray(table.data[idx]), (table,), rule)
 
 
-def reference_scale(a: Tensor, c: float) -> Tensor:
+def reference_scale(a: Tensor, c: float, scope: str | None = None) -> Tensor:
     def rule(g: np.ndarray) -> None:
         reference_accumulate_grad(a, g * c)
 
-    return reference_emit(reference_finite(a.data * c, "scale"), (a,), rule)
+    return reference_emit(_checked(a.data * c, "scale", scope), (a,), rule)
 
 
-def reference_log_probs(a: Tensor) -> Tensor:
+def reference_log_probs(a: Tensor, scope: str | None = None) -> Tensor:
     """Log-probabilities over the last axis: the one-argument log-softmax."""
     m = a.data.max(axis=-1, keepdims=True)
     shifted = a.data - m
@@ -172,7 +177,7 @@ def reference_log_probs(a: Tensor) -> Tensor:
     def rule(g: np.ndarray) -> None:
         reference_accumulate_grad(a, g - np.exp(out) * g.sum(axis=-1, keepdims=True))
 
-    return reference_emit(reference_finite(out, "log_softmax"), (a,), rule)
+    return reference_emit(_checked(out, "log_softmax", scope), (a,), rule)
 
 
 def reference_mul(a: Tensor, b: Tensor) -> Tensor:
@@ -184,10 +189,10 @@ def reference_mul(a: Tensor, b: Tensor) -> Tensor:
         reference_accumulate_grad(a, g * b.data)
         reference_accumulate_grad(b, g * a.data)
 
-    return reference_emit(reference_finite(a.data * b.data, "mul"), (a, b), rule)
+    return reference_emit(_checked(a.data * b.data, "mul"), (a, b), rule)
 
 
-def reference_matmul(a: Tensor, b: Tensor) -> Tensor:
+def reference_matmul(a: Tensor, b: Tensor, scope: str | None = None) -> Tensor:
     """Matrix product; 3-D operands batch over the leading axis."""
     sa, sb = a.data.shape, b.data.shape
     if len(sa) < 2 or len(sb) < 2:
@@ -199,7 +204,7 @@ def reference_matmul(a: Tensor, b: Tensor) -> Tensor:
         reference_accumulate_grad(a, g @ b.data.swapaxes(-1, -2))
         reference_accumulate_grad(b, a.data.swapaxes(-1, -2) @ g)
 
-    return reference_emit(reference_finite(a.data @ b.data, "matmul"), (a, b), rule)
+    return reference_emit(_checked(a.data @ b.data, "matmul", scope), (a, b), rule)
 
 
 def reference_sum(a: Tensor) -> Tensor:
@@ -226,10 +231,10 @@ def reference_softmax(a: Tensor, axis: int = -1) -> Tensor:
     def rule(g: np.ndarray) -> None:
         reference_accumulate_grad(a, p * (g - (g * p).sum(axis=axis, keepdims=True)))
 
-    return reference_emit(reference_finite(p, "softmax"), (a,), rule)
+    return reference_emit(_checked(p, "softmax"), (a,), rule)
 
 
-def reference_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+def reference_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, scope: str | None = None) -> Tensor:
     """Per-vector normalization over the last axis, then affine."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -237,7 +242,7 @@ def reference_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-6)
     xhat = centered * inv
     out = xhat * gain.data + bias.data
 
@@ -251,7 +256,7 @@ def reference_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-
         reference_accumulate_grad(gain, (g * xhat).sum(axis=lead) if lead else g * xhat)
         reference_accumulate_grad(bias, g.sum(axis=lead) if lead else g)
 
-    return reference_emit(reference_finite(out, "layer_norm"), (x, gain, bias), rule)
+    return reference_emit(_checked(out, "layer_norm", scope), (x, gain, bias), rule)
 
 
 def reference_reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -273,27 +278,22 @@ def reference_transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     return reference_emit(a.data.transpose(axes), (a,), rule)
 
 
-def reference_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def reference_linear(x: Tensor, w: Tensor, b: Tensor, scope: str | None = None) -> Tensor:
     """The matmul and add that ``tensor.linear`` fuses."""
-    return tensor.add(reference_matmul(x, w), b)
+    return tensor.add(reference_matmul(x, w, scope), b, scope)
 
 
 def reference_embed(table: Tensor, ids: Sequence[int], positions: np.ndarray, rate: float,
                     rng: np.random.Generator | None, scope: str) -> Tensor:
     """The gather, ``scale`` by √d, position ``add`` and ``dropout`` that ``tensor.embed`` fuses."""
-    try:
-        x = tensor.add(reference_scale(reference_gather(table, ids), math.sqrt(table.shape[1])), Tensor(positions))
-    except NumericError as exc:
-        raise NumericError(f"{exc} in {scope}") from None
+    x = tensor.add(reference_scale(reference_gather(table, ids), math.sqrt(table.shape[1]), scope),
+                   Tensor(positions), scope)
     return x if rng is None else tensor.dropout(x, rate, rng)
 
 
 def reference_log_softmax(x: Tensor, w: Tensor, b: Tensor, scope: str) -> Tensor:
     """The ``linear`` and one-argument log-softmax that ``tensor.log_softmax`` fuses."""
-    try:
-        return reference_log_probs(tensor.linear(x, w, b))
-    except NumericError as exc:
-        raise NumericError(f"{exc} in {scope}") from None
+    return reference_log_probs(tensor.linear(x, w, b, scope), scope)
 
 
 def reference_attention(q: Tensor, k: Tensor, v: Tensor, c: float, mask: np.ndarray | None = None) -> Tensor:
@@ -316,17 +316,16 @@ def _split_heads(h: Tensor, heads: int) -> Tensor:
     return reference_transpose(tensor.reshape(h, (h.shape[0], heads, h.shape[1] // heads)), (1, 0, 2))
 
 
-def _reference_keys_values(source: Tensor, wk: Tensor, wv: Tensor, bv: Tensor, heads: int) -> tuple[Tensor, Tensor]:
+def _reference_keys_values(source: Tensor, wk: Tensor, wv: Tensor, bv: Tensor, heads: int,
+                           scope: str) -> tuple[Tensor, Tensor]:
     """Keys ``source @ wk``, with no bias, and values ``source @ wv + bv``, split into heads."""
-    return _split_heads(reference_matmul(source, wk), heads), _split_heads(tensor.linear(source, wv, bv), heads)
+    return (_split_heads(reference_matmul(source, wk, scope), heads),
+            _split_heads(tensor.linear(source, wv, bv, scope), heads))
 
 
 def reference_keys_values(memory: Tensor, params: Sequence[Tensor], heads: int, scope: str) -> tensor.KV:
     """The projections that ``tensor.keys_values`` fuses, as the attention chain runs them."""
-    try:
-        return tuple(h.data for h in _reference_keys_values(memory, *params[4:7], heads))
-    except NumericError as exc:
-        raise NumericError(f"{exc} in {scope}") from None
+    return tuple(h.data for h in _reference_keys_values(memory, *params[4:7], heads, scope))
 
 
 def reference_multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int,
@@ -340,30 +339,27 @@ def reference_multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: i
     and values joined by ``np.concatenate`` and writes the new positions
     into ``past``'s buffers, as the fused op does. An error of any op inside
     the attention names ``attention``, as the fused op's score and output
-    checks do."""
+    checks do. Every error names ``scope``."""
     gain, bias, wq, bq, wk, wv, bv, wo, bo = params
     t_q, d = x.shape
+    normed = tensor.layer_norm(x, gain, bias, scope)
+    qh = _split_heads(tensor.linear(normed, wq, bq, scope), heads)
+    if memory is None or isinstance(memory, Tensor):
+        kv = _reference_keys_values(normed if memory is None else memory, wk, wv, bv, heads, scope)
+        if past is not None:
+            *buffers, n = past
+            for buf, new in zip(buffers, kv):
+                buf[:, n:n + new.shape[1]] = new.data
+            kv = tuple(Tensor(np.concatenate((buf[:, :n], new.data), axis=1)) for buf, new in zip(buffers, kv))
+    else:
+        kv = tuple(_constant(a) for a in memory)
     try:
-        normed = tensor.layer_norm(x, gain, bias)
-        qh = _split_heads(tensor.linear(normed, wq, bq), heads)
-        if memory is None or isinstance(memory, Tensor):
-            kv = _reference_keys_values(normed if memory is None else memory, wk, wv, bv, heads)
-            if past is not None:
-                *buffers, n = past
-                for buf, new in zip(buffers, kv):
-                    buf[:, n:n + new.shape[1]] = new.data
-                kv = tuple(Tensor(np.concatenate((buf[:, :n], new.data), axis=1)) for buf, new in zip(buffers, kv))
-        else:
-            kv = tuple(_constant(a) for a in memory)
-        try:
-            ctx = reference_attention(qh, *kv, 1.0 / math.sqrt(d // heads), mask)
-        except NumericError:
-            raise NumericError("attention produced non-finite values") from None
-        merged = tensor.reshape(reference_transpose(ctx, (1, 0, 2)), (t_q, d))
-        sub = tensor.linear(merged, wo, bo)
-        return tensor.add(x, sub if rng is None else tensor.dropout(sub, rate, rng))
-    except NumericError as exc:
-        raise NumericError(f"{exc} in {scope}") from None
+        ctx = reference_attention(qh, *kv, 1.0 / math.sqrt(d // heads), mask)
+    except NumericError:
+        raise NumericError(f"attention produced non-finite values in {scope}") from None
+    merged = tensor.reshape(reference_transpose(ctx, (1, 0, 2)), (t_q, d))
+    sub = tensor.linear(merged, wo, bo, scope)
+    return tensor.add(x, sub if rng is None else tensor.dropout(sub, rate, rng), scope)
 
 
 def reference_feed_forward(x: Tensor, params: Sequence[Tensor], rate: float,
@@ -371,11 +367,9 @@ def reference_feed_forward(x: Tensor, params: Sequence[Tensor], rate: float,
     """The ``layer_norm``, ``linear``, ``relu``, ``linear``, ``dropout`` and
     ``add`` that ``tensor.feed_forward`` fuses."""
     gain, bias, w1, b1, w2, b2 = params
-    try:
-        sub = tensor.linear(reference_relu(tensor.linear(tensor.layer_norm(x, gain, bias), w1, b1)), w2, b2)
-        return tensor.add(x, sub if rng is None else tensor.dropout(sub, rate, rng))
-    except NumericError as exc:
-        raise NumericError(f"{exc} in {scope}") from None
+    hidden = reference_relu(tensor.linear(tensor.layer_norm(x, gain, bias, scope), w1, b1, scope))
+    sub = tensor.linear(hidden, w2, b2, scope)
+    return tensor.add(x, sub if rng is None else tensor.dropout(sub, rate, rng), scope)
 
 
 def reference_sweep(emit: np.ndarray, skip: np.ndarray, plus=np.logaddexp, times=np.add, zero=NEG_INF) -> np.ndarray:

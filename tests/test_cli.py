@@ -92,6 +92,13 @@ class TestTrainCommand:
         ({"dropout": 1.5}, "config key 'dropout': dropout_rate must be in [0, 1), got 1.5"),
         ({"valid_interval": 0}, "config key 'valid_interval': validation_interval must be >= 1, got 0"),
         ({"d_model": 30, "heads": 4}, "config keys 'd_model', 'heads': d_model=30 not divisible by heads=4"),
+        ({"heads": 0}, "config key 'heads': heads must be >= 1, got 0"),
+        ({"heads": -4}, "config key 'heads': heads must be >= 1, got -4"),
+        ({"d_model": 0}, "config key 'd_model': d_model must be >= 1, got 0"),
+        ({"ff_dim": 0}, "config key 'ff_dim': ff_dim must be >= 1, got 0"),
+        ({"min_freq": 0}, "config key 'min_freq': min_freq must be >= 1, got 0"),
+        ({"vocab_mode": "bogus"}, "config key 'vocab_mode': unknown tokenization mode 'bogus'"),
+        ({"seed": -1}, "config key 'seed': seed must be >= 0, got -1"),
     ])
     def test_bad_setting_exits_2_naming_the_config_key(self, tmp_path, capsys, setting, message):
         src, tgt = synth_corpus(tmp_path)

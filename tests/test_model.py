@@ -52,6 +52,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(vocab_size=0)
 
+    @pytest.mark.parametrize("value", [0, -4])
+    @pytest.mark.parametrize("field", ["vocab_size", "d_model", "ff_dim", "heads", "enc_layers", "k", "max_len"])
+    def test_size_below_one_is_rejected_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be >= 1, got {value}$"):
+            tiny_config(**{field: value})
+
+    def test_negative_decoder_depth_is_rejected_by_name(self):
+        with pytest.raises(ConfigError, match="^dec_layers must be >= 0, got -1$"):
+            tiny_config(dec_layers=-1)
+
 
 class TestParameters:
     def test_same_config_same_parameter_contract(self):

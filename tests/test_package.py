@@ -1,5 +1,6 @@
 """Package-wide rules that no single module's tests can check."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -56,3 +57,18 @@ def test_every_tensor_op_the_model_calls_has_a_reference():
              if inspect.isfunction(obj) and obj.__module__ == tensor.__name__}
     unrefereed = bound - set(REFERENCES[tensor])
     assert unrefereed == set(OWN_REFERENCE), f"no reference: {sorted(unrefereed)}; listed: {sorted(OWN_REFERENCE)}"
+
+
+def test_tensor_states_its_non_finite_rule_once():
+    """``tensor.py`` reports a non-finite value in one place: only
+    ``_raise_non_finite`` constructs a ``NumericError``, and no handler there
+    catches one, so no op can raise an error only to re-raise it amended."""
+    tree = ast.parse(Path(tensor.__file__).read_text())
+    constructed_in = [getattr(top, "name", type(top).__name__) for top in tree.body for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "NumericError"]
+    assert constructed_in == ["_raise_non_finite"]
+    catching = {"NumericError", "ArithmeticError", "Exception", "BaseException"}
+    handlers = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)
+                and (node.type is None or catching & {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)})]
+    assert handlers == [], f"handlers that can catch NumericError at lines {handlers}"

@@ -9,7 +9,7 @@ import pytest
 
 from ctcnat import ctc, decoding, model
 from ctcnat import tensor as T
-from ctcnat.data import EOS_ID, batch_pairs, gen_synthetic, synthetic_vocab
+from ctcnat.data import EOS_ID, SentencePair, batch_pairs, gen_synthetic, synthetic_vocab
 from ctcnat.decoding import DecodeOptions, translate
 from ctcnat.model import VARIANTS, ModelConfig, init_params
 from ctcnat.tensor import GradTape, NumericError, ShapeError, Tensor
@@ -511,9 +511,9 @@ class TestSublayerOps:
         checks = []
         finite = T._finite
 
-        def counting(arr, op):
-            checks.append(op)
-            return finite(arr, op)
+        def counting(arr):
+            checks.append(arr)
+            return finite(arr)
 
         monkeypatch.setattr(T, "_finite", counting)
         with GradTape() as tape:
@@ -614,8 +614,16 @@ def _outcome(call) -> bytes | str:
         return str(exc)
 
 
-def _sublayer_parameters(cfg: ModelConfig) -> list[str]:
-    return [n for n in model.parameter_shapes(cfg) if re.search(r"\.(self_attn|src_attn|ff|ln[123])\.", n)]
+def _scope(name: str) -> str:
+    """The sublayer or stack end whose op reads parameter ``name``. A block's
+    norms belong to the sublayer they precede: the decoder's ln1, ln2 and ln3
+    to self_attn, src_attn and ff; the encoder's ln1 and ln2 to self_attn and ff."""
+    scope = name.rpartition(".")[0] or name
+    if norm := re.fullmatch(r"((enc|dec)\.\d+)\.ln([123])", scope):
+        block, stack, i = norm.groups()
+        sublayers = ("self_attn", "ff") if stack == "enc" else ("self_attn", "src_attn", "ff")
+        scope = f"{block}.{sublayers[int(i) - 1]}"
+    return scope
 
 
 def _use_reference_chains(monkeypatch) -> None:
@@ -661,12 +669,13 @@ class TestCheckRule:
     output. Against the unfused chain they replace, every poisoned input
     raises the same error or yields the same bytes."""
 
-    def _cases(self, monkeypatch, cfg: ModelConfig, names: list[str], run) -> list[tuple[str, float]]:
-        """Run ``run(params)`` with one element of each named parameter
-        poisoned, fused and unfused; return the cases that raised."""
+    def _cases(self, monkeypatch, cfg: ModelConfig, run) -> None:
+        """Run ``run(params)`` with one element of each parameter poisoned,
+        fused and unfused. Some cases raise and some do not; each raised
+        error names the scope of the poisoned parameter, and a NaN always raises."""
         params = init_params(cfg, 41)
-        raised = []
-        for name in names:
+        raised = 0
+        for name in model.parameter_shapes(cfg):
             flat = params[name].data.reshape(-1)
             i = flat.size // 2
             clean = flat[i]
@@ -678,42 +687,54 @@ class TestCheckRule:
                     unfused = _outcome(lambda: run(params))
                 assert fused == unfused, (name, bad)
                 if isinstance(fused, str):
-                    raised.append((name, bad))
+                    assert fused.endswith(f" in {_scope(name)}"), (name, bad, fused)
+                    raised += 1
+                else:
+                    assert not math.isnan(bad), name
             flat[i] = clean
-        return raised
+        assert 0 < raised < len(params) * len(BAD_VALUES)
 
     @pytest.mark.parametrize("dropout", [0.0, 0.1])
-    def test_poisoned_parameters_in_an_encoder_decoder_forward(self, monkeypatch, dropout):
-        cfg = _parity_config("encoder-decoder", dropout)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_poisoned_parameters_in_a_forward(self, monkeypatch, variant, dropout):
+        cfg = _parity_config(variant, dropout)
 
-        def run(params):
+        def run(params):  # both read src_embed and tgt_embed row 5, the one that _cases poisons
             rng = np.random.default_rng(42) if dropout else None
             enc = model.encode(cfg, params, [4, 5, 6, 7], dropout_rng=rng)
+            if cfg.is_autoregressive:
+                return model.decode_autoregressive_full(cfg, params, enc, [5, 7], dropout_rng=rng)
             return model.decode_parallel(cfg, params, model.split_states(params, enc, cfg.k), enc, dropout_rng=rng)
 
-        names = _sublayer_parameters(cfg) + ["src_embed", "out.w", "out.b"]
-        raised = self._cases(monkeypatch, cfg, names, run)
-        assert 0 < len(raised) < len(names) * len(BAD_VALUES)
-        assert {"src_embed", "out.w", "out.b"} <= {name for name, bad in raised if math.isnan(bad)}
+        self._cases(monkeypatch, cfg, run)
 
     def test_poisoned_parameters_in_a_cached_ar_step(self, monkeypatch):
         cfg = _parity_config("autoregressive-baseline", 0.0)
         clean = init_params(cfg, 41)
-        src = model.source_keys_values(cfg, clean, model.encode(cfg, clean, [4, 5, 6]))
+        clean_src = model.source_keys_values(cfg, clean, model.encode(cfg, clean, [4, 5, 6]))
 
         def run(params):
+            src = model.source_keys_values(cfg, params, model.encode(cfg, params, [4, 5, 6]))
             kv = model.self_attention_buffer(cfg)
             for prefix in ([], [4], [4, 7]):
-                model.decode_autoregressive_step(cfg, clean, src, prefix, kv)
+                model.decode_autoregressive_step(cfg, clean, clean_src, prefix, kv)
             # the step embeds id 5, the tgt_embed row that _cases poisons
             return model.decode_autoregressive_step(cfg, params, src, [4, 7, 5], kv)
 
-        names = [n for n in _sublayer_parameters(cfg) if n.startswith("dec.")]  # the encoder ran clean
-        assert len(names) == 48
-        names += ["tgt_embed", "out.w", "out.b"]
-        raised = self._cases(monkeypatch, cfg, names, run)
-        assert 0 < len(raised) < len(names) * len(BAD_VALUES)
-        assert {"tgt_embed", "out.w", "out.b"} <= {name for name, bad in raised if math.isnan(bad)}
+        self._cases(monkeypatch, cfg, run)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_nan_in_any_parameter_names_its_scope_in_batch_loss(self, variant):
+        cfg = _parity_config(variant, 0.1)
+        params = init_params(cfg, 41)
+        batch = batch_pairs([SentencePair((4, 5, 6, 7), (5, 7), "", ""), SentencePair((6, 4), (4,), "", "")])
+        for name in model.parameter_shapes(cfg):
+            flat = params[name].data.reshape(-1)
+            clean, flat[flat.size // 2] = flat[flat.size // 2], math.nan
+            with np.errstate(all="ignore"), pytest.raises(NumericError) as error:
+                batch_loss(cfg, params, batch, dropout_rng=np.random.default_rng(42))
+            assert str(error.value).endswith(f" in {_scope(name)}"), name
+            flat[flat.size // 2] = clean
 
     @pytest.mark.parametrize("form", ["self", "cross", "constant_kv", "past", "ff"])
     @pytest.mark.parametrize("dropout", [0.0, 0.1])

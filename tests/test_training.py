@@ -58,7 +58,7 @@ class TestSchedule:
 class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("learning_rate", -1.0), ("learning_rate", 0.0), ("learning_rate", math.nan),
-        ("learning_rate", math.inf),
+        ("learning_rate", math.inf), ("seed", -1),
     ])
     def test_bad_optimizer_setting_is_rejected_by_name(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} "):
@@ -571,6 +571,25 @@ class TestCheckpointIO:
         assert b"step=1" in lines
         path.write_bytes(self._assemble(magic, lines + [b"step=99"], count, records))
         with pytest.raises(FormatError, match="^repeated config key 'step'"):
+            load_checkpoint(path)
+
+    def test_unknown_header_key(self, tmp_path):
+        cfg = small_config()
+        path = tmp_path / "model.bin"
+        save_checkpoint(Checkpoint(cfg, init_params(cfg, 17), 1, 0.0), path)
+        magic, lines, count, records = self._sections(path)
+        path.write_bytes(self._assemble(magic, lines + [b"bogus=1"], count, records))
+        with pytest.raises(FormatError, match=r"^unknown config key 'bogus' before offset \d+$"):
+            load_checkpoint(path)
+
+    def test_header_size_below_one(self, tmp_path):
+        cfg = small_config()
+        path = tmp_path / "model.bin"
+        save_checkpoint(Checkpoint(cfg, init_params(cfg, 17), 1, 0.0), path)
+        magic, lines, count, records = self._sections(path)
+        lines = [b"heads=0" if raw.startswith(b"heads=") else raw for raw in lines]
+        path.write_bytes(self._assemble(magic, lines, count, records))
+        with pytest.raises(FormatError, match="^bad config block: heads must be >= 1, got 0$"):
             load_checkpoint(path)
 
     def test_repeated_parameter_record(self, tmp_path):
