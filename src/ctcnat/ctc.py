@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import BLANK_ID, VocabularyError
+from .data import BLANK_ID, VocabularyError, as_token_id
 from .tensor import NEG_INF
 
 LabelSequence = tuple[int, ...]
@@ -93,7 +93,7 @@ def _as_log_probs(log_probs) -> np.ndarray:
 
 
 def _check_labels(labels: Sequence[int], num_cols: int) -> LabelSequence:
-    labs = tuple(int(y) for y in labels)
+    labs = tuple(as_token_id(y) for y in labels)
     for y in labs:
         if y == BLANK_ID:
             raise VocabularyError("labels must not contain the blank id")
@@ -186,7 +186,7 @@ def count_alignments(T: int, labels: Sequence[int]) -> int:
     """
     if T < 0:
         raise InputError(f"T must be >= 0, got {T}")
-    labs = tuple(int(y) for y in labels)
+    labs = tuple(as_token_id(y) for y in labels)
     if any(y == BLANK_ID for y in labs):
         raise VocabularyError("labels must not contain the blank id")
     if T == 0:

@@ -36,6 +36,16 @@ class CorpusError(ValueError):
     """Parallel corpus files disagree or are unusable."""
 
 
+def as_token_id(value) -> int:
+    """``value`` as an id: a Python or numpy integer. A float or a bool is
+    not an id, even when it equals one."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise VocabularyError(f"token id {value!r} is not an integer")
+
+
 def _splitter(mode: str) -> Callable[[str], list[str]]:
     """The tokenization rule of ``mode``: whitespace-separated words, or characters."""
     if mode == "word":

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import EOS_ID, VocabularyError
+from .data import EOS_ID, VocabularyError, as_token_id
 from .tensor import (
     KV,
     Past,
@@ -231,7 +231,7 @@ def _block(params: ModelParams, prefix: str, x: Tensor, config: ModelConfig,
 
 
 def _check_ids(ids, config: ModelConfig) -> list[int]:
-    out = [int(i) for i in ids]
+    out = [as_token_id(i) for i in ids]
     for i in out:
         if not 0 <= i <= config.vocab_size:
             raise VocabularyError(f"token id {i} outside 0..{config.vocab_size}")

@@ -14,7 +14,7 @@ import numpy as np
 from ctcnat import ctc, model, tensor, training
 from ctcnat.ctc import CtcLattice, LabelSequence, _extended, _skip_allowed
 from ctcnat.decoding import DecodeOptions, Hypothesis, _as_table, _lse2
-from ctcnat.tensor import _TAPES, NEG_INF, BackwardRule, NumericError, ShapeError, Tensor
+from ctcnat.tensor import NEG_INF, BackwardRule, NumericError, ShapeError, Tensor
 
 
 def central_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -129,8 +129,9 @@ def reference_emit(arr: np.ndarray, inputs: Sequence[Tensor], rule: BackwardRule
     out.data = arr
     out.grad = None
     out.requires_grad = any(t.requires_grad for t in inputs)
-    if _TAPES and out.requires_grad:
-        _TAPES[-1]._records.append((out, rule))
+    tape = tensor._open_tape()
+    if tape is not None and out.requires_grad:
+        tape._records.append((out, rule))
     return out
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -179,6 +180,19 @@ class TestCtcLoss:
             ctc_loss(lp, (5,))
         with pytest.raises(VocabularyError):
             ctc_loss(lp, (0,))
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, np.float64(1.0)], ids=["1.5", "2.0", "True", "float64"])
+    def test_a_label_that_is_not_an_integer_is_rejected_naming_it(self, bad):
+        lp = random_log_probs(np.random.default_rng(8), 3, 3)
+        with pytest.raises(VocabularyError, match=f"^token id {re.escape(repr(bad))} is not an integer$"):
+            ctc_loss(lp, (1, bad))
+
+    def test_numpy_integer_labels_are_ids(self):
+        lp = random_log_probs(np.random.default_rng(8), 4, 3)
+        loss, grad = ctc_loss(lp, (1, 2))
+        for labels in (np.array([1, 2]), (np.int16(1), np.uint64(2))):
+            same_loss, same_grad = ctc_loss(lp, labels)
+            assert same_loss == loss and same_grad.tobytes() == grad.tobytes()
 
     def test_gradient_rows_sum_to_minus_one(self):
         """Each frame's occupancy must total one path symbol."""

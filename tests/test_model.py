@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,21 @@ class TestEncode:
         params = init_params(cfg, 0)
         with pytest.raises(VocabularyError):
             encode(cfg, params, [4, 99])
+
+    @pytest.mark.parametrize("bad", [4.9, 5.0, True, np.float64(5.0), "5", None],
+                             ids=["4.9", "5.0", "True", "float64", "str", "None"])
+    def test_an_id_that_is_not_an_integer_is_rejected_naming_it(self, bad):
+        cfg = tiny_config()
+        params = init_params(cfg, 0)
+        with pytest.raises(VocabularyError, match=f"^token id {re.escape(repr(bad))} is not an integer$"):
+            encode(cfg, params, (bad, 5, 6))
+
+    def test_numpy_integer_ids_encode_as_python_ints(self):
+        cfg = tiny_config()
+        params = init_params(cfg, 0)
+        expected = encode(cfg, params, [4, 5, 6]).states.data
+        for ids in (np.array([4, 5, 6]), [np.int32(4), np.uint8(5), np.int64(6)]):
+            assert encode(cfg, params, ids).states.data.tobytes() == expected.tobytes()
 
     def test_over_length(self):
         cfg = tiny_config(max_len=4)
@@ -250,6 +267,18 @@ class TestAutoregressive:
         decode_autoregressive_step(cfg, params, src, [], kv)
         with pytest.raises(VocabularyError, match="^autoregressive targets must not contain the blank id$"):
             decode_autoregressive_step(cfg, params, src, [0], kv)
+
+    @pytest.mark.parametrize("bad", [4.5, False, np.float32(4.0)], ids=["4.5", "False", "float32"])
+    def test_targets_that_are_not_integers_are_rejected(self, bad):
+        cfg = tiny_config(variant="autoregressive-baseline")
+        params = init_params(cfg, 10)
+        enc = encode(cfg, params, [4, 5])
+        src = source_keys_values(cfg, params, enc)
+        message = f"^token id {re.escape(repr(bad))} is not an integer$"
+        with pytest.raises(VocabularyError, match=message):
+            decode_autoregressive_step(cfg, params, src, [4, bad], self_attention_buffer(cfg))
+        with pytest.raises(VocabularyError, match=message):
+            decode_autoregressive_full(cfg, params, enc, [bad])
 
     def test_teacher_forced_pass_rejects_the_blank_id(self):
         cfg = tiny_config(variant="autoregressive-baseline")

@@ -72,3 +72,12 @@ def test_tensor_states_its_non_finite_rule_once():
     handlers = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)
                 and (node.type is None or catching & {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)})]
     assert handlers == [], f"handlers that can catch NumericError at lines {handlers}"
+
+
+def test_tensor_keeps_no_module_level_container():
+    """A list, dict or set bound at module level would be shared by every
+    thread; ``tensor`` keeps the tape stack and the scratch buffers per
+    thread, in a ``threading.local``."""
+    shared = [name for name, value in vars(tensor).items()
+              if not name.startswith("__") and isinstance(value, (list, dict, set))]
+    assert shared == []

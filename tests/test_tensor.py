@@ -2,6 +2,9 @@ import hashlib
 import inspect
 import math
 import re
+import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -865,3 +868,151 @@ class TestReferenceParity:
         rows.clear()
         use_reference_tape_ops(monkeypatch)
         assert (_decodes(), rows) == fast
+
+
+def _long_config(variant: str) -> ModelConfig:
+    """The default model at max_len 48, whose k = 3 gives 144 frames: the nar-decode workload's longest shape."""
+    return ModelConfig(vocab_size=20, variant=variant, dec_layers=0 if variant == "deep-encoder" else 2,
+                       max_len=48, dropout_rate=0.0)
+
+
+def _inference_outputs(variant: str, lengths=(48, 4, 30, 48, 1)) -> list[np.ndarray]:
+    """Every array the inference forward returns for sources of ``lengths``, in call order:
+    the encoder states and log-prob table of each source, and for the AR baseline its
+    teacher-forced table, its source keys and values and every step row of a prefix."""
+    cfg = _long_config(variant)
+    params = init_params(cfg, 41)
+    rng = np.random.default_rng(42)
+    outputs = []
+    for length in lengths:
+        src = [int(i) for i in rng.integers(4, cfg.vocab_size + 1, size=length)]
+        enc = model.encode(cfg, params, src)
+        outputs.append(enc.states.data)
+        if not cfg.is_autoregressive:
+            outputs.append(model.parallel_log_probs(cfg, params, src).data)
+            continue
+        outputs.append(model.decode_autoregressive_full(cfg, params, enc, src[:-1]).data)
+        keys_values = model.source_keys_values(cfg, params, enc)
+        outputs += [a for kv in keys_values for a in kv]
+        buffer = model.self_attention_buffer(cfg)
+        outputs += [model.decode_autoregressive_step(cfg, params, keys_values, src[:n], buffer).data
+                    for n in range(length)]
+    return outputs
+
+
+def _run_threads(target, args) -> None:
+    """Run ``target(arg)`` in one thread per arg, all at once, and check that each thread finished."""
+    threads = [threading.Thread(target=target, args=(arg,)) for arg in args]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def _scratch_buffers() -> tuple[np.ndarray, np.ndarray]:
+    return T._THREAD.scores.buffer, T._THREAD.hidden.buffer
+
+
+class TestThreadState:
+    """Each thread has its own stack of open tapes, and, while none is open,
+    its own scratch buffers for the attention scores and the feed-forward
+    hidden layer."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_scratch_decodes_equal_the_taped_calls_bit_for_bit(self, variant):
+        """Sources that grow, shrink and grow the buffers give the arrays
+        that the same calls give under a tape, where every op allocates."""
+        fast = _inference_outputs(variant)
+        scores, hidden = _scratch_buffers()
+        assert scores.size >= 4 * 48 ** 2 and hidden.size >= 48 * 256  # the encoder's, at least
+        with GradTape() as tape:
+            taped = _inference_outputs(variant)
+        assert len(tape) > 0 and all(a is b for a, b in zip(_scratch_buffers(), (scores, hidden)))
+        assert [a.tobytes() for a in fast] == [a.tobytes() for a in taped]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_no_returned_array_shares_memory_with_a_scratch_buffer(self, variant):
+        outputs = _inference_outputs(variant, lengths=(48, 12))
+        shared = [i for i, a in enumerate(outputs) if any(np.shares_memory(a, b) for b in _scratch_buffers())]
+        assert shared == []
+
+    def test_threads_decoding_long_sources_at_once_give_the_sequential_outputs(self):
+        """More threads than cores, switching every 10 µs: a buffer shared
+        between threads would be overwritten mid-op."""
+        variants = ("deep-encoder", "encoder-decoder", "autoregressive-baseline")
+        sequential = {v: [a.tobytes() for a in _inference_outputs(v, lengths=(48, 40, 48))] for v in variants}
+        start, parallel = threading.Barrier(len(variants)), {}
+
+        def decode(variant):
+            start.wait(timeout=60)
+            parallel[variant] = [a.tobytes() for a in _inference_outputs(variant, lengths=(48, 40, 48))]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads(decode, variants)
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel == sequential
+
+    def test_a_warm_long_decode_allocates_less_than_two_score_tables(self):
+        """A warm greedy decode at source length 48 reuses the thread's
+        buffers, so its peak allocation stays below two of its (4, 144,
+        144) score tables, which the per-op allocations exceeded."""
+        cfg = _long_config("encoder-decoder")
+        params = init_params(cfg, 41)
+        src = [4 + i % 16 for i in range(48)]
+        translate(cfg, params, src)
+        tracemalloc.start()
+        try:
+            translate(cfg, params, src)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * cfg.heads * (cfg.k * 48) ** 2 * 8
+
+    def test_a_tape_open_in_another_thread_records_nothing_from_this_one(self):
+        cfg = _long_config("encoder-decoder")
+        params = init_params(cfg, 41)
+        opened, decoded, held = threading.Event(), threading.Event(), []
+
+        def hold():
+            with GradTape() as tape:
+                held.append(tape)
+                opened.set()
+                decoded.wait(timeout=60)
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        try:
+            assert opened.wait(timeout=60)
+            translate(cfg, params, [4, 5, 6])
+        finally:
+            decoded.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(held[0]) == 0
+
+    def test_threads_training_on_their_own_tapes_get_the_sequential_gradients(self):
+        """Both tapes stay open while both threads run their forwards, so a
+        record on the wrong tape would drop a gradient term."""
+        variants = ("encoder-decoder", "autoregressive-baseline")
+        sequential = {v: _gradient_digests(v, 0.1) for v in variants}
+        both_open, parallel = threading.Barrier(len(variants)), {}
+
+        def train(variant):
+            cfg = _parity_config(variant, 0.1)
+            params = init_params(cfg, 21)
+            pairs, _ = feasible_pairs(cfg, gen_synthetic("duplicate-each-token", 6, 6, (1, 6), seed=22,
+                                                         vocab=synthetic_vocab(6)))
+            with GradTape() as tape:
+                both_open.wait(timeout=60)
+                loss = batch_loss(cfg, params, batch_pairs(pairs), dropout_rng=np.random.default_rng(23))
+                both_open.wait(timeout=60)
+            tape.backward(loss)
+            parallel[variant] = [_sha1(loss.data)] + [None if params[n].grad is None else _sha1(params[n].grad)
+                                                      for n in sorted(params)]
+
+        _run_threads(train, variants)
+        assert parallel == sequential
