@@ -243,6 +243,15 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _load_family(flag: str, path: str, autoregressive: bool) -> Checkpoint:
+    """The checkpoint at ``path``; a model of the other family is a usage error naming ``flag``."""
+    ckpt = load_checkpoint(path)
+    if ckpt.config.is_autoregressive != autoregressive:
+        family = "an autoregressive-baseline" if autoregressive else "a parallel-labeling"
+        raise UsageError(f"{flag} needs {family} checkpoint, got {ckpt.config.variant}")
+    return ckpt
+
+
 def cmd_bench(args) -> int:
     if not args.ar_model and not args.nar_model:
         raise UsageError("pass --ar-model and/or --nar-model")
@@ -264,12 +273,12 @@ def cmd_bench(args) -> int:
     ar = nar = None
     vocabs = []
     if args.ar_model:
-        ckpt = load_checkpoint(args.ar_model)
+        ckpt = _load_family("--ar-model", args.ar_model, True)
         _check_ar_budget("--ar-max-steps", ckpt.config, args.ar_max_steps)
         ar = (ckpt.config, ckpt.params)
         vocabs.append(_load_vocab_for_model(args.ar_model, ckpt.config, args.vocab, args.vocab_mode))
     if args.nar_model:
-        ckpt = load_checkpoint(args.nar_model)
+        ckpt = _load_family("--nar-model", args.nar_model, False)
         nar = (ckpt.config, ckpt.params)
         vocabs.append(_load_vocab_for_model(args.nar_model, ckpt.config, args.vocab, args.vocab_mode))
     if vocabs[0] != vocabs[-1]:

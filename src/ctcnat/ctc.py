@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import BLANK_ID, VocabularyError, as_token_id
+from .data import BLANK_ID, token_ids
 from .tensor import NEG_INF
 
 LabelSequence = tuple[int, ...]
@@ -79,12 +79,22 @@ class CtcLattice:
     log_likelihood: float
 
 
-def _as_log_probs(log_probs) -> np.ndarray:
+def _as_table(log_probs) -> np.ndarray:
+    """``log_probs`` (an array or a Tensor) as a float64 (T, C) table that
+    holds no NaN or +inf; the decoders accept any such table."""
     lp = np.asarray(getattr(log_probs, "data", log_probs), dtype=np.float64)
-    if lp.ndim != 2 or lp.shape[0] < 1:
-        raise InputError(f"log_probs must be a (T, V+1) table with T >= 1, got shape {lp.shape}")
+    if lp.ndim != 2:
+        raise InputError(f"log_probs must be a (T, V+1) table, got shape {lp.shape}")
     if not (lp < np.inf).all():
         raise InputError("log_probs must not hold NaN or +inf")
+    return lp
+
+
+def _as_log_probs(log_probs) -> np.ndarray:
+    """An ``_as_table`` of at least one frame whose rows are normalized."""
+    lp = _as_table(log_probs)
+    if lp.shape[0] < 1:
+        raise InputError(f"log_probs must hold T >= 1 frames, got shape {lp.shape}")
     row_lse = np.logaddexp.reduce(lp, axis=1)
     if np.any(np.abs(row_lse) > 1e-6):
         worst = int(np.abs(row_lse).argmax())
@@ -92,17 +102,7 @@ def _as_log_probs(log_probs) -> np.ndarray:
     return lp
 
 
-def _check_labels(labels: Sequence[int], num_cols: int) -> LabelSequence:
-    labs = tuple(as_token_id(y) for y in labels)
-    for y in labs:
-        if y == BLANK_ID:
-            raise VocabularyError("labels must not contain the blank id")
-        if not 0 < y < num_cols:
-            raise VocabularyError(f"label id {y} outside columns 1..{num_cols - 1}")
-    return labs
-
-
-def _extended(labels: LabelSequence) -> np.ndarray:
+def _extended(labels: Sequence[int]) -> np.ndarray:
     ext = np.zeros(2 * len(labels) + 1, dtype=np.int64)
     ext[1::2] = labels
     return ext
@@ -138,7 +138,7 @@ def _sweep(emit: np.ndarray, skip: np.ndarray, plus=np.logaddexp, times=np.add, 
     return table.transpose(1, 0, 2)
 
 
-def _lattice(lp: np.ndarray, labels: LabelSequence) -> CtcLattice:
+def _lattice(lp: np.ndarray, labels: Sequence[int]) -> CtcLattice:
     ext = _extended(labels)
     emit = lp[:, ext]
     # The suffix table is the prefix table of the time- and state-reversed
@@ -163,7 +163,7 @@ def ctc_loss(log_probs, labels: Sequence[int]) -> tuple[float, np.ndarray]:
     raises ``NumericError`` on a non-finite loss.
     """
     lp = _as_log_probs(log_probs)
-    lattice = _lattice(lp, _check_labels(labels, lp.shape[1]))
+    lattice = _lattice(lp, token_ids(labels, 1, lp.shape[1] - 1))
     ll = lattice.log_likelihood
     grad = np.zeros_like(lp)
     if ll == NEG_INF:
@@ -186,9 +186,7 @@ def count_alignments(T: int, labels: Sequence[int]) -> int:
     """
     if T < 0:
         raise InputError(f"T must be >= 0, got {T}")
-    labs = tuple(as_token_id(y) for y in labels)
-    if any(y == BLANK_ID for y in labs):
-        raise VocabularyError("labels must not contain the blank id")
+    labs = token_ids(labels, 1)
     if T == 0:
         return 1 if not labs else 0
     ext = _extended(labs)
@@ -199,7 +197,7 @@ def count_alignments(T: int, labels: Sequence[int]) -> int:
 def ctc_oracle_loss(log_probs, labels: Sequence[int]) -> float:
     """Reference loss by brute-force path enumeration; only for tiny tables."""
     lp = _as_log_probs(log_probs)
-    labs = _check_labels(labels, lp.shape[1])
+    labs = tuple(token_ids(labels, 1, lp.shape[1] - 1))
     T, C = lp.shape
     if T > ORACLE_MAX_T or C - 1 > ORACLE_MAX_V:
         raise BoundError(f"instance (T={T}, V={C - 1}) exceeds enumeration bound "

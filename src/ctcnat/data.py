@@ -10,6 +10,7 @@ emits ``vocab_size + 1`` columns indexed directly by these ids.
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,14 +37,25 @@ class CorpusError(ValueError):
     """Parallel corpus files disagree or are unusable."""
 
 
-def as_token_id(value) -> int:
-    """``value`` as an id: a Python or numpy integer. A float or a bool is
-    not an id, even when it equals one."""
+def _as_int(value) -> int:
     if type(value) is int:
         return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise VocabularyError(f"token id {value!r} is not an integer")
+
+
+def token_ids(values: Iterable, lowest: int, highest: float = math.inf) -> list[int]:
+    """``values`` as Python int ids, each in ``lowest..highest``; the one id
+    check of the package. An id is a Python or numpy integer: a float or a
+    bool is not one, even when it equals one. Sources and ``decode_ids``
+    admit 0..V; AR targets and CTC labels 1..V, since the blank is a label
+    only of the frames."""
+    ids = [_as_int(v) for v in values]
+    for i in ids:
+        if not lowest <= i <= highest:
+            raise VocabularyError(f"token id {i} outside {lowest}..{highest}")
+    return ids
 
 
 def _splitter(mode: str) -> Callable[[str], list[str]]:
@@ -107,12 +119,7 @@ class Vocabulary:
         return self.encode_tokens(self.tokenize(line))
 
     def decode_ids(self, ids: Iterable[int]) -> list[str]:
-        out = []
-        for i in ids:
-            if not 0 <= i < self.size:
-                raise VocabularyError(f"id {i} outside vocabulary of size {self.size}")
-            out.append(self.id_to_token[i])
-        return out
+        return [self.id_to_token[i] for i in token_ids(ids, 0, self.vocab_size)]
 
     def detokenize(self, tokens: Iterable[str]) -> str:
         sep = " " if self.mode == "word" else ""

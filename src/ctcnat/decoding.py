@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import LabelSequence, collapse
+from .ctc import LabelSequence, _as_table, collapse
 from .data import EOS_ID
 from .model import (
     ConfigError,
@@ -80,15 +80,6 @@ def _lse2(a: float, b: float) -> float:
     if a < b:
         a, b = b, a
     return a + math.log1p(math.exp(b - a))
-
-
-def _as_table(log_probs) -> np.ndarray:
-    lp = np.asarray(getattr(log_probs, "data", log_probs), dtype=np.float64)
-    if lp.ndim != 2:
-        raise OptionError(f"log_probs must be 2-D, got shape {lp.shape}")
-    if not (lp < np.inf).all():
-        raise OptionError("log_probs must not hold NaN or +inf")
-    return lp
 
 
 def _best(scores: np.ndarray, width: int) -> list[int]:

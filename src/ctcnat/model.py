@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import EOS_ID, VocabularyError, as_token_id
+from .data import EOS_ID, token_ids
 from .tensor import (
     KV,
     Past,
@@ -230,14 +230,6 @@ def _block(params: ModelParams, prefix: str, x: Tensor, config: ModelConfig,
     return feed_forward(x, [params[n] for n in names], rate, rng, scope)
 
 
-def _check_ids(ids, config: ModelConfig) -> list[int]:
-    out = [as_token_id(i) for i in ids]
-    for i in out:
-        if not 0 <= i <= config.vocab_size:
-            raise VocabularyError(f"token id {i} outside 0..{config.vocab_size}")
-    return out
-
-
 def check_source_length(config: ModelConfig, length: int) -> None:
     """The encoder's limit: a source is non-empty and at most max_len ids long."""
     if length == 0:
@@ -257,7 +249,7 @@ def encode(config: ModelConfig, params: ModelParams, source_ids,
            *, dropout_rng: np.random.Generator | None = None) -> EncoderStates:
     """Run the shared encoder stack over a source id sequence that
     ``check_source_length`` admits."""
-    ids = _check_ids(source_ids, config)
+    ids = token_ids(source_ids, 0, config.vocab_size)
     check_source_length(config, len(ids))
     positions = sinusoid_table(config.max_len, config.d_model)[: len(ids)]
     x = embed(params["src_embed"], ids, positions, config.dropout_rate, dropout_rng, "src_embed")
@@ -310,9 +302,7 @@ def _require_autoregressive(config: ModelConfig) -> None:
 def _decoder_input(config: ModelConfig, target_ids) -> list[int]:
     """[EOS] + target ids; EOS doubles as the start-of-sequence marker."""
     _require_autoregressive(config)
-    ids = [EOS_ID] + _check_ids(target_ids, config)
-    if 0 in ids:
-        raise VocabularyError("autoregressive targets must not contain the blank id")
+    ids = [EOS_ID] + token_ids(target_ids, 1, config.vocab_size)
     check_decoder_input_length(config, len(ids))
     return ids
 

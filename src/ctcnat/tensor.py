@@ -33,16 +33,17 @@ or Inf reaches the output, since even 0 * inf is NaN.
 
 Inference reuses the two largest temporaries. While no tape is open in a
 thread, ``multi_head_attention`` writes its scores ``q @ kᵀ``, and
-``feed_forward`` its hidden layer ``layer_norm(x) @ w1``, into grow-only
-float64 buffers that the thread owns. Every later step on them runs in
-place and neither leaves its op, so every output equals, bit for bit, what
-fresh arrays give, and a long NAR decode stops paying the page faults of
-allocating and freeing them in every sublayer. A thread keeps its largest
-tables so far, up to heads · (k · max_len)² · 8 bytes of scores and k ·
-max_len · ff_dim · 8 bytes of hidden layer, and one view per shape served.
-Under an open tape the ops allocate afresh, since the backward rules keep
-the arrays they read. The tape stack is per thread as well: an op records
-onto the innermost tape open in its own thread.
+``feed_forward`` its hidden layer ``layer_norm(x) @ w1``, into one
+grow-only float64 buffer that the thread owns. Every later step on them
+runs in place and neither leaves its op, so the two are never live at once,
+every output equals, bit for bit, what fresh arrays give, and a long NAR
+decode stops paying the page faults of allocating and freeing them in every
+sublayer. A thread keeps its largest table so far, up to heads · (k ·
+max_len)² · 8 bytes of scores or k · max_len · ff_dim · 8 bytes of hidden
+layer, whichever is larger, and one view per shape served. Under an open
+tape the ops allocate afresh, since the backward rules keep the arrays they
+read. The tape stack is per thread as well: an op records onto the
+innermost tape open in its own thread.
 """
 
 from __future__ import annotations
@@ -117,12 +118,11 @@ class _Scratch:
 
 class _ThreadState(threading.local):
     """What the ops of one thread share: its stack of open tapes and its
-    scratch buffers for the attention scores and the feed-forward hidden layer."""
+    scratch buffer for the attention scores and the feed-forward hidden layer."""
 
     def __init__(self) -> None:
         self.tapes: list[GradTape] = []
-        self.scores = _Scratch()
-        self.hidden = _Scratch()
+        self.scratch = _Scratch()
 
 
 _THREAD = _ThreadState()
@@ -134,13 +134,12 @@ def _open_tape() -> "GradTape | None":
     return tapes[-1] if tapes else None
 
 
-def _scratch(slot: str, shape: tuple[int, ...]) -> np.ndarray | None:
-    """A view of the current thread's buffer ``slot`` ("scores" or "hidden")
-    as ``shape``, or None while a tape is open in the thread, since its
-    backward rules keep the arrays they read."""
-    if _open_tape() is not None:
-        return None
-    return getattr(_THREAD, slot).view(shape)
+def _scratch(shape: tuple[int, ...]) -> np.ndarray | None:
+    """A view of the current thread's scratch buffer as ``shape``, or None
+    while a tape is open in the thread, since its backward rules keep the
+    arrays they read."""
+    state = _THREAD
+    return None if state.tapes else state.scratch.view(shape)
 
 
 class GradTape:
@@ -150,7 +149,7 @@ class GradTape:
     innermost tape open in the thread that runs it. So one tape serves one
     thread, and threads that train in parallel each open their own. While a
     tape is open in a thread, that thread's ops allocate every temporary
-    afresh: the scratch buffers serve inference only.
+    afresh: the scratch buffer serves inference only.
     """
 
     def __init__(self):
@@ -282,8 +281,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, scope: str | None = None) -> Tensor:
 
 def _scores(q: np.ndarray, k: np.ndarray, c: float, mask: np.ndarray | None) -> np.ndarray:
     """The scaled and masked attention scores ``q @ kᵀ · c + mask``, in the
-    thread's "scores" buffer when no tape is open, else in a new array."""
-    p = np.matmul(q, k.swapaxes(-1, -2), out=_scratch("scores", (q.shape[0], q.shape[1], k.shape[1])))
+    thread's scratch buffer when no tape is open, else in a new array."""
+    p = np.matmul(q, k.swapaxes(-1, -2), out=_scratch((q.shape[0], q.shape[1], k.shape[1])))
     p *= c
     if mask is not None:
         if mask.ndim > 3 or p.shape[3 - mask.ndim:] != mask.shape:
@@ -471,7 +470,7 @@ def feed_forward(x: Tensor, params: Sequence[Tensor], rate: float, rng: np.rando
     """
     gain, bias, w1, b1, w2, b2 = params
     normed, xhat, inv = _normalize(x.data, gain.data, bias.data)
-    r = np.matmul(normed, w1.data, out=_scratch("hidden", normed.shape[:-1] + w1.data.shape[1:]))
+    r = np.matmul(normed, w1.data, out=_scratch(normed.shape[:-1] + w1.data.shape[1:]))
     r += b1.data
     if not _finite(r):
         _raise_non_finite(scope, ("layer_norm", normed), ("linear", r))

@@ -12,8 +12,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ctcnat import ctc, model, tensor, training
-from ctcnat.ctc import CtcLattice, LabelSequence, _extended, _skip_allowed
-from ctcnat.decoding import DecodeOptions, Hypothesis, _as_table, _lse2
+from ctcnat.ctc import CtcLattice, LabelSequence, _as_table, _extended, _skip_allowed
+from ctcnat.decoding import DecodeOptions, Hypothesis, _lse2
 from ctcnat.tensor import NEG_INF, BackwardRule, NumericError, ShapeError, Tensor
 
 

@@ -533,6 +533,25 @@ def test_bench_overlong_line_is_usage_error_before_warm_up(tmp_path, capsys, mon
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("flag, variant, message", [
+    ("--ar-model", "encoder-decoder",
+     "--ar-model needs an autoregressive-baseline checkpoint, got encoder-decoder"),
+    ("--nar-model", "autoregressive-baseline",
+     "--nar-model needs a parallel-labeling checkpoint, got autoregressive-baseline"),
+])
+def test_bench_checkpoint_of_the_other_family_is_usage_error_before_warm_up(tmp_path, capsys, monkeypatch,
+                                                                            flag, variant, message):
+    model = _model_at_max_len(tmp_path, variant, 8)
+    inp = tmp_path / "in.txt"
+    inp.write_text("w0 w1\n", encoding="utf-8")
+    out_csv = tmp_path / "times.csv"
+    monkeypatch.setattr(cli.bench_mod, "bench_decode", _must_not_run)
+    rc = main(["bench", "--input", str(inp), flag, str(model), "--out", str(out_csv)])
+    assert rc == 2
+    assert f"error: {message}\n" == capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("ar_max_len, nar_max_len, error", [
     (4, 6, "--input line 3: source length 5 exceeds max_len 4 (--ar-model)"),
     (6, 4, "--input line 3: source length 5 exceeds max_len 4 (--nar-model)"),

@@ -176,10 +176,9 @@ class TestCtcLoss:
 
     def test_label_out_of_range(self):
         lp = random_log_probs(np.random.default_rng(8), 3, 3)
-        with pytest.raises(VocabularyError):
-            ctc_loss(lp, (5,))
-        with pytest.raises(VocabularyError):
-            ctc_loss(lp, (0,))
+        for entry, bad in itertools.product((ctc_loss, ctc_oracle_loss), (5, 0)):
+            with pytest.raises(VocabularyError, match=rf"^token id {bad} outside 1\.\.2$"):
+                entry(lp, (1, bad))
 
     @pytest.mark.parametrize("bad", [1.5, 2.0, True, np.float64(1.0)], ids=["1.5", "2.0", "True", "float64"])
     def test_a_label_that_is_not_an_integer_is_rejected_naming_it(self, bad):
@@ -294,6 +293,12 @@ class TestCountAlignments:
         assert count_alignments(0, ()) == 1
         assert count_alignments(0, (1,)) == 0
         assert count_alignments(3, ()) == 1
+
+    def test_the_blank_is_rejected_and_any_label_above_it_counted(self):
+        """With no table there are no columns to bound the labels from above."""
+        with pytest.raises(VocabularyError, match=r"^token id 0 outside 1\.\.inf$"):
+            count_alignments(3, (1, 0))
+        assert count_alignments(3, (1, 10 ** 6)) == 5
 
     @pytest.mark.parametrize("T", range(1, 6))
     def test_agrees_with_enumeration(self, T):

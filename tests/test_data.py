@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -85,8 +86,18 @@ class TestVocabularyRoundTrips:
 
     def test_decode_rejects_bad_ids(self):
         vocab = build_vocab(["x"], mode="word")
-        with pytest.raises(VocabularyError):
+        with pytest.raises(VocabularyError, match=r"^token id 99 outside 0\.\.4$"):
             vocab.decode_ids([99])
+
+    @pytest.mark.parametrize("bad", [True, 4.5, np.float64(4.0)], ids=["True", "4.5", "float64"])
+    def test_decode_rejects_an_id_that_is_not_an_integer(self, bad):
+        vocab = build_vocab(["x"], mode="word")
+        with pytest.raises(VocabularyError, match=f"^token id {re.escape(repr(bad))} is not an integer$"):
+            vocab.decode_ids([4, bad])
+
+    def test_decode_accepts_numpy_integer_ids(self):
+        vocab = build_vocab(["x y"], mode="word")
+        assert vocab.decode_ids(np.array([4, 5])) == vocab.decode_ids((np.int16(4), np.uint64(5))) == ["x", "y"]
 
     def test_load_rejects_an_unknown_mode(self, tmp_path):
         path = tmp_path / "vocab.txt"

@@ -6,7 +6,7 @@ import pytest
 
 import ctcnat
 from ctcnat import decoding, model
-from ctcnat.ctc import collapse, ctc_loss
+from ctcnat.ctc import InputError, collapse, ctc_loss
 from ctcnat.data import EOS_ID, synthetic_vocab
 from ctcnat.decoding import (
     DecodeOptions,
@@ -280,14 +280,25 @@ class TestBeamSearchShapes:
         assert_same_hypotheses(got, reference_ctc_beam_search(lp, opts))
 
 
+# The decoders and the loss share ``ctc``'s table rule and its error.
+_TABLE_READERS = pytest.mark.parametrize(
+    "decode", [greedy_ctc_decode, ctc_beam_search, lambda lp: ctc_loss(lp, (1,))],
+    ids=["greedy_ctc_decode", "ctc_beam_search", "ctc_loss"])
+
+
 class TestTableValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("decode", [greedy_ctc_decode, ctc_beam_search])
+    @_TABLE_READERS
     def test_nan_and_pos_inf_rejected(self, decode, bad):
         lp = np.log(np.full((3, 3), 1.0 / 3.0))
         lp[1, 2] = bad
-        with pytest.raises(OptionError):
+        with pytest.raises(InputError, match=r"^log_probs must not hold NaN or \+inf$"):
             decode(lp)
+
+    @_TABLE_READERS
+    def test_a_table_that_is_not_2d_is_rejected(self, decode):
+        with pytest.raises(InputError, match=r"^log_probs must be a \(T, V\+1\) table, got shape \(3,\)$"):
+            decode(np.log(np.full(3, 1.0 / 3.0)))
 
     def test_neg_inf_accepted(self):
         lp = np.array([[NEG_INF, 0.0], [0.0, NEG_INF]])

@@ -6,8 +6,22 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import ctcnat
-from ctcnat import model, tensor
+from ctcnat import decoding, model, tensor
+from ctcnat.ctc import ctc_loss
+from ctcnat.data import VocabularyError, synthetic_vocab
+from ctcnat.model import (
+    ModelConfig,
+    decode_autoregressive_full,
+    decode_autoregressive_step,
+    encode,
+    init_params,
+    self_attention_buffer,
+    source_keys_values,
+)
 
 from helpers import REFERENCES, names_in
 
@@ -76,8 +90,56 @@ def test_tensor_states_its_non_finite_rule_once():
 
 def test_tensor_keeps_no_module_level_container():
     """A list, dict or set bound at module level would be shared by every
-    thread; ``tensor`` keeps the tape stack and the scratch buffers per
+    thread; ``tensor`` keeps the tape stack and the scratch buffer per
     thread, in a ``threading.local``."""
     shared = [name for name, value in vars(tensor).items()
               if not name.startswith("__") and isinstance(value, (list, dict, set))]
     assert shared == []
+
+
+def test_data_owns_the_id_rule_and_ctc_the_table_rule():
+    """Only ``data.py`` constructs a ``VocabularyError``, so every id check
+    goes through ``data.token_ids``. ``decoding.py`` defines no function
+    that looks for NaN or inf: the decoders check a table by ``ctc``'s rule."""
+    constructed = [path.name for path in sorted(SRC.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", getattr(node.func, "attr", None)) == "VocabularyError"]
+    assert set(constructed) == {"data.py"}, constructed
+    tree = ast.parse(Path(decoding.__file__).read_text())
+    table_checks = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                    and any(isinstance(n, ast.Attribute) and n.attr in {"inf", "isfinite", "isnan", "isinf"}
+                            for n in ast.walk(node))]
+    assert table_checks == []
+
+
+V = 9  # the vocab_size of every id entry point below
+
+
+def _id_entry_points() -> dict:
+    """Each entry point that takes ids, by name: the lowest id it admits
+    and a call with ``ids``. Each admits ids up to V."""
+    cfg = ModelConfig(vocab_size=V, d_model=8, ff_dim=16, heads=2, enc_layers=1, dec_layers=1,
+                      variant="autoregressive-baseline", max_len=8, dropout_rate=0.0)
+    params = init_params(cfg, 0)
+    enc = encode(cfg, params, [4, 5])
+    src = source_keys_values(cfg, params, enc)
+    table = np.log(np.full((6, V + 1), 1.0 / (V + 1)))
+    return {
+        "encode": (0, lambda ids: encode(cfg, params, ids)),
+        "decode_ids": (0, synthetic_vocab(V - 3).decode_ids),
+        "decode_autoregressive_full": (1, lambda ids: decode_autoregressive_full(cfg, params, enc, ids)),
+        "decode_autoregressive_step": (
+            1, lambda ids: decode_autoregressive_step(cfg, params, src, ids, self_attention_buffer(cfg))),
+        "ctc_loss": (1, lambda ids: ctc_loss(table, ids)),
+    }
+
+
+@pytest.mark.parametrize("entry", ["encode", "decode_ids", "decode_autoregressive_full",
+                                   "decode_autoregressive_step", "ctc_loss"])
+@pytest.mark.parametrize("past", ["below", "above"])
+def test_every_id_entry_point_rejects_an_id_out_of_its_range_with_one_message(entry, past):
+    """The blank id is below the range of the AR targets and the CTC labels."""
+    lowest, call = _id_entry_points()[entry]
+    bad = lowest - 1 if past == "below" else V + 1
+    with pytest.raises(VocabularyError, match=rf"^token id {bad} outside {lowest}\.\.{V}$"):
+        call([4, bad])

@@ -910,31 +910,31 @@ def _run_threads(target, args) -> None:
     assert not any(thread.is_alive() for thread in threads)
 
 
-def _scratch_buffers() -> tuple[np.ndarray, np.ndarray]:
-    return T._THREAD.scores.buffer, T._THREAD.hidden.buffer
+def _scratch_buffer() -> np.ndarray:
+    return T._THREAD.scratch.buffer
 
 
 class TestThreadState:
     """Each thread has its own stack of open tapes, and, while none is open,
-    its own scratch buffers for the attention scores and the feed-forward
+    its own scratch buffer for the attention scores and the feed-forward
     hidden layer."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_scratch_decodes_equal_the_taped_calls_bit_for_bit(self, variant):
-        """Sources that grow, shrink and grow the buffers give the arrays
+        """Sources that grow, shrink and grow the buffer give the arrays
         that the same calls give under a tape, where every op allocates."""
         fast = _inference_outputs(variant)
-        scores, hidden = _scratch_buffers()
-        assert scores.size >= 4 * 48 ** 2 and hidden.size >= 48 * 256  # the encoder's, at least
+        buffer = _scratch_buffer()
+        assert buffer.size >= 4 * 48 ** 2 and buffer.size >= 48 * 256  # the encoder's scores and hidden layer
         with GradTape() as tape:
             taped = _inference_outputs(variant)
-        assert len(tape) > 0 and all(a is b for a, b in zip(_scratch_buffers(), (scores, hidden)))
+        assert len(tape) > 0 and _scratch_buffer() is buffer
         assert [a.tobytes() for a in fast] == [a.tobytes() for a in taped]
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_no_returned_array_shares_memory_with_a_scratch_buffer(self, variant):
         outputs = _inference_outputs(variant, lengths=(48, 12))
-        shared = [i for i, a in enumerate(outputs) if any(np.shares_memory(a, b) for b in _scratch_buffers())]
+        shared = [i for i, a in enumerate(outputs) if np.shares_memory(a, _scratch_buffer())]
         assert shared == []
 
     def test_threads_decoding_long_sources_at_once_give_the_sequential_outputs(self):
@@ -958,7 +958,7 @@ class TestThreadState:
 
     def test_a_warm_long_decode_allocates_less_than_two_score_tables(self):
         """A warm greedy decode at source length 48 reuses the thread's
-        buffers, so its peak allocation stays below two of its (4, 144,
+        buffer, so its peak allocation stays below two of its (4, 144,
         144) score tables, which the per-op allocations exceeded."""
         cfg = _long_config("encoder-decoder")
         params = init_params(cfg, 41)
