@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -115,55 +117,91 @@ def ctc_beam_search(log_probs, opts: DecodeOptions | None = None) -> list[Hypoth
     blank, its own repeat and the extension of its live parent that
     recombines into it), its repeat extension unless that prefix is a live
     beam, and its fresh extensions in ranked order, live children skipped:
-    beam_width of them and every further one of the same mass. The pool is
-    sorted by (-mass, prefix) and cut to beam_width. This is exact: within
-    one beam, the masses of the fresh extensions, its total plus each
-    symbol's, do not increase along the ranked order, so a fresh extension
-    the cut keeps is among the first beam_width offered or ties the last of
-    them. The result equals, float for float, the per-symbol loop over every
-    extension that the tests keep as the reference.
+    beam_width of them and every further one of the same mass. This is
+    exact: within one beam, the masses of the fresh extensions, its total
+    plus each symbol's, do not increase along the ranked order, so a fresh
+    extension the cut keeps is among the first beam_width offered or ties
+    the last of them.
+
+    Prefixes are nodes of a trie local to the call, each the prefix of its
+    parent node plus one symbol, so an offer copies no prefix. Only the
+    offers that survive the cut become nodes, and a prefix that was a node
+    before, a parent cut and extended again, gets its node back, so a
+    beam's live parent is the beam at its parent node. The pool is sorted
+    by mass alone and cut to beam_width. Only a run of equal masses that
+    straddles the cut is ordered by its spelled-out prefixes, which gives
+    the cut of a sort by (-mass, prefix). The result equals, float for
+    float, the per-symbol loop over every extension that the tests keep as
+    the reference.
     """
     opts = opts or DecodeOptions()
     lp = _as_table(log_probs)
     width = opts.beam_width
-    # (-mass, prefix, logp_blank, logp_nonblank), best first
-    beams: list[tuple[float, LabelSequence, float, float]] = [(0.0, (), 0.0, NEG_INF)]
+    # Node n is the prefix of node up[n] followed by sym[n]. Node 0 is the
+    # empty prefix: it has no parent, and its symbol, the blank, is no label.
+    up, sym = [-1], [0]
+    nodes: dict[tuple[int, int], int] = {}  # (parent node, symbol) -> node
+
+    def spell(node: int, c: int = -1) -> LabelSequence:
+        labels = [c] if c >= 0 else []
+        while node:
+            labels.append(sym[node])
+            node = up[node]
+        return tuple(reversed(labels))
+
+    # (-mass, node, logp_blank, logp_nonblank)
+    beams: list[tuple[float, int, float, float]] = [(0.0, 0, 0.0, NEG_INF)]
     for p, symbols in zip(lp.tolist(), np.argsort(-lp, axis=1, kind="stable").tolist()):
-        index = {prefix: b for b, (_, prefix, _, _) in enumerate(beams)}
-        parents = [index.get(prefix[:-1]) if prefix else None for _, prefix, _, _ in beams]
+        live = {node: b for b, (_, node, _, _) in enumerate(beams)}
+        parents = [live.get(up[node]) for _, node, _, _ in beams]
         children: list[set[int]] = [set() for _ in beams]  # the last symbol of each live child
-        for (_, prefix, _, _), parent in zip(beams, parents):
+        for (_, node, _, _), parent in zip(beams, parents):
             if parent is not None:
-                children[parent].add(prefix[-1])
-        pool = []
-        for (_, prefix, pb, pnb), parent, kids in zip(beams, parents, children):
+                children[parent].add(sym[node])
+        pool = []  # (-mass, beam node, symbol or -1 for a stay, logp_blank, logp_nonblank)
+        for (_, node, pb, pnb), parent, kids in zip(beams, parents, children):
             total = _lse2(pb, pnb)
-            last = prefix[-1] if prefix else 0
+            last = sym[node]
             nonblank = NEG_INF
-            if prefix:
+            if node:
                 nonblank = pnb + p[last]
                 if parent is not None:  # the live parent's extension recombines into this beam
-                    _, _, parent_pb, parent_pnb = beams[parent]
-                    into = parent_pb if prefix[-2:-1] == (last,) else _lse2(parent_pb, parent_pnb)
+                    _, parent_node, parent_pb, parent_pnb = beams[parent]
+                    into = parent_pb if sym[parent_node] == last else _lse2(parent_pb, parent_pnb)
                     nonblank = _lse2(nonblank, into + p[last])
                 if last not in kids:
                     # a repeat of the last symbol extends only the paths that end in blank
                     mass = pb + p[last]
-                    pool.append((-mass, prefix + (last,), NEG_INF, mass))
+                    pool.append((-mass, node, last, NEG_INF, mass))
             blank = total + p[0]
-            pool.append((-_lse2(blank, nonblank), prefix, blank, nonblank))
+            pool.append((-_lse2(blank, nonblank), node, -1, blank, nonblank))
             taken, floor = 0, NEG_INF
             for c in symbols:
                 mass = total + p[c]
                 if taken >= width and mass < floor:
                     break
                 if c != 0 and c != last and c not in kids:
-                    pool.append((-mass, prefix + (c,), NEG_INF, mass))
+                    pool.append((-mass, node, c, NEG_INF, mass))
                     taken, floor = taken + 1, mass
-        pool.sort()  # by (-mass, prefix); prefixes are unique
-        beams = pool[:width]
+        pool.sort(key=itemgetter(0))
+        if len(pool) > width and pool[width - 1][0] == pool[width][0]:
+            # equal masses straddle the cut: the smaller prefixes survive
+            lo = bisect_left(pool, pool[width][0], key=itemgetter(0))
+            hi = bisect_right(pool, pool[width][0], key=itemgetter(0))
+            pool[lo:hi] = sorted(pool[lo:hi], key=lambda e: spell(e[1], e[2]))
+        beams = []
+        for neg, node, c, pb, pnb in pool[:width]:
+            if c >= 0:
+                child = nodes.get((node, c))
+                if child is None:
+                    child = nodes[node, c] = len(up)
+                    up.append(node)
+                    sym.append(c)
+                node = child
+            beams.append((neg, node, pb, pnb))
 
-    return [Hypothesis(prefix, pb, pnb) for _, prefix, pb, pnb in beams]
+    ranked = sorted((neg, spell(node), pb, pnb) for neg, node, pb, pnb in beams)
+    return [Hypothesis(prefix, pb, pnb) for _, prefix, pb, pnb in ranked]
 
 
 def check_max_steps(config: ModelConfig, max_steps: int) -> None:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import ast
 import math
+import threading
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -65,6 +66,16 @@ def stepped_row(config: model.ModelConfig, params: model.ModelParams, enc: model
     src, kv = model.source_keys_values(config, params, enc), model.self_attention_buffer(config)
     return [model.decode_autoregressive_step(config, params, src, list(prefix[:n]), kv)
             for n in range(len(prefix) + 1)][-1]
+
+
+def run_threads(target, args) -> None:
+    """Run ``target(arg)`` in one thread per arg, all at once, and check that each thread finished."""
+    threads = [threading.Thread(target=target, args=(arg,)) for arg in args]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 def reference_ctc_beam_search(log_probs, opts: DecodeOptions | None = None) -> list[Hypothesis]:

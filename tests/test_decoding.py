@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from ctcnat.model import (
 )
 from ctcnat.tensor import NEG_INF, Tensor
 
-from helpers import peaked_log_probs, random_log_probs, reference_ctc_beam_search, stepped_row
+from helpers import peaked_log_probs, random_log_probs, reference_ctc_beam_search, run_threads, stepped_row
 
 
 def exhaustive_map(lp: np.ndarray):
@@ -254,6 +256,63 @@ class TestBeamSearchParity:
         for length in range(4, 49):
             lp = parallel_log_probs(cfg, params, rng.integers(4, vocab.size, size=length).tolist())
             assert_same_hypotheses(ctc_beam_search(lp, opts), reference_ctc_beam_search(lp, opts))
+
+    @pytest.mark.parametrize("levels", [[-0.5, -1.0, -2.0], [-0.5, -1.0, NEG_INF]])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_long_quantized_tables_tie_at_the_cut_with_long_prefixes(self, levels, seed):
+        """20-80 frames of a few levels: equal masses straddle the cut at
+        many frames, between prefixes that share long stems."""
+        rng = np.random.default_rng(900 + seed)
+        lp = quantized_log_probs(rng, int(rng.integers(20, 81)), int(rng.integers(3, 7)), levels)
+        for width in (1, 2, 4, 8):
+            opts = DecodeOptions(beam_width=width)
+            assert_same_hypotheses(ctc_beam_search(lp, opts), reference_ctc_beam_search(lp, opts))
+
+    def test_a_parent_cut_and_extended_again_recombines_into_its_live_child(self):
+        """With width 2, frame 3 cuts (1, 2) but keeps its child (1, 2, 1);
+        frame 4 extends (1,) to (1, 2) again. At frame 5 that beam's
+        extension by 1 must recombine into the live (1, 2, 1), which then
+        outranks it: the new (1, 2) is the parent of the old (1, 2, 1)."""
+        lp = np.array([[-1.0, -1.0, -2.0], [-1.0, -2.0, -0.5], [-1.0, -0.5, -4.0],
+                       [-4.0, -0.5, -0.5], [-2.0, -4.0, -4.0]])
+        opts = DecodeOptions(beam_width=2)
+        assert [h.prefix for h in ctc_beam_search(lp[:3], opts)] == [(1,), (1, 2, 1)]
+        assert [h.prefix for h in ctc_beam_search(lp[:4], opts)] == [(1, 2), (1, 2, 1)]
+        got = ctc_beam_search(lp, opts)
+        assert [h.prefix for h in got] == [(1, 2, 1), (1, 2)]
+        assert_same_hypotheses(got, reference_ctc_beam_search(lp, opts))
+
+    def test_threads_searching_long_tables_at_once_give_the_sequential_hypotheses(self):
+        """More threads than cores, switching every 10 µs, each searching
+        144-frame tables of a random-weight model: a prefix store shared
+        between calls would mix their prefixes."""
+        vocab = synthetic_vocab(20)
+        cfg = ModelConfig(vocab_size=vocab.vocab_size, k=3, variant="encoder-decoder",
+                          max_len=48, dropout_rate=0.0)
+        params = init_params(cfg, 3)
+        rng = np.random.default_rng(3)
+        tables = [parallel_log_probs(cfg, params, rng.integers(4, vocab.size, size=48).tolist())
+                  for _ in range(3)]
+        widths = (2, 4, 8)
+
+        def search(width):
+            return [[(h.prefix, float(h.logp_blank).hex(), float(h.logp_nonblank).hex())
+                     for h in ctc_beam_search(lp, DecodeOptions(beam_width=width))] for lp in tables]
+
+        sequential = {width: search(width) for width in widths}
+        start, parallel = threading.Barrier(len(widths)), {}
+
+        def run(width):
+            start.wait(timeout=60)
+            parallel[width] = search(width)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads(run, widths)
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel == sequential
 
 
 class TestBeamSearchShapes:

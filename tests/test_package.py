@@ -88,13 +88,23 @@ def test_tensor_states_its_non_finite_rule_once():
     assert handlers == [], f"handlers that can catch NumericError at lines {handlers}"
 
 
+def _module_level_containers(module) -> list[str]:
+    """The names of the lists, dicts and sets bound at a module's level,
+    which every thread would share."""
+    return [name for name, value in vars(module).items()
+            if not name.startswith("__") and isinstance(value, (list, dict, set))]
+
+
 def test_tensor_keeps_no_module_level_container():
-    """A list, dict or set bound at module level would be shared by every
-    thread; ``tensor`` keeps the tape stack and the scratch buffer per
-    thread, in a ``threading.local``."""
-    shared = [name for name, value in vars(tensor).items()
-              if not name.startswith("__") and isinstance(value, (list, dict, set))]
-    assert shared == []
+    """``tensor`` keeps the tape stack and the scratch buffer per thread,
+    in a ``threading.local``."""
+    assert _module_level_containers(tensor) == []
+
+
+def test_decoding_keeps_no_module_level_container():
+    """The prefix beam search keeps its prefix trie local to the call, so
+    no trie or cache outlives it or is shared between threads."""
+    assert _module_level_containers(decoding) == []
 
 
 def test_data_owns_the_id_rule_and_ctc_the_table_rule():

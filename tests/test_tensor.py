@@ -40,6 +40,7 @@ from helpers import (
     reference_sum,
     reference_transpose,
     rel_err,
+    run_threads,
     use_reference_tape_ops,
 )
 
@@ -900,16 +901,6 @@ def _inference_outputs(variant: str, lengths=(48, 4, 30, 48, 1)) -> list[np.ndar
     return outputs
 
 
-def _run_threads(target, args) -> None:
-    """Run ``target(arg)`` in one thread per arg, all at once, and check that each thread finished."""
-    threads = [threading.Thread(target=target, args=(arg,)) for arg in args]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120)
-    assert not any(thread.is_alive() for thread in threads)
-
-
 def _scratch_buffer() -> np.ndarray:
     return T._THREAD.scratch.buffer
 
@@ -951,7 +942,7 @@ class TestThreadState:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            _run_threads(decode, variants)
+            run_threads(decode, variants)
         finally:
             sys.setswitchinterval(interval)
         assert parallel == sequential
@@ -1014,5 +1005,5 @@ class TestThreadState:
             parallel[variant] = [_sha1(loss.data)] + [None if params[n].grad is None else _sha1(params[n].grad)
                                                       for n in sorted(params)]
 
-        _run_threads(train, variants)
+        run_threads(train, variants)
         assert parallel == sequential
