@@ -37,7 +37,7 @@ import numpy as np
 
 from .data import SentencePair
 from .decoding import DecodeOptions, translate
-from .model import ConfigError, ModelConfig, ModelParams
+from .model import ConfigError, ModelConfig, ModelParams, check_family
 
 MODES = ("AR-greedy", "AR-beam", "NAR-greedy", "NAR-beam")
 MIN_REPS = 3  # the median of fewer repetitions cannot reject one stalled run
@@ -62,12 +62,11 @@ class TimingRecord:
 def _make_runner(mode: str, ar_model, nar_model, beam: DecodeOptions,
                  ar_max_steps: int | None) -> Callable[[SentencePair], tuple]:
     autoregressive = mode.startswith("AR")
-    model, family = (ar_model, "autoregressive-baseline") if autoregressive else (nar_model, "parallel-labeling")
+    model = ar_model if autoregressive else nar_model
     if model is None:
-        raise ConfigError(f"mode {mode} requested but no {family} model given")
+        raise ConfigError(f"mode {mode} requested but no {'ar' if autoregressive else 'nar'}_model given")
     config, params = model
-    if config.is_autoregressive != autoregressive:
-        raise ConfigError(f"mode {mode} needs a {family} model, got {config.variant}")
+    check_family(config, autoregressive, f"mode {mode}")
     opts = beam if mode.endswith("beam") else None
     return lambda p: translate(config, params, p.source_ids, opts,
                                len(p.source_ids) if ar_max_steps is None else ar_max_steps)

@@ -31,7 +31,7 @@ from .data import (
 )
 from .decoding import DecodeOptions, OptionError, check_max_steps, translate
 from .evaluation import EvalReport, corpus_bleu
-from .model import ConfigError, LengthError, ModelConfig, check_source_length
+from .model import ConfigError, LengthError, ModelConfig, check_family, check_source_length
 from .training import (
     Checkpoint,
     TrainConfig,
@@ -89,6 +89,12 @@ def _keys_named(message: str) -> str:
     return f"config key{'s' if len(found) > 1 else ''} {keys}: " if found else ""
 
 
+def _settings(cls, run: RunConfig, **given):
+    """``cls`` built from ``given`` and every config key that names one of its fields."""
+    settings = {_FIELD_OF_KEY.get(key, key): getattr(run, key) for key in _FIELD_TYPES}
+    return cls(**given, **{f.name: settings[f.name] for f in fields(cls) if f.name in settings})
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse key=value lines; unknown or repeated keys and bad values are usage errors."""
     values = {}
@@ -140,14 +146,8 @@ def cmd_train(args) -> int:
     except VocabularyError as exc:  # build_vocab checks min_freq, then the mode
         raise UsageError(f"config key {'min_freq' if run.min_freq < 1 else 'vocab_mode'!r}: {exc}") from exc
     try:
-        model_config = ModelConfig(
-            vocab_size=vocab.vocab_size, d_model=run.d_model, ff_dim=run.ff_dim,
-            heads=run.heads, enc_layers=run.enc_layers, dec_layers=run.dec_layers,
-            k=run.k, variant=run.variant, max_len=run.max_len, dropout_rate=run.dropout)
-        train_config = TrainConfig(
-            learning_rate=run.lr, warmup=run.warmup, batch_size=run.batch_size,
-            max_steps=run.max_steps, validation_interval=run.valid_interval,
-            checkpoint_dir=run.checkpoint_dir, seed=run.seed, keep_top=run.keep_top)
+        model_config = _settings(ModelConfig, run, vocab_size=vocab.vocab_size)
+        train_config = _settings(TrainConfig, run)
     except ConfigError as exc:
         raise UsageError(f"{_keys_named(str(exc))}{exc}") from exc
 
@@ -246,9 +246,10 @@ def cmd_evaluate(args) -> int:
 def _load_family(flag: str, path: str, autoregressive: bool) -> Checkpoint:
     """The checkpoint at ``path``; a model of the other family is a usage error naming ``flag``."""
     ckpt = load_checkpoint(path)
-    if ckpt.config.is_autoregressive != autoregressive:
-        family = "an autoregressive-baseline" if autoregressive else "a parallel-labeling"
-        raise UsageError(f"{flag} needs {family} checkpoint, got {ckpt.config.variant}")
+    try:
+        check_family(ckpt.config, autoregressive, flag)
+    except ConfigError as exc:
+        raise UsageError(str(exc)) from None
     return ckpt
 
 

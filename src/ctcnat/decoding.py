@@ -24,9 +24,9 @@ import numpy as np
 from .ctc import LabelSequence, _as_table, collapse
 from .data import EOS_ID
 from .model import (
-    ConfigError,
     ModelConfig,
     ModelParams,
+    check_family,
     decode_autoregressive_step,
     encode,
     parallel_log_probs,
@@ -214,8 +214,7 @@ def check_max_steps(config: ModelConfig, max_steps: int) -> None:
 def ar_greedy_decode(config: ModelConfig, params: ModelParams, source_ids,
                      max_steps: int) -> LabelSequence:
     """Argmax one token at a time until end-of-sequence or max_steps."""
-    if not config.is_autoregressive:
-        raise ConfigError("ar_greedy_decode requires the autoregressive-baseline variant")
+    check_family(config, True, "ar_greedy_decode")
     check_max_steps(config, max_steps)
     src = source_keys_values(config, params, encode(config, params, source_ids))
     kv = self_attention_buffer(config)
@@ -237,8 +236,7 @@ def ar_beam_decode(config: ModelConfig, params: ModelParams, source_ids,
     max_steps; the final choice maximizes cumulative log-probability
     divided by the number of emitted tokens (the terminator counts).
     """
-    if not config.is_autoregressive:
-        raise ConfigError("ar_beam_decode requires the autoregressive-baseline variant")
+    check_family(config, True, "ar_beam_decode")
     check_max_steps(config, max_steps)
     src = source_keys_values(config, params, encode(config, params, source_ids))
     # (cum, tokens, the buffer its parent stepped in, shared by its siblings)

@@ -60,11 +60,7 @@ def modified_precisions(hypotheses: Sequence[Tokens], references: Sequence[Token
 
 
 def _brevity_penalty(c: int, r: int) -> float:
-    if c == 0:
-        return 0.0
-    if c >= r:
-        return 1.0
-    return math.exp(1.0 - r / c)
+    return 1.0 if c >= r else math.exp(1.0 - r / c)
 
 
 def corpus_bleu(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> float:
@@ -86,8 +82,6 @@ def sentence_bleu(hypothesis: Tokens, reference: Tokens) -> float:
     """Smoothed sentence BLEU-4; add-one on the n >= 2 precisions."""
     if not reference:
         raise InputError("empty reference")
-    if not hypothesis:
-        return 0.0
     logs = []
     for n in range(1, BLEU_ORDER + 1):
         clipped, total = _clipped_matches(hypothesis, reference, n)

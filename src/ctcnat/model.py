@@ -52,8 +52,6 @@ from .tensor import (
 VARIANTS = ("deep-encoder", "encoder-decoder", "encoder-decoder-posenc", "autoregressive-baseline")
 NAR_VARIANTS = VARIANTS[:3]
 
-MASK_OFF = -1e9  # large enough that exp underflows to exactly 0.0 in float64
-
 
 class ConfigError(ValueError):
     """Model configuration violates its invariants."""
@@ -102,6 +100,14 @@ class ModelConfig:
     @property
     def is_autoregressive(self) -> bool:
         return self.variant == "autoregressive-baseline"
+
+
+def check_family(config: ModelConfig, autoregressive: bool, user: str) -> None:
+    """The one model-family rule: ``user`` needs the autoregressive baseline
+    when ``autoregressive``, else one of the parallel labelers."""
+    if config.is_autoregressive != autoregressive:
+        family = "an autoregressive-baseline" if autoregressive else "a parallel-labeling"
+        raise ConfigError(f"{user} needs {family} model, got {config.variant}")
 
 
 ModelParams = dict[str, Tensor]
@@ -197,31 +203,25 @@ def sinusoid_table(length: int, d: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=256)
-def _causal_mask(n: int) -> np.ndarray:
-    mask = np.triu(np.full((n, n), MASK_OFF), k=1)
-    mask.setflags(write=False)
-    return mask
-
-
 def _ln(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
     return layer_norm(x, params[f"{prefix}.gain"], params[f"{prefix}.bias"], prefix)
 
 
 def _block(params: ModelParams, prefix: str, x: Tensor, config: ModelConfig,
-           memory: Tensor | KV | None = None, mask: np.ndarray | None = None,
+           memory: Tensor | KV | None = None, causal: bool = False,
            rng: np.random.Generator | None = None, past: Past | None = None) -> Tensor:
     """One pre-norm block over the positions in x.
 
     ``memory``, the encoder states or their encoder-attention keys and
-    values, adds the encoder-attention sublayer. ``past`` holds the key and
-    value buffers of the self-attention, filled up to the positions of x.
+    values, adds the encoder-attention sublayer. ``causal`` and ``past``
+    (key and value buffers filled up to the positions of x) go to the
+    self-attention.
     """
     rate = config.dropout_rate
     sublayers = _sublayers(prefix, memory is not None)
     scope, names = sublayers[0]
-    x = multi_head_attention(x, [params[n] for n in names], config.heads, mask=mask, past=past, rate=rate,
-                             rng=rng, scope=scope)
+    x = multi_head_attention(x, [params[n] for n in names], config.heads, past=past, causal=causal,
+                             rate=rate, rng=rng, scope=scope)
     if memory is not None:
         scope, names = sublayers[1]
         x = multi_head_attention(x, [params[n] for n in names], config.heads, memory, rate=rate, rng=rng,
@@ -274,8 +274,7 @@ def decode_parallel(config: ModelConfig, params: ModelParams, split: SplitStates
     The decoder self-attention carries no temporal mask; every frame sees
     every other frame.
     """
-    if config.is_autoregressive:
-        raise ConfigError("decode_parallel requires a parallel-labeling variant")
+    check_family(config, False, "decode_parallel")
     x = split.states
     if config.variant != "deep-encoder":
         if config.variant == "encoder-decoder-posenc":
@@ -290,18 +289,14 @@ def decode_parallel(config: ModelConfig, params: ModelParams, split: SplitStates
 
 def parallel_log_probs(config: ModelConfig, params: ModelParams, source_ids) -> Tensor:
     """Inference forward of a parallel labeler: encode, split, label every frame."""
+    check_family(config, False, "parallel_log_probs")
     enc = encode(config, params, source_ids)
     return decode_parallel(config, params, split_states(params, enc, config.k), enc)
 
 
-def _require_autoregressive(config: ModelConfig) -> None:
-    if not config.is_autoregressive:
-        raise ConfigError("autoregressive decoding requires the autoregressive-baseline variant")
-
-
 def _decoder_input(config: ModelConfig, target_ids) -> list[int]:
     """[EOS] + target ids; EOS doubles as the start-of-sequence marker."""
-    _require_autoregressive(config)
+    check_family(config, True, "the autoregressive decoder")
     ids = [EOS_ID] + token_ids(target_ids, 1, config.vocab_size)
     check_decoder_input_length(config, len(ids))
     return ids
@@ -313,19 +308,18 @@ def _ar_decoder(config: ModelConfig, params: ModelParams, ids: list[int],
     """The causal decoder over the decoder-input ``ids``.
 
     ``memory`` gives each layer the encoder states or their encoder-attention
-    keys and values. With no ``past`` it runs every position under the
-    causal mask. ``past`` holds each layer's self-attention keys and values
-    of every position but the last; the decoder then runs only the last
-    position and writes its keys and values after them. Returns the
-    log-probability rows of the positions run.
+    keys and values. Each position attends to itself and the ones before
+    it. With no ``past`` it runs every position. ``past`` holds each layer's
+    self-attention keys and values of every position but the last; the
+    decoder then runs only the last position and writes its keys and values
+    after them. Returns the log-probability rows of the positions run.
     """
     start = 0 if past is None else len(ids) - 1
     positions = sinusoid_table(config.max_len, config.d_model)[start:len(ids)]
     x = embed(params["tgt_embed"], ids[start:], positions, config.dropout_rate, rng, "tgt_embed")
-    mask = _causal_mask(len(ids)) if past is None and len(ids) > 1 else None
     for i in range(config.dec_layers):
-        x = _block(params, f"dec.{i}", x, config, memory[i], mask, rng,
-                   None if past is None else (past[i, 0], past[i, 1], start))
+        x = _block(params, f"dec.{i}", x, config, memory[i], causal=True, rng=rng,
+                   past=None if past is None else (past[i, 0], past[i, 1], start))
     return log_softmax(_ln(params, "dec.ln_out", x), params["out.w"], params["out.b"], "out")
 
 
@@ -343,7 +337,7 @@ def decode_autoregressive_full(config: ModelConfig, params: ModelParams, enc: En
 def source_keys_values(config: ModelConfig, params: ModelParams, enc: EncoderStates) -> list[KV]:
     """Each decoder layer's encoder-attention keys and values of ``enc``,
     which every autoregressive step over that source reads."""
-    _require_autoregressive(config)
+    check_family(config, True, "source_keys_values")
     src_attn = (_sublayers(f"dec.{i}", True)[1] for i in range(config.dec_layers))  # (scope, names) per layer
     return [keys_values(enc.states, [params[n] for n in names], config.heads, scope) for scope, names in src_attn]
 

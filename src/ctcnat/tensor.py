@@ -50,12 +50,14 @@ from __future__ import annotations
 
 import math
 import threading
+from functools import lru_cache
 from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
 NEG_INF = float("-inf")
 LAYER_NORM_EPS = 1e-6
+_MASK_OFF = -1e9  # large enough that exp underflows to exactly 0.0 in float64
 
 
 class ShapeError(ValueError):
@@ -279,15 +281,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor, scope: str | None = None) -> Tensor:
     return _emit(out, (x, w, b), rule)
 
 
-def _scores(q: np.ndarray, k: np.ndarray, c: float, mask: np.ndarray | None) -> np.ndarray:
-    """The scaled and masked attention scores ``q @ kᵀ · c + mask``, in the
-    thread's scratch buffer when no tape is open, else in a new array."""
+@lru_cache(maxsize=256)
+def _causal_mask(n: int) -> np.ndarray:
+    """The (n, n) causal mask: ``_MASK_OFF`` above the diagonal, 0 elsewhere."""
+    mask = np.triu(np.full((n, n), _MASK_OFF), k=1)
+    mask.setflags(write=False)
+    return mask
+
+
+def _scores(q: np.ndarray, k: np.ndarray, c: float, causal: bool) -> np.ndarray:
+    """The scaled scores ``q @ kᵀ · c``, causally masked when ``causal``, in
+    the thread's scratch buffer when no tape is open, else in a new array."""
     p = np.matmul(q, k.swapaxes(-1, -2), out=_scratch((q.shape[0], q.shape[1], k.shape[1])))
     p *= c
-    if mask is not None:
-        if mask.ndim > 3 or p.shape[3 - mask.ndim:] != mask.shape:
-            raise ShapeError(f"attention: mask shape {mask.shape} is not a suffix of {p.shape}")
-        p += mask
+    if causal:
+        p += _causal_mask(p.shape[1])
     return p
 
 
@@ -379,19 +387,19 @@ def keys_values(memory: Tensor, params: Sequence[Tensor], heads: int, scope: str
 
 
 def multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int, memory: Tensor | KV | None = None,
-                         mask: np.ndarray | None = None, past: Past | None = None, *, rate: float,
+                         past: Past | None = None, *, causal: bool = False, rate: float,
                          rng: np.random.Generator | None, scope: str) -> Tensor:
     """One pre-norm attention sublayer, ``x + dropout(attend(layer_norm(x)))``.
 
     ``params`` are (gain, bias, wq, bq, wk, wv, bv, wo, bo). The normed
     (t, d) ``x`` gives the queries. With ``memory`` None, it also gives the
-    keys and values. With ``past``, whose key and value buffers hold n
-    positions, ``x`` is one position and ``mask`` is None: the op writes
-    its key and value at position n in place and attends over all n + 1.
-    A tensor ``memory`` gives the keys and values instead; a KV ``memory``
-    is head-split keys and values. ``past`` and a KV ``memory`` are
-    constant to the tape, so only inference may pass them. Dropout runs
-    when ``rng`` is given and ``rate`` > 0.
+    keys and values, and ``causal`` hides from each position the ones after
+    it. With ``past``, whose buffers hold n positions, ``x`` is one position:
+    the op writes its key and value at position n in place and attends over
+    all n + 1. A tensor ``memory`` gives the keys and values instead; a KV
+    ``memory`` is head-split keys and values; neither takes ``causal``.
+    ``past`` and a KV ``memory`` are constant to the tape, so only inference
+    may pass them. Dropout runs when ``rng`` is given and ``rate`` > 0.
 
     Only the scores, whose -inf the softmax would hide, and the output are
     checked for non-finite values: any other intermediate's NaN or Inf
@@ -399,6 +407,8 @@ def multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int, memory
     chain (layer norm, projections, attention, projection, dropout, add)
     would raise, naming ``scope``.
     """
+    if causal and memory is not None:
+        raise ShapeError("attention: causal applies to self-attention, not to a memory")
     gain, bias, wq, bq, wk, wv, bv, wo, bo = params
     t_q, d = x.data.shape
     dh = d // heads
@@ -411,8 +421,8 @@ def multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int, memory
         t_k = source.shape[0]
         projected, kh, vh = _project_keys_values(source, wk, wv, bv, heads)
         if past is not None:
-            if t_k != 1 or mask is not None:
-                raise ShapeError("attention: past takes one new position and no mask")
+            if t_k != 1:
+                raise ShapeError("attention: past takes one new position")
             keys, values, n = past
             keys[:, n:n + 1] = kh
             values[:, n:n + 1] = vh
@@ -420,7 +430,7 @@ def multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int, memory
     else:
         source, projected = None, ()
         kh, vh = memory
-    p = _scores(qh, kh, c, mask)
+    p = _scores(qh, kh, c, causal and past is None)
     if not _finite(p):
         _raise_non_finite(scope, ("layer_norm", normed), ("linear", q), *projected, ("attention", p))
     ctx = _normalize_rows(p) @ vh

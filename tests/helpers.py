@@ -341,17 +341,20 @@ def reference_keys_values(memory: Tensor, params: Sequence[Tensor], heads: int, 
 
 
 def reference_multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int,
-                                   memory: Tensor | tensor.KV | None = None, mask: np.ndarray | None = None,
-                                   past: tensor.Past | None = None, *, rate: float,
-                                   rng: np.random.Generator | None, scope: str) -> Tensor:
+                                   memory: Tensor | tensor.KV | None = None, past: tensor.Past | None = None, *,
+                                   causal: bool = False, rate: float, rng: np.random.Generator | None,
+                                   scope: str) -> Tensor:
     """The chain of ``layer_norm``, projections (a ``matmul`` for the keys,
     ``linear`` for the queries and values), head split, attention, head
     merge, ``linear``, ``dropout`` and ``add`` that
     ``tensor.multi_head_attention`` fuses. It attends over the cached keys
     and values joined by ``np.concatenate`` and writes the new positions
-    into ``past``'s buffers, as the fused op does. An error of any op inside
-    the attention names ``attention``, as the fused op's score and output
-    checks do. Every error names ``scope``."""
+    into ``past``'s buffers, as the fused op does. With ``causal`` and no
+    ``past`` it adds -1e9 above the diagonal of the scores. An error of any
+    op inside the attention names ``attention``, as the fused op's score and
+    output checks do. Every error names ``scope``."""
+    if causal and memory is not None:
+        raise tensor.ShapeError("attention: causal applies to self-attention, not to a memory")
     gain, bias, wq, bq, wk, wv, bv, wo, bo = params
     t_q, d = x.shape
     normed = tensor.layer_norm(x, gain, bias, scope)
@@ -365,6 +368,7 @@ def reference_multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: i
             kv = tuple(Tensor(np.concatenate((buf[:, :n], new.data), axis=1)) for buf, new in zip(buffers, kv))
     else:
         kv = tuple(_constant(a) for a in memory)
+    mask = np.triu(np.full((t_q, t_q), -1e9), k=1) if causal and past is None else None
     try:
         ctx = reference_attention(qh, *kv, 1.0 / math.sqrt(d // heads), mask)
     except NumericError:

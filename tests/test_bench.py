@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ctcnat import bench
-from ctcnat.bench import MODES, bench_decode, blas_thread_control, records_to_csv, summarize
+from ctcnat.bench import MODES, TimingRecord, bench_decode, blas_thread_control, records_to_csv, summarize
 from ctcnat.data import SentencePair, gen_synthetic, synthetic_vocab
 from ctcnat.model import ConfigError, ModelConfig, init_params
 
@@ -67,13 +67,19 @@ class TestBenchDecode:
         with pytest.raises(ConfigError, match="^no mode to time"):
             bench_decode(corpus([2]), modes=(), nar_model=nar)
 
+    def test_empty_corpus(self):
+        _, nar = models()
+        with pytest.raises(ConfigError, match="^empty benchmark corpus$"):
+            bench_decode([], modes=("NAR-greedy",), nar_model=nar)
+
     def test_missing_model(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^mode AR-greedy requested but no ar_model given$"):
             bench_decode(corpus([2]), modes=("AR-greedy",), nar_model=models()[1])
 
     def test_wrong_family(self):
         ar, nar = models()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^mode AR-greedy needs an autoregressive-baseline model, "
+                                              "got encoder-decoder$"):
             bench_decode(corpus([2]), modes=("AR-greedy",), ar_model=nar)
 
     def test_csv_layout(self):
@@ -116,6 +122,12 @@ class TestBenchDecode:
         ys = np.array([rec.ms for rec in records])
         slope = float(np.polyfit(xs, ys, 1)[0])
         assert slope > 0.0
+
+
+def test_summary_gives_the_ratio_of_each_mode_pair():
+    records = [TimingRecord(0, 2, 2, mode, ms) for mode, ms in zip(MODES, (6.0, 10.0, 2.0, 4.0))]
+    lines = summarize(records, None).splitlines()
+    assert lines[5:7] == ["  AR-greedy / NAR-greedy ratio: 3.00", "  AR-beam / NAR-beam ratio: 2.50"]
 
 
 def record_calls(monkeypatch, on_call=lambda mode, pair: None):

@@ -5,7 +5,7 @@ import pytest
 
 from ctcnat import cli
 from ctcnat.cli import _FIELD_OF_KEY, RunConfig, main, parse_config, serialize_config
-from ctcnat.data import SentencePair, build_vocab, read_lines
+from ctcnat.data import SentencePair, Vocabulary, build_vocab, read_lines, synthetic_vocab
 from ctcnat.evaluation import pearson, sentence_bleu
 from ctcnat.model import ModelConfig, init_params
 from ctcnat.tensor import Tensor
@@ -45,6 +45,11 @@ class TestConfigFile:
         from ctcnat.cli import UsageError
         with pytest.raises(UsageError, match="d_model"):
             parse_config("d_model=huge\n")
+
+    def test_line_without_equals_sign(self):
+        from ctcnat.cli import UsageError
+        with pytest.raises(UsageError, match="^line 2: expected key=value, got 'heads'$"):
+            parse_config("d_model=32\nheads\n")
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# comment\n\nd_model=24\n")
@@ -108,6 +113,41 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize("valid_tgt", ["", "nope.tgt"])
+    def test_corpus_key_that_is_empty_or_names_no_file_exits_2(self, tmp_path, capsys, valid_tgt):
+        src, tgt = synth_corpus(tmp_path)
+        cfg_path = tmp_path / "run.cfg"
+        missing = str(tmp_path / valid_tgt) if valid_tgt else ""
+        write_config(cfg_path, train_src=str(src), train_tgt=str(tgt), valid_src=str(src), valid_tgt=missing,
+                     checkpoint_dir=str(tmp_path / "ckpt"))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        message = f"file not found: {missing}" if missing else "is required for training"
+        assert capsys.readouterr().err == f"error: config key 'valid_tgt'{':' if missing else ''} {message}\n"
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_every_setting_reaches_its_config(self, tmp_path, monkeypatch):
+        src, tgt = synth_corpus(tmp_path)
+        cfg_path = tmp_path / "run.cfg"
+        ckpt = str(tmp_path / "ckpt")
+        write_config(cfg_path, variant="encoder-decoder-posenc", d_model=24, ff_dim=40, heads=3, enc_layers=3,
+                     dec_layers=1, k=4, max_len=17, dropout=0.3, lr=1e-3, warmup=7, batch_size=5, max_steps=11,
+                     valid_interval=3, keep_top=2, seed=8, train_src=str(src), train_tgt=str(tgt),
+                     valid_src=str(src), valid_tgt=str(tgt), checkpoint_dir=ckpt)
+        seen = []
+
+        def stop(model_config, train_pairs, valid_pairs, train_config, vocab):
+            seen.append((model_config, train_config, vocab.vocab_size))
+            raise RuntimeError("stopped before training")
+
+        monkeypatch.setattr(cli, "train", stop)
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        [(model_config, train_config, vocab_size)] = seen
+        assert model_config == ModelConfig(vocab_size=vocab_size, d_model=24, ff_dim=40, heads=3, enc_layers=3,
+                                           dec_layers=1, k=4, variant="encoder-decoder-posenc", max_len=17,
+                                           dropout_rate=0.3)
+        assert train_config == TrainConfig(learning_rate=1e-3, warmup=7, batch_size=5, max_steps=11,
+                                           validation_interval=3, checkpoint_dir=ckpt, seed=8, keep_top=2)
 
     def test_tiny_training_run(self, tmp_path):
         src, tgt = synth_corpus(tmp_path)
@@ -231,6 +271,16 @@ class TestTranslateCommand:
                      "--output", str(tmp_path / "out.txt")]) == 1
         assert capsys.readouterr().err == f"error: CheckpointError: {message}\n"
 
+    def test_missing_vocabulary_is_usage_error(self, tmp_path, capsys):
+        model = _model_at_max_len(tmp_path, "encoder-decoder", 8)
+        (tmp_path / "vocab.txt").unlink()
+        inp = tmp_path / "in.txt"
+        inp.write_text("w0 w1\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        assert main(["translate", "--model", str(model), "--input", str(inp), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: vocabulary file not found: {tmp_path / 'vocab.txt'} (pass --vocab)\n"
+        assert not out.exists()
+
     def test_zero_beam_is_usage_error_before_loading(self, tmp_path, capsys):
         inp = tmp_path / "in.txt"
         inp.write_text("a\n", encoding="utf-8")
@@ -239,7 +289,6 @@ class TestTranslateCommand:
         assert "beam_width must be >= 1" in capsys.readouterr().err
 
     def test_vocabulary_that_does_not_fit_the_model_is_usage_error(self, trained_dir, capsys):
-        from ctcnat.data import synthetic_vocab
         model = sorted((trained_dir / "ckpt").glob("ckpt-*.bin"))[0]
         model_size = load_checkpoint(model).config.vocab_size
         wrong = synthetic_vocab(model_size + 2)
@@ -255,7 +304,6 @@ class TestTranslateCommand:
         assert not out.exists()
 
     def test_ar_beam_width_one_equals_greedy(self, tmp_path):
-        from ctcnat.data import synthetic_vocab
         cfg = ModelConfig(vocab_size=synthetic_vocab(8).vocab_size, d_model=16, ff_dim=32, heads=2,
                           enc_layers=1, dec_layers=1, variant="autoregressive-baseline", max_len=32,
                           dropout_rate=0.0)
@@ -276,7 +324,6 @@ class TestTranslateCommand:
 
     @pytest.mark.parametrize("max_steps", ["-1", "33"])
     def test_ar_budget_past_max_len_is_usage_error(self, tmp_path, capsys, max_steps):
-        from ctcnat.data import synthetic_vocab
         cfg = ModelConfig(vocab_size=synthetic_vocab(8).vocab_size, d_model=16, ff_dim=32, heads=2,
                           enc_layers=1, dec_layers=1, variant="autoregressive-baseline", max_len=32,
                           dropout_rate=0.0)
@@ -306,7 +353,6 @@ class TestTranslateCommand:
 
 def _model_at_max_len(directory, variant, max_len, name="model.bin"):
     """A checkpoint of a small ``variant`` model with ``max_len``, and vocab.txt beside it."""
-    from ctcnat.data import synthetic_vocab
     vocab = synthetic_vocab(8)
     cfg = ModelConfig(vocab_size=vocab.vocab_size, d_model=16, ff_dim=32, heads=2, enc_layers=1,
                       dec_layers=1, k=2, variant=variant, max_len=max_len, dropout_rate=0.0)
@@ -364,6 +410,14 @@ class TestEvaluateCommand:
         assert "--src has 1 lines but --hyp has 2" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_report_without_src_is_usage_error(self, tmp_path, capsys):
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("a b\n", encoding="utf-8")
+        report = tmp_path / "report.csv"
+        assert main(["evaluate", "--hyp", str(hyp), "--ref", str(hyp), "--report", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --report needs --src for source lengths\n")
+        assert not report.exists()
 
     def test_line_count_mismatch_is_usage_error(self, tmp_path, capsys):
         hyp = tmp_path / "hyp.txt"
@@ -425,6 +479,12 @@ class TestSynthCommand:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_vocab_out_writes_the_synthetic_vocabulary(self, tmp_path):
+        vocab_out = tmp_path / "vocab.txt"
+        assert main(["synth", "--task", "copy", "--n", "3", "--vocab-size", "6", "--src", str(tmp_path / "s.txt"),
+                     "--tgt", str(tmp_path / "t.txt"), "--vocab-out", str(vocab_out)]) == 0
+        assert Vocabulary.load(vocab_out) == synthetic_vocab(6)
+
     def test_duplicate_task_doubles(self, tmp_path):
         src = tmp_path / "s.txt"
         tgt = tmp_path / "t.txt"
@@ -448,7 +508,6 @@ class TestHelpAndExitCodes:
 
 
 def test_bench_command(tmp_path, capsys):
-    from ctcnat.data import synthetic_vocab
     cfg = ModelConfig(vocab_size=synthetic_vocab(8).vocab_size, d_model=16, ff_dim=32, heads=2,
                       enc_layers=1, dec_layers=1, k=2, max_len=32, dropout_rate=0.0)
     model = tmp_path / "nar.bin"
@@ -464,8 +523,14 @@ def test_bench_command(tmp_path, capsys):
     assert out_csv.read_text().splitlines()[0] == "sentence_id,src_len,out_len,mode,ms"
 
 
+def test_bench_without_a_model_is_usage_error(tmp_path, capsys):
+    inp = tmp_path / "in.txt"
+    inp.write_text("w0 w1\n", encoding="utf-8")
+    assert main(["bench", "--input", str(inp)]) == 2
+    assert capsys.readouterr().err == "error: pass --ar-model and/or --nar-model\n"
+
+
 def test_bench_rejects_models_with_different_vocabularies(tmp_path, capsys):
-    from ctcnat.data import synthetic_vocab
     paths = []
     for name, variant, vocab_size in (("ar", "autoregressive-baseline", 8), ("nar", "encoder-decoder", 9)):
         cfg = ModelConfig(vocab_size=synthetic_vocab(vocab_size).vocab_size, d_model=16, ff_dim=32,
@@ -486,7 +551,6 @@ def test_bench_rejects_models_with_different_vocabularies(tmp_path, capsys):
 
 
 def test_bench_rejects_a_vocabulary_that_does_not_fit_the_model(tmp_path, capsys):
-    from ctcnat.data import synthetic_vocab
     cfg = ModelConfig(vocab_size=8, d_model=16, ff_dim=32, heads=2, enc_layers=1,
                       dec_layers=1, k=2, max_len=32, dropout_rate=0.0)
     model = tmp_path / "nar.bin"
@@ -504,7 +568,6 @@ def test_bench_rejects_a_vocabulary_that_does_not_fit_the_model(tmp_path, capsys
 
 
 def test_bench_ar_budget_past_max_len_is_usage_error(tmp_path, capsys):
-    from ctcnat.data import synthetic_vocab
     cfg = ModelConfig(vocab_size=synthetic_vocab(8).vocab_size, d_model=16, ff_dim=32, heads=2,
                       enc_layers=1, dec_layers=1, variant="autoregressive-baseline", max_len=32,
                       dropout_rate=0.0)
@@ -535,9 +598,9 @@ def test_bench_overlong_line_is_usage_error_before_warm_up(tmp_path, capsys, mon
 
 @pytest.mark.parametrize("flag, variant, message", [
     ("--ar-model", "encoder-decoder",
-     "--ar-model needs an autoregressive-baseline checkpoint, got encoder-decoder"),
+     "--ar-model needs an autoregressive-baseline model, got encoder-decoder"),
     ("--nar-model", "autoregressive-baseline",
-     "--nar-model needs a parallel-labeling checkpoint, got autoregressive-baseline"),
+     "--nar-model needs a parallel-labeling model, got autoregressive-baseline"),
 ])
 def test_bench_checkpoint_of_the_other_family_is_usage_error_before_warm_up(tmp_path, capsys, monkeypatch,
                                                                             flag, variant, message):

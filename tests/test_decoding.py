@@ -23,6 +23,7 @@ from ctcnat.decoding import (
 )
 from ctcnat.model import (
     NAR_VARIANTS,
+    ConfigError,
     ModelConfig,
     decode_autoregressive_full,
     encode,
@@ -396,6 +397,14 @@ def rigged_params(cfg, favored_id, seed=0):
 
 
 class TestAutoregressiveDecoding:
+    @pytest.mark.parametrize("decode", ["ar_greedy_decode", "ar_beam_decode"])
+    def test_a_parallel_model_is_rejected_by_the_family_rule(self, decode):
+        cfg = ModelConfig(vocab_size=5, d_model=8, ff_dim=16, heads=2, enc_layers=1, dec_layers=1, max_len=24,
+                          dropout_rate=0.0)
+        beam = () if decode == "ar_greedy_decode" else (DecodeOptions(),)
+        with pytest.raises(ConfigError, match=f"^{decode} needs an autoregressive-baseline model, got encoder-decoder$"):
+            getattr(decoding, decode)(cfg, init_params(cfg, 0), [4, 5], *beam, max_steps=4)
+
     def test_immediate_eos_yields_empty(self):
         cfg = ar_config()
         params = rigged_params(cfg, favored_id=2)  # end-of-sequence id

@@ -79,6 +79,12 @@ class TestSentenceBleu:
             sentence_bleu(["a"], [])
 
 
+def test_empty_hypotheses_score_zero_in_corpus_and_sentence_bleu():
+    """No token means a unigram precision of 0, so both return 0.0 before the brevity penalty."""
+    assert corpus_bleu([[], []], [["a"], ["b", "c"]]) == 0.0
+    assert sentence_bleu([], ["a", "b"]) == 0.0
+
+
 class TestPearson:
     def test_positive_affine(self):
         xs = [1.0, 2.0, 5.0, 7.0]

@@ -338,6 +338,35 @@ class TestAutoregressive:
             decode_autoregressive_full(cfg, params, enc, [4])
 
 
+FAMILY_ERRORS = {
+    "decode_parallel": "decode_parallel needs a parallel-labeling model, got autoregressive-baseline",
+    "parallel_log_probs": "parallel_log_probs needs a parallel-labeling model, got autoregressive-baseline",
+    "decode_autoregressive_full":
+        "the autoregressive decoder needs an autoregressive-baseline model, got encoder-decoder",
+    "decode_autoregressive_step":
+        "the autoregressive decoder needs an autoregressive-baseline model, got encoder-decoder",
+    "source_keys_values": "source_keys_values needs an autoregressive-baseline model, got encoder-decoder",
+}
+
+
+@pytest.mark.parametrize("entry", FAMILY_ERRORS)
+def test_a_model_of_the_other_family_raises_the_one_family_error(entry):
+    message = FAMILY_ERRORS[entry]
+    cfg = tiny_config(variant="encoder-decoder" if "an autoregressive" in message else "autoregressive-baseline")
+    params = init_params(cfg, 0)
+    enc = encode(cfg, params, [4, 5])
+    calls = {
+        "decode_parallel": lambda: decode_parallel(cfg, params, SplitStates(states=enc.states), enc),
+        "parallel_log_probs": lambda: M.parallel_log_probs(cfg, params, [4, 5]),
+        "decode_autoregressive_full": lambda: decode_autoregressive_full(cfg, params, enc, [4]),
+        "decode_autoregressive_step": lambda: decode_autoregressive_step(cfg, params, [], [4],
+                                                                         self_attention_buffer(cfg)),
+        "source_keys_values": lambda: source_keys_values(cfg, params, enc),
+    }
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        calls[entry]()
+
+
 def test_dropout_only_when_generator_given():
     cfg = tiny_config(dropout_rate=0.3)
     params = init_params(cfg, 12)

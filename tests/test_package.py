@@ -122,6 +122,17 @@ def test_data_owns_the_id_rule_and_ctc_the_table_rule():
     assert table_checks == []
 
 
+def test_model_owns_the_family_rule():
+    """Outside ``model.py`` no string constant names a model family, so every
+    family check goes through ``model.check_family`` and its one message."""
+    families = ("autoregressive-baseline", "parallel-labeling")
+    named = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py")) if path.name != "model.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and any(family in node.value for family in families)]
+    assert named == []
+
+
 V = 9  # the vocab_size of every id entry point below
 
 

@@ -164,9 +164,10 @@ MHA_CONST_KV = (_CONST.normal(size=(2, 5, 2)), _CONST.normal(size=(2, 5, 2)))
 UNUSED_KV = [Tensor(np.zeros(s)) for s in [(4, 4), (4, 4), (4,)]]  # wk, wv, bv beside constant keys and values
 
 
-def _mha(x, memory, params, mask=None, rate=0.0):
+def _mha(x, memory, params, causal=False, rate=0.0):
     rng = np.random.default_rng(27) if rate else None  # the same mask on every call
-    return T.multi_head_attention(x, params, 2, memory, mask, rate=rate, rng=rng, scope="multi_head_attention")
+    return T.multi_head_attention(x, params, 2, memory, causal=causal, rate=rate, rng=rng,
+                                  scope="multi_head_attention")
 
 
 def _ff(x, params, rate=0.0):
@@ -209,7 +210,7 @@ FD_CASES = [
     ("mha_self", lambda x, *w: _mha(x, None, w), [(3, 4)] + MHA_PARAMS),
     ("mha_self_dropout", lambda x, *w: _mha(x, None, w, rate=0.3), [(3, 4)] + MHA_PARAMS),
     ("mha_cross", lambda x, m, *w: _mha(x, m, w), [(3, 4), (5, 4)] + MHA_PARAMS),
-    ("mha_causal", lambda x, *w: _mha(x, None, w, CAUSAL_4), [(4, 4)] + MHA_PARAMS),
+    ("mha_causal", lambda x, *w: _mha(x, None, w, causal=True), [(4, 4)] + MHA_PARAMS),
     ("mha_one_query", lambda x, m, *w: _mha(x, m, w), [(1, 4), (5, 4)] + MHA_PARAMS),
     ("mha_constant_kv", lambda x, g, b, wq, bq, wo, bo: _mha(x, MHA_CONST_KV, (g, b, wq, bq, *UNUSED_KV, wo, bo)),
      [(3, 4), (4,), (4,), (4, 4), (4,), (4, 4), (4,)]),
@@ -374,11 +375,10 @@ def _linear_inputs():
 
 def _attention_inputs():
     rng = np.random.default_rng(25)
-    return [np.array([0.5]), rng.normal(size=(1, 5, 1)), rng.normal(size=(1, 5, 1)), np.zeros((3, 5)), 3]
+    return [np.array([0.5]), rng.normal(size=(1, 5, 1)), rng.normal(size=(1, 5, 1)), 3]
 
 
-def _attend(op, q: float | np.ndarray, keys: np.ndarray, values: np.ndarray, mask: np.ndarray | None = None,
-            rows: int = 1):
+def _attend(op, q: float | np.ndarray, keys: np.ndarray, values: np.ndarray, rows: int = 1, causal: bool = False):
     """``op``, ``multi_head_attention`` or its reference, reduced to its
     attention step: one head at d=1, where the normed input is the bias 0, so
     each of the ``rows`` queries is ``q``. The (1, positions, 1) ``keys`` and
@@ -386,7 +386,7 @@ def _attend(op, q: float | np.ndarray, keys: np.ndarray, values: np.ndarray, mas
     output is the attention output added to zeros."""
     one, zero = Tensor([[1.0]]), Tensor([0.0])
     params = (Tensor([1.0]), zero, Tensor([[0.0]]), Tensor(np.reshape(q, 1)), one, one, zero, one, zero)
-    return op(Tensor(np.zeros((rows, 1))), params, 1, (keys, values), mask, rate=0.0, rng=None,
+    return op(Tensor(np.zeros((rows, 1))), params, 1, (keys, values), causal=causal, rate=0.0, rng=None,
               scope="multi_head_attention")
 
 
@@ -418,10 +418,10 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("op,index", [("linear", 0), ("linear", 1), ("linear", 2), ("attention", 0),
-                                          ("attention", 1), ("attention", 2), ("attention", 3)])
+                                          ("attention", 1), ("attention", 2)])
     def test_one_non_finite_input_element_raises(self, op, index, bad):
-        # attention's inputs 0 to 3 are the query, the keys, the values and the
-        # mask; a non-finite query is first the query projection's error
+        # attention's inputs 0 to 2 are the query, the keys and the values;
+        # a non-finite query is first the query projection's error
         values = _linear_inputs() if op == "linear" else _attention_inputs()
         values[index].reshape(-1)[values[index].size // 2] = bad
         query = (op, index) == ("attention", 0)
@@ -445,7 +445,7 @@ class TestFusedOps:
             out = T.linear(Tensor([[1.0]]), Tensor([[1e308, 1e308]]), Tensor([0.0, 0.0]))
             assert out.data.tolist() == [[1e308, 1e308]]
             # two query rows: four scores of 1e308, then two outputs of 1e308
-            inputs = [1e154, np.full((1, 2, 1), 1e154), np.full((1, 2, 1), 1e308), None, 2]
+            inputs = [1e154, np.full((1, 2, 1), 1e154), np.full((1, 2, 1), 1e308), 2]
             out = _call("attention", True, inputs)
             reference = _call("attention", False, inputs)
         assert out.data.tolist() == [[1e308], [1e308]]
@@ -456,11 +456,10 @@ class TestFusedOps:
             T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
         with pytest.raises(ShapeError, match="linear"):
             T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 5))), Tensor(np.zeros(4)))
-        inputs = [1.0, np.zeros((1, 3, 1)), np.zeros((1, 3, 1)), np.zeros((3, 2)), 2]  # scores (1, 2, 3)
-        with pytest.raises(ShapeError):
-            _call("attention", False, inputs)
-        with pytest.raises(ShapeError, match="mask"):
-            _call("attention", True, inputs)
+        inputs = [1.0, np.zeros((1, 3, 1)), np.zeros((1, 3, 1)), 2]  # a KV memory takes no causal mask
+        for op in (reference_multi_head_attention, T.multi_head_attention):
+            with pytest.raises(ShapeError, match="^attention: causal applies to self-attention, not to a memory$"):
+                _attend(op, *inputs, causal=True)
 
     def test_tape_keeps_one_record_per_fused_op(self):
         rng = np.random.default_rng(26)
@@ -655,17 +654,17 @@ def _sublayer_form(form: str, rng: np.random.Generator):
     def kwargs():
         if form == "past":
             return {"past": (*[b.copy() for b in cached], 2)}
-        return {"memory": memory, "mask": np.triu(np.full((3, 3), -1e9), k=1) if form == "self" else None}
+        return {"memory": memory, "causal": form == "self"}
 
     return T.multi_head_attention, reference_multi_head_attention, x, params, (2,), kwargs
 
 
-@pytest.mark.parametrize("positions, mask", [(2, None), (1, np.zeros((1, 3)))])
-def test_past_takes_one_position_and_no_mask(positions, mask):
+@pytest.mark.parametrize("causal", [False, True])
+def test_past_takes_one_new_position(causal):
     op, _, _, params, args, kwargs = _sublayer_form("past", np.random.default_rng(47))
-    x = Tensor(np.random.default_rng(48).normal(size=(positions, 4)))
-    with pytest.raises(ShapeError, match="^attention: past takes one new position and no mask$"):
-        op(x, params, *args, **kwargs(), mask=mask, rate=0.0, rng=None, scope="self_attn")
+    x = Tensor(np.random.default_rng(48).normal(size=(2, 4)))
+    with pytest.raises(ShapeError, match="^attention: past takes one new position$"):
+        op(x, params, *args, **kwargs(), causal=causal, rate=0.0, rng=None, scope="self_attn")
 
 
 class TestCheckRule:

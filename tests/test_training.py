@@ -422,6 +422,24 @@ class TestTrainLoop:
         fourth = retention.add(Checkpoint(cfg, init_params(cfg, 4), step=4, valid_score=4.0))
         assert sorted(p.name for p in tmp_path.iterdir()) == [fourth.name]
 
+    def test_retention_declines_a_checkpoint_that_does_not_rank(self, tmp_path):
+        cfg = small_config()
+        retention = training._Retention(tmp_path, keep_top=1)
+        kept = retention.add(Checkpoint(cfg, init_params(cfg, 1), step=2, valid_score=5.0))
+        for step, score in ((3, 4.0), (1, 5.0)):  # a lower score, and an equal one at an earlier step
+            assert retention.add(Checkpoint(cfg, init_params(cfg, 2), step=step, valid_score=score)) is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == [kept.name]
+        assert retention.entries == [(5.0, 2, kept)]
+
+    def test_empty_corpus_raises_before_any_checkpoint(self, tmp_path):
+        vocab, pairs = small_corpus(n=4, seed=9)
+        cfg = small_config(vocab_size=vocab.vocab_size)
+        tc = TrainConfig(max_steps=2, checkpoint_dir=str(tmp_path / "ckpt"))
+        for train_pairs, valid_pairs in (([], pairs), (pairs, [])):
+            with pytest.raises(ConfigError, match="^training and validation corpora must be non-empty$"):
+                train(cfg, train_pairs, valid_pairs, tc, vocab)
+        assert not (tmp_path / "ckpt").exists()
+
     def test_log_csv_layout(self, tmp_path):
         vocab, pairs = small_corpus(n=12, seed=8)
         cfg = small_config(vocab_size=vocab.vocab_size)
@@ -463,6 +481,10 @@ class TestAveraging:
         rev = average_checkpoints(ckpts[::-1])
         for n in fwd:
             assert np.abs(fwd[n].data - rev[n].data).max() < 1e-12
+
+    def test_no_checkpoints(self):
+        with pytest.raises(CheckpointError, match="^no checkpoints to average$"):
+            average_checkpoints([])
 
     def test_config_mismatch(self):
         a = small_config()
@@ -507,6 +529,33 @@ class TestCheckpointIO:
         path = tmp_path / "model.bin"
         path.write_bytes(b"NOTCTC00" + b"\x00" * 32)
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_other_format_version(self, tmp_path):
+        cfg = small_config()
+        path = tmp_path / "model.bin"
+        save_checkpoint(Checkpoint(cfg, init_params(cfg, 12), 1, 0.0), path)
+        blob = path.read_bytes()
+        path.write_bytes(b"CTCNAT02" + blob[8:])
+        with pytest.raises(FormatError, match="^unsupported format version '02'$"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        cfg = small_config()
+        path = tmp_path / "model.bin"
+        save_checkpoint(Checkpoint(cfg, init_params(cfg, 12), 1, 0.0), path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\0\0\0")
+        with pytest.raises(FormatError, match=f"^3 trailing bytes at offset {size}$"):
+            load_checkpoint(path)
+
+    def test_parameter_of_the_wrong_shape(self, tmp_path):
+        cfg = small_config()
+        params = init_params(cfg, 12)
+        params["out.b"] = Tensor(np.zeros(3))
+        path = tmp_path / "model.bin"
+        save_checkpoint(Checkpoint(cfg, params, 1, 0.0), path)
+        with pytest.raises(CheckpointError, match=r"^parameter out.b has shape \(3,\), config implies \(10,\)$"):
             load_checkpoint(path)
 
     def test_variant_mismatch_against_expected_config(self, tmp_path):
@@ -571,6 +620,16 @@ class TestCheckpointIO:
         assert b"step=1" in lines
         path.write_bytes(self._assemble(magic, lines + [b"step=99"], count, records))
         with pytest.raises(FormatError, match="^repeated config key 'step'"):
+            load_checkpoint(path)
+
+    def test_header_line_without_equals_sign(self, tmp_path):
+        cfg = small_config()
+        path = tmp_path / "model.bin"
+        save_checkpoint(Checkpoint(cfg, init_params(cfg, 17), 1, 0.0), path)
+        magic, lines, count, records = self._sections(path)
+        path.write_bytes(self._assemble(magic, [b"step 1" if raw == b"step=1" else raw for raw in lines],
+                                        count, records))
+        with pytest.raises(FormatError, match=r"^malformed config line 'step 1' before offset \d+$"):
             load_checkpoint(path)
 
     def test_unknown_header_key(self, tmp_path):
