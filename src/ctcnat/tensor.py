@@ -12,7 +12,12 @@ residual sublayers ``x + dropout(f(layer_norm(x)))``,
 ``multi_head_attention`` (f: projections, heads, scaled-dot-product
 attention and output projection, optionally over cached keys and values
 extended in place) and ``feed_forward`` (f: linear, relu, linear).
-Gradients are produced by replaying a GradTape in reverse recording order.
+Gradients are produced by replaying a GradTape once, in reverse recording
+order. The replay frees each record, with the arrays its rule saved, and
+each intermediate gradient as soon as it has used them, so the memory the
+forward took falls as the backward proceeds; afterwards only leaves
+(parameters, and any tensor made with ``requires_grad=True``) keep a
+gradient.
 
 Log-domain code represents probability zero as ``NEG_INF``. The CTC lattice
 and the beam searches use that sentinel outside the tape. Taped forward ops
@@ -152,10 +157,15 @@ class GradTape:
     thread, and threads that train in parallel each open their own. While a
     tape is open in a thread, that thread's ops allocate every temporary
     afresh: the scratch buffer serves inference only.
+
+    ``backward`` replays a tape once and empties it as it goes: each record
+    and each op output's gradient is released once its rule has run, and
+    only leaves keep a gradient. Record a new tape for the next backward.
     """
 
     def __init__(self):
         self._records: list[tuple[Tensor, BackwardRule]] = []
+        self._replayed = False
 
     def __enter__(self) -> "GradTape":
         _THREAD.tapes.append(self)
@@ -169,14 +179,22 @@ class GradTape:
         return len(self._records)
 
     def backward(self, loss: Tensor) -> None:
-        """Seed d(loss)=1 and accumulate grads into every reachable tensor."""
+        """Seed d(loss)=1 and accumulate grads into every reachable tensor.
+
+        Each record is popped before its rule runs, and its output hands the
+        rule its gradient and keeps none. A second call raises RuntimeError."""
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+        if self._replayed:
+            raise RuntimeError("backward: this tape was already replayed; record the forward again")
+        self._replayed = True
         loss.grad = np.ones_like(loss.data)
-        for out, rule in reversed(self._records):
-            if out.grad is None:
-                continue
-            rule(out.grad)
+        records = self._records
+        while records:
+            out, rule = records.pop()
+            g, out.grad = out.grad, None
+            if g is not None:
+                rule(g)
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:

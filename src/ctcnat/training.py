@@ -305,9 +305,11 @@ def train(model_config: ModelConfig, train_pairs: Sequence[SentencePair],
             chunk.append(usable[order[cursor]])
             cursor += 1
         batch = batch_pairs(chunk)
+        # Cleared before the forward, not after it: the last step's gradients
+        # would otherwise stay alive beside this step's whole tape.
+        optimizer.zero_grad()
         with GradTape() as tape:
             loss = batch_loss(model_config, params, batch, dropout_rng=dropout_rng)
-        optimizer.zero_grad()
         tape.backward(loss)
         optimizer.step(lr_at(step, train_config.learning_rate, train_config.warmup))
 

@@ -1,6 +1,6 @@
 """Shared test utilities: finite differences, random probability tables, an
 autoregressive step walk, the reference prefix beam search, the reference
-tape ops, the reference CTC lattice and the names a source file uses."""
+tape ops and replay, the reference CTC lattice and the names a source file uses."""
 
 from __future__ import annotations
 
@@ -133,6 +133,19 @@ def reference_accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
+
+
+def reference_backward(tape: tensor.GradTape, loss: Tensor) -> None:
+    """The plain replay that ``GradTape.backward`` must match: every record
+    in reverse order, each rule fed its output's gradient. It releases
+    nothing, so every record and intermediate gradient outlives it."""
+    if loss.data.size != 1:
+        raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+    loss.grad = np.ones_like(loss.data)
+    for out, rule in reversed(tape._records):
+        if out.grad is None:
+            continue
+        rule(out.grad)
 
 
 def reference_emit(arr: np.ndarray, inputs: Sequence[Tensor], rule: BackwardRule) -> Tensor:

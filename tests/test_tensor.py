@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from helpers import (
     central_diff,
     names_in,
     reference_attention,
+    reference_backward,
     reference_embed,
     reference_emit,
     reference_feed_forward,
@@ -797,21 +799,24 @@ def _parity_config(variant: str, dropout: float) -> ModelConfig:
                        variant=variant, max_len=24, dropout_rate=dropout)
 
 
-def _batch_gradients(variant: str, dropout: float) -> tuple[Tensor, model.ModelParams]:
+def _parity_batch(cfg: ModelConfig):
+    pairs = gen_synthetic("duplicate-each-token", 6, 6, (1, 6), seed=22, vocab=synthetic_vocab(6))
+    return batch_pairs(feasible_pairs(cfg, pairs)[0])
+
+
+def _batch_gradients(variant: str, dropout: float, backward=GradTape.backward) -> tuple[Tensor, model.ModelParams]:
     """One ``batch_loss`` backward on the parity config: the loss and the parameters with their gradients."""
     cfg = _parity_config(variant, dropout)
     params = init_params(cfg, 21)
-    pairs = gen_synthetic("duplicate-each-token", 6, 6, (1, 6), seed=22, vocab=synthetic_vocab(6))
-    pairs, _ = feasible_pairs(cfg, pairs)
     rng = np.random.default_rng(23) if dropout else None
     with GradTape() as tape:
-        loss = batch_loss(cfg, params, batch_pairs(pairs), dropout_rng=rng)
-    tape.backward(loss)
+        loss = batch_loss(cfg, params, _parity_batch(cfg), dropout_rng=rng)
+    backward(tape, loss)
     return loss, params
 
 
-def _gradient_digests(variant: str, dropout: float) -> list[str | None]:
-    loss, params = _batch_gradients(variant, dropout)
+def _gradient_digests(variant: str, dropout: float, backward=GradTape.backward) -> list[str | None]:
+    loss, params = _batch_gradients(variant, dropout, backward)
     return [_sha1(loss.data)] + [None if params[n].grad is None else _sha1(params[n].grad)
                                  for n in sorted(params)]
 
@@ -868,6 +873,107 @@ class TestReferenceParity:
         rows.clear()
         use_reference_tape_ops(monkeypatch)
         assert (_decodes(), rows) == fast
+
+
+class TestReplay:
+    """``GradTape.backward`` replays a tape once, releasing each record and
+    each intermediate gradient as it goes; only leaves keep a gradient."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_the_reference_replay(self, variant, dropout):
+        assert _gradient_digests(variant, dropout) == _gradient_digests(variant, dropout, reference_backward)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_only_the_parameters_keep_a_gradient(self, variant):
+        cfg = _parity_config(variant, 0.0)
+        params = init_params(cfg, 21)
+        with GradTape() as tape:
+            loss = batch_loss(cfg, params, _parity_batch(cfg))
+        outputs = [out for out, _ in tape._records]
+        assert outputs[-1] is loss
+        tape.backward(loss)
+        assert len(tape) == 0
+        assert all(out.grad is None for out in outputs)
+        assert all(p.grad is not None for p in params.values())
+
+    # what stays beside the gradients: the ndarray headers of about 70 of
+    # them, the loss and the empty tape; a tape that kept its records would
+    # hold another 130-610 kB here
+    SLACK_BYTES = 32 * 1024
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_replayed_tape_holds_no_memory(self, variant):
+        cfg = _parity_config(variant, 0.0)
+        params = init_params(cfg, 21)
+        batch = _parity_batch(cfg)
+
+        def step():
+            with GradTape() as tape:
+                loss = batch_loss(cfg, params, batch)
+            tape.backward(loss)
+            return tape, loss
+
+        step()  # fills the caches that outlive a step
+        for p in params.values():
+            p.grad = None
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tape, loss = step()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= sum(p.grad.nbytes for p in params.values()) + self.SLACK_BYTES
+        assert len(tape) == 0 and loss.grad is None
+
+    def test_a_record_is_freed_before_the_earlier_records_replay(self):
+        # records: probe (x -> h), feed_forward (h -> y), loss (y -> scalar)
+        rng = np.random.default_rng(47)
+        params = [Tensor(rng.normal(size=s), requires_grad=True) for s in [(4,), (4,), (4, 8), (8,), (8, 4), (4,)]]
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        refs, seen = [], []
+
+        def probe(g: np.ndarray) -> None:
+            seen.append((h.grad is None, [ref() is None for ref in refs]))
+            T.accumulate_grad(x, g)
+
+        def loss_rule(g: np.ndarray) -> None:
+            T.accumulate_grad(y, np.full(y.shape, g.item()))
+            refs.append(weakref.ref(y.grad))  # the intermediate gradient that feed_forward's rule receives
+
+        with GradTape() as tape:
+            h = T.custom_op(x.data, [x], probe)
+            y = T.feed_forward(h, params, rate=0.0, rng=None, scope="ff")
+            loss = T.custom_op(y.data.sum(), [y], loss_rule)
+        saved = [cell.cell_contents for cell in tape._records[1][1].__closure__
+                 if isinstance(cell.cell_contents, np.ndarray)]
+        assert len(saved) == 4  # the pre-activation, the normed input, xhat and the inverse deviation
+        refs.extend(weakref.ref(a) for a in saved)
+        del saved
+        tape.backward(loss)
+        assert seen == [(True, [True] * 5)]
+        assert x.grad is not None
+
+    def test_a_second_backward_raises_and_changes_no_gradient(self):
+        w1 = Tensor(np.eye(2), requires_grad=True)
+        w2 = Tensor(np.ones((2, 1)), requires_grad=True)
+        with GradTape() as tape:
+            h = T.linear(Tensor([[2.0, 4.0]]), w1, Tensor(np.zeros(2)))
+            loss = T.linear(h, w2, Tensor(np.zeros(1)))
+        tape.backward(loss)
+        first = (w1.grad.tolist(), w2.grad.tolist())
+        assert first == ([[2.0, 2.0], [4.0, 4.0]], [[2.0], [4.0]])
+        with pytest.raises(RuntimeError, match="^backward: this tape was already replayed; record the forward again$"):
+            tape.backward(loss)
+        assert (w1.grad.tolist(), w2.grad.tolist()) == first
+
+    def test_a_first_backward_on_an_empty_tape_seeds_the_loss_only(self):
+        loss = Tensor([3.0], requires_grad=True)
+        with GradTape() as tape:
+            pass
+        tape.backward(loss)
+        assert loss.grad.tolist() == [1.0]
 
 
 def _long_config(variant: str) -> ModelConfig:

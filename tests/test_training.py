@@ -385,6 +385,21 @@ class TestTrainLoop:
             losses.append([row.train_loss for row in log])
         assert losses[0] == losses[1]
 
+    def test_no_gradient_is_alive_during_a_forward(self, tmp_path, monkeypatch):
+        vocab, pairs = small_corpus(n=20, seed=6)
+        cfg = small_config(vocab_size=vocab.vocab_size)
+        cleared = []
+
+        def probe(config, params, batch, **kw):
+            cleared.append(all(p.grad is None for p in params.values()))
+            return batch_loss(config, params, batch, **kw)
+
+        monkeypatch.setattr(training, "batch_loss", probe)
+        tc = TrainConfig(max_steps=4, validation_interval=4, batch_size=4,
+                         checkpoint_dir=str(tmp_path), seed=123, warmup=5)
+        train(cfg, pairs[:16], pairs[16:], tc, vocab)
+        assert cleared == [True] * 4
+
     def test_retention_keeps_top_scores(self, tmp_path):
         vocab, pairs = small_corpus(n=20, seed=7)
         cfg = small_config(vocab_size=vocab.vocab_size)
