@@ -35,7 +35,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .data import SentencePair
+from .data import SentencePair, check_integer
 from .decoding import DecodeOptions, translate
 from .model import ConfigError, ModelConfig, ModelParams, check_family
 
@@ -139,8 +139,7 @@ def bench_decode(pairs: Sequence[SentencePair], modes: Sequence[str] = MODES,
     When ``ar_max_steps`` is None the autoregressive budget is the source
     length, which keeps output lengths comparable across sentences.
     """
-    if reps < MIN_REPS:
-        raise ConfigError(f"reps must be >= {MIN_REPS}, got {reps}")
+    check_integer("reps", reps, MIN_REPS, error=ConfigError)
     if not pairs:
         raise ConfigError("empty benchmark corpus")
     if not modes:

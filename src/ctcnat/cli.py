@@ -23,6 +23,7 @@ from .data import (
     Vocabulary,
     VocabularyError,
     build_vocab,
+    check_integer,
     gen_synthetic,
     load_parallel,
     read_lines,
@@ -144,7 +145,8 @@ def cmd_train(args) -> int:
     try:
         vocab = build_vocab(lines, mode=run.vocab_mode, min_freq=run.min_freq)
     except VocabularyError as exc:  # build_vocab checks min_freq, then the mode
-        raise UsageError(f"config key {'min_freq' if run.min_freq < 1 else 'vocab_mode'!r}: {exc}") from exc
+        key = "min_freq" if str(exc).startswith("min_freq ") else "vocab_mode"
+        raise UsageError(f"config key {key!r}: {exc}") from exc
     try:
         model_config = _settings(ModelConfig, run, vocab_size=vocab.vocab_size)
         train_config = _settings(TrainConfig, run)
@@ -256,8 +258,7 @@ def _load_family(flag: str, path: str, autoregressive: bool) -> Checkpoint:
 def cmd_bench(args) -> int:
     if not args.ar_model and not args.nar_model:
         raise UsageError("pass --ar-model and/or --nar-model")
-    if args.reps < bench_mod.MIN_REPS:
-        raise UsageError(f"--reps must be >= {bench_mod.MIN_REPS}, got {args.reps}")
+    check_integer("--reps", args.reps, bench_mod.MIN_REPS, error=UsageError)
     beam = _beam_options(args.beam)
     if args.modes is not None:
         modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
@@ -287,6 +288,8 @@ def cmd_bench(args) -> int:
     limits = [(flag, model[0]) for flag, model in (("--ar-model", ar), ("--nar-model", nar)) if model]
     pairs = [SentencePair(ids, ids, line, line)
              for line, ids in _encode_input(args.input, vocabs[0], limits) if ids]
+    if not pairs:
+        raise UsageError(f"--input {args.input} has no non-empty line")
     records, summary = bench_mod.bench_decode(
         pairs, modes=modes, ar_model=ar, nar_model=nar, reps=args.reps,
         beam=beam, ar_max_steps=args.ar_max_steps)
@@ -307,8 +310,7 @@ def cmd_average(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
+    check_integer("--n", args.n, 1, error=UsageError)
     try:
         vocab = synthetic_vocab(args.vocab_size)
     except VocabularyError as exc:

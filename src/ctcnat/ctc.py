@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import BLANK_ID, token_ids
+from .data import BLANK_ID, check_integer, token_ids
 from .tensor import NEG_INF
 
 LabelSequence = tuple[int, ...]
@@ -184,8 +184,7 @@ def count_alignments(T: int, labels: Sequence[int]) -> int:
 
     The same lattice sweep with every emission weighted 1, in exact integers.
     """
-    if T < 0:
-        raise InputError(f"T must be >= 0, got {T}")
+    check_integer("T", T, 0, error=InputError)
     labs = token_ids(labels, 1)
     if T == 0:
         return 1 if not labs else 0

@@ -45,6 +45,16 @@ def _as_int(value) -> int:
     raise VocabularyError(f"token id {value!r} is not an integer")
 
 
+def check_integer(name: str, value, lowest: int, highest: float = math.inf, *, error: type[Exception]) -> None:
+    """The one integer-setting check: ``value`` is a Python or numpy integer,
+    not a bool, in ``lowest..highest``; else the caller's ``error`` names ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if not lowest <= value <= highest:
+        bound = f">= {lowest}" if highest == math.inf else f"in {lowest}..{highest}"
+        raise error(f"{name} must be {bound}, got {value}")
+
+
 def token_ids(values: Iterable, lowest: int, highest: float = math.inf) -> list[int]:
     """``values`` as Python int ids, each in ``lowest..highest``; the one id
     check of the package. An id is a Python or numpy integer: a float or a
@@ -153,8 +163,7 @@ def build_vocab(lines: Iterable[str], mode: str = "word", min_freq: int = 1) -> 
     Kept tokens are id-ordered by (frequency desc, token asc) so identical
     corpora always produce identical vocabularies.
     """
-    if min_freq < 1:
-        raise VocabularyError(f"min_freq must be >= 1, got {min_freq}")
+    check_integer("min_freq", min_freq, 1, error=VocabularyError)
     split = _splitter(mode)
     counts: Counter[str] = Counter()
     n_lines = 0
@@ -221,8 +230,7 @@ def batch_pairs(pairs: Sequence[SentencePair]) -> Batch:
 
 def synthetic_vocab(vocab_size: int) -> Vocabulary:
     """Word vocabulary of ``vocab_size`` symbolic tokens w00, w01, ..."""
-    if vocab_size < 2:
-        raise VocabularyError(f"synthetic vocab needs >= 2 tokens, got {vocab_size}")
+    check_integer("vocab_size", vocab_size, 2, error=VocabularyError)
     width = len(str(vocab_size - 1))
     return Vocabulary.from_tokens([f"w{i:0{width}d}" for i in range(vocab_size)], mode="word")
 
@@ -237,8 +245,8 @@ def gen_synthetic(task: str, vocab_size: int, n: int, len_range: tuple[int, int]
     if task not in SYNTHETIC_TASKS:
         raise CorpusError(f"unknown synthetic task {task!r}; pick one of {SYNTHETIC_TASKS}")
     lo, hi = len_range
-    if lo < 1 or hi < lo:
-        raise CorpusError(f"bad length range {len_range}")
+    check_integer("len_range[0]", lo, 1, error=CorpusError)
+    check_integer("len_range[1]", hi, lo, error=CorpusError)
     if vocab is None:
         vocab = synthetic_vocab(vocab_size)
     tokens = vocab.id_to_token[len(RESERVED_TOKENS):]

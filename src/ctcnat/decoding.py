@@ -14,7 +14,6 @@ lexicographically smaller prefix first.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
@@ -22,7 +21,7 @@ from operator import itemgetter
 import numpy as np
 
 from .ctc import LabelSequence, _as_table, collapse
-from .data import EOS_ID
+from .data import EOS_ID, check_integer
 from .model import (
     ModelConfig,
     ModelParams,
@@ -54,10 +53,7 @@ class DecodeOptions:
     beam_width: int = 4
 
     def __post_init__(self):
-        if not isinstance(self.beam_width, numbers.Integral):
-            raise OptionError(f"beam_width must be an integer, got {self.beam_width!r}")
-        if self.beam_width < 1:
-            raise OptionError(f"beam_width must be >= 1, got {self.beam_width}")
+        check_integer("beam_width", self.beam_width, 1, error=OptionError)
 
 
 @dataclass(frozen=True)
@@ -207,8 +203,7 @@ def ctc_beam_search(log_probs, opts: DecodeOptions | None = None) -> list[Hypoth
 def check_max_steps(config: ModelConfig, max_steps: int) -> None:
     """Reject an autoregressive step budget the decoder cannot run: step t
     feeds t + 1 decoder positions, at most max_len."""
-    if not 0 <= max_steps <= config.max_len:
-        raise OptionError(f"max_steps must be in 0..{config.max_len} (the model's max_len), got {max_steps}")
+    check_integer("max_steps", max_steps, 0, config.max_len, error=OptionError)
 
 
 def ar_greedy_decode(config: ModelConfig, params: ModelParams, source_ids,

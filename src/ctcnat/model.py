@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import EOS_ID, token_ids
+from .data import EOS_ID, check_integer, token_ids
 from .tensor import (
     KV,
     Past,
@@ -86,10 +86,8 @@ class ModelConfig:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
         for name in ("vocab_size", "d_model", "ff_dim", "heads", "enc_layers", "k", "max_len"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.dec_layers < 0:
-            raise ConfigError(f"dec_layers must be >= 0, got {self.dec_layers}")
+            check_integer(name, getattr(self, name), 1, error=ConfigError)
+        check_integer("dec_layers", self.dec_layers, 0, error=ConfigError)
         if self.d_model % self.heads != 0:
             raise ConfigError(f"d_model={self.d_model} not divisible by heads={self.heads}")
         if self.variant == "deep-encoder" and self.dec_layers != 0:

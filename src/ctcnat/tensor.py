@@ -415,9 +415,9 @@ def multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int, memory
     it. With ``past``, whose buffers hold n positions, ``x`` is one position:
     the op writes its key and value at position n in place and attends over
     all n + 1. A tensor ``memory`` gives the keys and values instead; a KV
-    ``memory`` is head-split keys and values; neither takes ``causal``.
-    ``past`` and a KV ``memory`` are constant to the tape, so only inference
-    may pass them. Dropout runs when ``rng`` is given and ``rate`` > 0.
+    ``memory`` is head-split keys and values; neither takes ``causal`` or
+    ``past``. ``past`` and a KV ``memory`` are constant to the tape, so only
+    inference may pass them. Dropout runs when ``rng`` is given and ``rate`` > 0.
 
     Only the scores, whose -inf the softmax would hide, and the output are
     checked for non-finite values: any other intermediate's NaN or Inf
@@ -425,8 +425,8 @@ def multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: int, memory
     chain (layer norm, projections, attention, projection, dropout, add)
     would raise, naming ``scope``.
     """
-    if causal and memory is not None:
-        raise ShapeError("attention: causal applies to self-attention, not to a memory")
+    if memory is not None and (causal or past is not None):
+        raise ShapeError(f"attention: {'causal' if causal else 'past'} applies to self-attention, not to a memory")
     gain, bias, wq, bq, wk, wv, bv, wo, bo = params
     t_q, d = x.data.shape
     dh = d // heads

@@ -30,7 +30,7 @@ from typing import Callable, Sequence, get_type_hints
 import numpy as np
 
 from .ctc import ctc_loss, min_frames
-from .data import EOS_ID, Batch, SentencePair, Vocabulary, batch_pairs
+from .data import EOS_ID, Batch, SentencePair, Vocabulary, batch_pairs, check_integer
 from .decoding import translate
 from .evaluation import corpus_bleu
 from .model import (
@@ -86,10 +86,8 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("warmup", "keep_top", "batch_size", "max_steps", "validation_interval"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            check_integer(name, getattr(self, name), 1, error=ConfigError)
+        check_integer("seed", self.seed, 0, error=ConfigError)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 

@@ -366,8 +366,9 @@ def reference_multi_head_attention(x: Tensor, params: Sequence[Tensor], heads: i
     ``past`` it adds -1e9 above the diagonal of the scores. An error of any
     op inside the attention names ``attention``, as the fused op's score and
     output checks do. Every error names ``scope``."""
-    if causal and memory is not None:
-        raise tensor.ShapeError("attention: causal applies to self-attention, not to a memory")
+    if memory is not None and (causal or past is not None):
+        raise tensor.ShapeError(f"attention: {'causal' if causal else 'past'} applies to self-attention, "
+                                "not to a memory")
     gain, bias, wq, bq, wk, wv, bv, wo, bo = params
     t_q, d = x.shape
     normed = tensor.layer_norm(x, gain, bias, scope)

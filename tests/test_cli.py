@@ -335,8 +335,7 @@ class TestTranslateCommand:
         out = tmp_path / "out.txt"
         assert main(["translate", "--model", str(model), "--input", str(inp), "--output", str(out),
                      "--max-steps", max_steps]) == 2
-        assert f"--max-steps: max_steps must be in 0..32 (the model's max_len), got {max_steps}" in \
-            capsys.readouterr().err
+        assert f"--max-steps: max_steps must be in 0..32, got {max_steps}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -464,11 +463,11 @@ class TestSynthCommand:
         assert a_tgt.read_bytes() == b_tgt.read_bytes()
 
     @pytest.mark.parametrize("flags, message", [
-        pytest.param(["--min-len", "0"], "--min-len 0, --max-len 8: bad length range (0, 8)", id="min-len-0"),
-        pytest.param(["--min-len", "5", "--max-len", "2"], "--min-len 5, --max-len 2: bad length range (5, 2)",
-                     id="max-len-below-min-len"),
-        pytest.param(["--vocab-size", "1"], "--vocab-size: synthetic vocab needs >= 2 tokens, got 1",
-                     id="vocab-size-1"),
+        pytest.param(["--min-len", "0"], "--min-len 0, --max-len 8: len_range[0] must be >= 1, got 0",
+                     id="min-len-0"),
+        pytest.param(["--min-len", "5", "--max-len", "2"],
+                     "--min-len 5, --max-len 2: len_range[1] must be >= 5, got 2", id="max-len-below-min-len"),
+        pytest.param(["--vocab-size", "1"], "--vocab-size: vocab_size must be >= 2, got 1", id="vocab-size-1"),
         pytest.param(["--n", "-2"], "--n must be >= 1, got -2", id="n-negative"),
         pytest.param(["--n", "0"], "--n must be >= 1, got 0", id="n-0"),
     ])
@@ -580,7 +579,7 @@ def test_bench_ar_budget_past_max_len_is_usage_error(tmp_path, capsys):
     rc = main(["bench", "--input", str(inp), "--ar-model", str(model), "--ar-max-steps", "33",
                "--out", str(out_csv)])
     assert rc == 2
-    assert "--ar-max-steps: max_steps must be in 0..32 (the model's max_len), got 33" in capsys.readouterr().err
+    assert "--ar-max-steps: max_steps must be in 0..32, got 33" in capsys.readouterr().err
     assert not out_csv.exists()
 
 
@@ -593,6 +592,19 @@ def test_bench_overlong_line_is_usage_error_before_warm_up(tmp_path, capsys, mon
     rc = main(["bench", "--input", str(inp), "--nar-model", str(model), "--out", str(out_csv)])
     assert rc == 2
     assert "--input line 301: source length 5 exceeds max_len 4 (--nar-model)" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty-file", "blank-lines"])
+def test_bench_input_with_no_non_empty_line_is_usage_error_before_warm_up(tmp_path, capsys, monkeypatch, text):
+    model = _model_at_max_len(tmp_path, "encoder-decoder", 8)
+    inp = tmp_path / "in.txt"
+    inp.write_text(text, encoding="utf-8")
+    out_csv = tmp_path / "times.csv"
+    monkeypatch.setattr(cli.bench_mod, "bench_decode", _must_not_run)
+    rc = main(["bench", "--input", str(inp), "--nar-model", str(model), "--out", str(out_csv)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --input {inp} has no non-empty line\n"
     assert not out_csv.exists()
 
 

@@ -465,7 +465,7 @@ class TestAutoregressiveDecoding:
         cfg = ar_config(max_len=8)
         params = rigged_params(cfg, favored_id=4)
         calls = recorded_steps(monkeypatch)
-        with pytest.raises(OptionError, match=rf"^max_steps must be in 0\.\.8 .*got {max_steps}$"):
+        with pytest.raises(OptionError, match=rf"^max_steps must be in 0\.\.8, got {max_steps}$"):
             translate(cfg, params, [4, 5, 3], beam, max_steps)
         assert calls == []
 

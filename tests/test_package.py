@@ -1,19 +1,27 @@
 """Package-wide rules that no single module's tests can check."""
 
+import argparse
 import ast
+import dataclasses
 import importlib
 import inspect
+import math
 import pkgutil
+import re
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ctcnat
-from ctcnat import decoding, model, tensor
-from ctcnat.ctc import ctc_loss
-from ctcnat.data import VocabularyError, synthetic_vocab
+from ctcnat import cli, decoding, model, tensor
+from ctcnat.bench import bench_decode
+from ctcnat.ctc import InputError, count_alignments, ctc_loss
+from ctcnat.data import CorpusError, SentencePair, VocabularyError, build_vocab, gen_synthetic, synthetic_vocab
+from ctcnat.decoding import DecodeOptions, OptionError, check_max_steps, translate
 from ctcnat.model import (
+    ConfigError,
     ModelConfig,
     decode_autoregressive_full,
     decode_autoregressive_step,
@@ -22,6 +30,7 @@ from ctcnat.model import (
     self_attention_buffer,
     source_keys_values,
 )
+from ctcnat.training import TrainConfig
 
 from helpers import REFERENCES, names_in
 
@@ -136,12 +145,17 @@ def test_model_owns_the_family_rule():
 V = 9  # the vocab_size of every id entry point below
 
 
+def _ar_model():
+    """A small autoregressive baseline of vocab_size V and max_len 8, with its parameters."""
+    cfg = ModelConfig(vocab_size=V, d_model=8, ff_dim=16, heads=2, enc_layers=1, dec_layers=1,
+                      variant="autoregressive-baseline", max_len=8, dropout_rate=0.0)
+    return cfg, init_params(cfg, 0)
+
+
 def _id_entry_points() -> dict:
     """Each entry point that takes ids, by name: the lowest id it admits
     and a call with ``ids``. Each admits ids up to V."""
-    cfg = ModelConfig(vocab_size=V, d_model=8, ff_dim=16, heads=2, enc_layers=1, dec_layers=1,
-                      variant="autoregressive-baseline", max_len=8, dropout_rate=0.0)
-    params = init_params(cfg, 0)
+    cfg, params = _ar_model()
     enc = encode(cfg, params, [4, 5])
     src = source_keys_values(cfg, params, enc)
     table = np.log(np.full((6, V + 1), 1.0 / (V + 1)))
@@ -164,3 +178,83 @@ def test_every_id_entry_point_rejects_an_id_out_of_its_range_with_one_message(en
     bad = lowest - 1 if past == "below" else V + 1
     with pytest.raises(VocabularyError, match=rf"^token id {bad} outside {lowest}\.\.{V}$"):
         call([4, bad])
+
+
+# Each settings class, its error and the settings it needs besides defaults.
+SETTINGS_CLASSES = {ModelConfig: (ConfigError, {"vocab_size": V}), TrainConfig: (ConfigError, {}),
+                    DecodeOptions: (OptionError, {})}
+INT_FIELDS = [pytest.param(cls, field.name, id=f"{cls.__name__}.{field.name}")
+              for cls in SETTINGS_CLASSES for field in dataclasses.fields(cls)
+              if typing.get_type_hints(cls)[field.name] is int]
+
+
+@pytest.mark.parametrize("cls, name", INT_FIELDS)
+@pytest.mark.parametrize("value", [2.5, True])
+def test_every_int_field_of_a_settings_class_rejects_a_non_integer(cls, name, value):
+    """Each field typed ``int`` goes through ``data.check_integer``, so a
+    new count field cannot skip the rule: a float or a bool is not a count,
+    even when it equals one."""
+    error, given = SETTINGS_CLASSES[cls]
+    with pytest.raises(error, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        cls(**{**given, name: value})
+
+
+@pytest.mark.parametrize("cls, name", INT_FIELDS)
+def test_every_int_field_of_a_settings_class_accepts_a_numpy_integer(cls, name):
+    given = SETTINGS_CLASSES[cls][1]
+    default = getattr(cls(**given), name)
+    assert getattr(cls(**{**given, name: np.int64(default)}), name) == default
+
+
+def _setting_entry_points() -> dict:
+    """Each entry point that takes an integer setting outside the settings
+    classes, by name: its error, the setting's name, its range and a call
+    with the setting. The CLI's flags arrive as ints from argparse."""
+    cfg, params = _ar_model()
+    pair = SentencePair((4, 5), (4, 5), "", "")
+    return {
+        "check_max_steps": (OptionError, "max_steps", 0, 8, lambda v: check_max_steps(cfg, v)),
+        "translate": (OptionError, "max_steps", 0, 8, lambda v: translate(cfg, params, [4, 5], DecodeOptions(), v)),
+        "bench_decode": (ConfigError, "reps", 3, math.inf,
+                         lambda v: bench_decode([pair], modes=("AR-greedy",), ar_model=(cfg, params), reps=v)),
+        "build_vocab": (VocabularyError, "min_freq", 1, math.inf, lambda v: build_vocab(["a b"], min_freq=v)),
+        "synthetic_vocab": (VocabularyError, "vocab_size", 2, math.inf, synthetic_vocab),
+        "gen_synthetic-shortest": (CorpusError, "len_range[0]", 1, math.inf,
+                                   lambda v: gen_synthetic("copy", 4, 2, (v, 3), 0)),
+        "gen_synthetic-longest": (CorpusError, "len_range[1]", 3, math.inf,
+                                  lambda v: gen_synthetic("copy", 4, 2, (3, v), 0)),
+        "count_alignments": (InputError, "T", 0, math.inf, lambda v: count_alignments(v, [4])),
+        "cli-reps": (cli.UsageError, "--reps", 3, math.inf,
+                     lambda v: cli.cmd_bench(argparse.Namespace(ar_model="ar.bin", nar_model=None, reps=v))),
+        "cli-n": (cli.UsageError, "--n", 1, math.inf, lambda v: cli.cmd_synth(argparse.Namespace(n=v))),
+    }
+
+
+SETTING_ENTRIES = ["check_max_steps", "translate", "bench_decode", "build_vocab", "synthetic_vocab",
+                   "gen_synthetic-shortest", "gen_synthetic-longest", "count_alignments", "cli-reps", "cli-n"]
+TWO_SIDED = ["check_max_steps", "translate"]
+
+
+@pytest.mark.parametrize("entry, bad", [
+    *((entry, bad) for entry in SETTING_ENTRIES for bad in ("float", "bool", "below")),
+    *((entry, "above") for entry in TWO_SIDED),
+])
+def test_every_setting_entry_point_rejects_a_bad_setting_with_one_message(entry, bad):
+    error, name, lowest, highest, call = _setting_entry_points()[entry]
+    value = {"float": 2.5, "bool": True, "below": lowest - 1, "above": highest + 1}[bad]
+    if bad in ("float", "bool"):
+        message = f"{name} must be an integer, got {value!r}"
+    elif highest == math.inf:
+        message = f"{name} must be >= {lowest}, got {value}"
+    else:
+        message = f"{name} must be in {lowest}..{highest}, got {value}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", [entry for entry in SETTING_ENTRIES if not entry.startswith("cli-")])
+def test_every_setting_entry_point_accepts_a_numpy_integer(entry):
+    _, _, lowest, highest, call = _setting_entry_points()[entry]
+    call(np.int64(lowest))
+    if highest != math.inf:
+        call(np.int64(highest))

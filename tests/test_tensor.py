@@ -669,6 +669,21 @@ def test_past_takes_one_new_position(causal):
         op(x, params, *args, **kwargs(), causal=causal, rate=0.0, rng=None, scope="self_attn")
 
 
+@pytest.mark.parametrize("op", [T.multi_head_attention, reference_multi_head_attention])
+@pytest.mark.parametrize("kind", ["tensor", "kv"])
+def test_past_with_a_memory_is_rejected_before_the_buffer_is_written(op, kind):
+    """A cache belongs to self-attention: a one-row tensor memory would
+    write its key and value into the buffer, and a KV memory would ignore it."""
+    rng = np.random.default_rng(50)
+    params = [Tensor(rng.normal(size=s)) for s in MHA_PARAMS]
+    memory = Tensor(rng.normal(size=(1, 4))) if kind == "tensor" else tuple(rng.normal(size=(2, 5, 2)) for _ in "kv")
+    buffers = [rng.normal(size=(2, 4, 2)) for _ in "kv"]
+    before = [b.tobytes() for b in buffers]
+    with pytest.raises(ShapeError, match="^attention: past applies to self-attention, not to a memory$"):
+        op(Tensor(rng.normal(size=(1, 4))), params, 2, memory, (*buffers, 2), rate=0.0, rng=None, scope="src_attn")
+    assert [b.tobytes() for b in buffers] == before
+
+
 class TestCheckRule:
     """The fused ops check only the scores, the pre-activation and their
     output. Against the unfused chain they replace, every poisoned input
